@@ -55,10 +55,7 @@ from .routing import (
     UnroutableProgramError,
     baseline_route,
     decompose,
-    gain,
     mapping_from_partition,
-    obtain_swaps,
-    swap_score,
     verify_equivalence,
     verify_schedule,
     xswap_route,

@@ -231,10 +231,7 @@ def random_backend(topology: CouplingGraph, base: Calibration, seed: int, name: 
         vals = list(values)
         if not vals:
             raise ValueError("base calibration has an empty rate category")
-        lo, hi = min(vals), max(vals)
-        if lo > hi:
-            raise ValueError("degenerate base calibration (min > max)")
-        return lo, hi
+        return min(vals), max(vals)
 
     c_lo, c_hi = bounds(base.cnot_error.values())
     r_lo, r_hi = bounds(base.readout_error.values())

@@ -2,12 +2,19 @@
 and through free qubits, a per-program baseline router for comparison, SWAP
 decomposition into CNOTs, and an exact-simulation equivalence check.
 
-Both routers follow the same loop: execute every hardware-compliant gate,
-then insert the best-scoring SWAP among candidates touching the blocked
-critical gates, until nothing is left. They differ in the candidate set
-(joint: any coupling edge incident to a blocked operand; baseline: edges
-inside the program's own region) and in the score (the joint router gets a
-bonus for SWAPs that shortcut a constraint across program boundaries).
+Both routers run one loop (``_route``): execute every hardware-compliant
+gate, then insert the best-scoring SWAP among candidates touching the
+blocked critical gates, until nothing is left; after a stall the oldest
+blocked gate walks along a shortest path instead. Each router passes the
+three things that differ:
+
+- candidate edges: the joint router takes any coupling edge incident to a
+  blocked operand, the baseline only edges inside the program's own region;
+- distance matrix: chip-wide for the joint router, restricted to the region
+  for the baseline;
+- shortcut bonus: the joint router passes the per-step restricted distances
+  so that SWAPs shortcutting a constraint across program boundaries score
+  better; the baseline passes none.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ from .circuit import (
     BARRIER,
     CNOT,
     MEASURE,
+    ONE_QUBIT_GATES,
     Dag,
     Gate,
     QuantumProgram,
@@ -205,16 +213,20 @@ def gain(gate: Gate, sigma: dict[int, int], full_dist: DistanceMatrix, own_dist:
     return own_dist.hops(a, b) - full_dist.hops(a, b)
 
 
-def obtain_swaps(to_resolve, graph, mapping: GlobalMapping) -> list[SwapOp]:
+def obtain_swaps(to_resolve, graph, mapping: GlobalMapping, allowed=None) -> list[SwapOp]:
     """Candidate SWAPs: every coupling edge incident to a physical qubit that
     hosts an operand of a gate to resolve, regardless of who owns the other
-    endpoint (this is what admits cross-program and free-qubit SWAPs)."""
+    endpoint (this is what admits cross-program and free-qubit SWAPs). With
+    ``allowed``, only edges with both endpoints in that set qualify."""
     edges: set[tuple[int, int]] = set()
     for program, g in to_resolve:
         for lq in g.qubits:
             p = mapping.phys(program, lq)
+            if allowed is not None and p not in allowed:
+                continue
             for nb in graph.neighbors(p):
-                edges.add((min(p, nb), max(p, nb)))
+                if allowed is None or nb in allowed:
+                    edges.add((min(p, nb), max(p, nb)))
     return [_classify(mapping, a, b) for a, b in sorted(edges)]
 
 
@@ -290,14 +302,6 @@ class _ProgramState:
     def done(self) -> bool:
         return len(self.executed) == len(self.program.gates)
 
-    def front_gates(self) -> list[Gate]:
-        return [self.program.gates[gid] for gid in sorted(front_layer(self.dag, self.executed))]
-
-    def resolve_gates(self) -> list[Gate]:
-        front = front_layer(self.dag, self.executed)
-        chosen = critical_gates(self.dag, front) or front
-        return [self.program.gates[gid] for gid in sorted(chosen)]
-
 
 def _execute_compliant(states, mapping: GlobalMapping, graph, events, pending_measures) -> bool:
     """Greedily execute every gate that needs no SWAP; returns True if any ran."""
@@ -308,36 +312,83 @@ def _execute_compliant(states, mapping: GlobalMapping, graph, events, pending_me
         for st in states:
             for gid in ready_gates(st.dag, st.executed):
                 g = st.program.gates[gid]
+                phys = tuple(mapping.phys(st.index, q) for q in g.qubits)
+                if g.is_cnot and not graph.has_edge(*phys):
+                    continue
+                st.executed.add(gid)
+                moved = progress = True
                 if g.kind == MEASURE:
-                    st.executed.add(gid)
                     pending_measures.append((st.index, gid, g.qubits[0]))
-                    moved = progress = True
-                elif g.kind == BARRIER:
-                    st.executed.add(gid)
-                    events.append(
-                        GateEvent(st.index, gid, BARRIER, tuple(mapping.phys(st.index, q) for q in g.qubits))
-                    )
-                    moved = progress = True
-                elif not g.is_cnot:
-                    st.executed.add(gid)
-                    events.append(
-                        GateEvent(st.index, gid, g.kind, (mapping.phys(st.index, g.qubits[0]),), g.params)
-                    )
-                    moved = progress = True
                 else:
-                    pa = mapping.phys(st.index, g.qubits[0])
-                    pb = mapping.phys(st.index, g.qubits[1])
-                    if graph.has_edge(pa, pb):
-                        st.executed.add(gid)
-                        events.append(GateEvent(st.index, gid, CNOT, (pa, pb)))
-                        moved = progress = True
+                    params = g.params if g.kind in ONE_QUBIT_GATES else ()
+                    events.append(GateEvent(st.index, gid, g.kind, phys, params))
     return progress
 
 
-def _flush_measures(pending_measures, mapping: GlobalMapping, events):
-    """Measurements are pinned to the end, remapped through the final layout."""
+def _route(
+    programs,
+    mapping: GlobalMapping,
+    graph,
+    h_dist: DistanceMatrix,
+    stall_limit: int | None,
+    allowed: frozenset[int] | None = None,
+    own_dists=None,
+    gain_cap: int = 0,
+) -> list:
+    """The loop both routers share. Routes ``programs``, a list of (index in
+    ``mapping``, program) pairs, and returns their events.
+
+    Candidates come from ``obtain_swaps(..., allowed)`` and are scored by
+    ``swap_score`` over ``h_dist``; ``own_dists``, when given, returns the
+    per-program restricted matrices for the current mapping and turns on the
+    shortcut bonus. After ``stall_limit`` (default 3 * n_qubits) consecutive
+    SWAPs that execute no gate, the oldest blocked gate steps along a
+    shortest path in ``h_dist`` instead.
+    """
+    if stall_limit is None:
+        stall_limit = 3 * graph.n_qubits
+    states = [_ProgramState(i, p) for i, p in programs]
+    events: list = []
+    pending_measures: list[tuple[int, int, int]] = []
+    fronts: list[list[Gate]] = [[] for _ in mapping.sigmas]
+    stalled = 0
+    while True:
+        if _execute_compliant(states, mapping, graph, events, pending_measures):
+            stalled = 0
+        if all(st.done() for st in states):
+            break
+        to_resolve = []
+        for st in states:
+            front = front_layer(st.dag, st.executed)
+            fronts[st.index] = [st.program.gates[gid] for gid in sorted(front)]
+            for gid in sorted(critical_gates(st.dag, front) or front):
+                g = st.program.gates[gid]
+                pa, pb = mapping.phys(st.index, g.qubits[0]), mapping.phys(st.index, g.qubits[1])
+                if not h_dist.reachable(pa, pb):
+                    where = "the chip" if allowed is None else f"region {sorted(allowed)}"
+                    raise UnroutableProgramError(
+                        st.program.name, f"{where} cannot connect qubits {pa} and {pb}"
+                    )
+                to_resolve.append((st.index, g))
+        if stalled >= stall_limit:
+            program, g = to_resolve[0]
+            pa, pb = mapping.phys(program, g.qubits[0]), mapping.phys(program, g.qubits[1])
+            neighbors = [x for x in graph.neighbors(pa) if h_dist.reachable(x, pb)]
+            step = min(neighbors, key=lambda x: (h_dist.hops(x, pb), x))
+            best = _classify(mapping, pa, step)
+        else:
+            dists = None if own_dists is None else own_dists()
+            best = min(
+                obtain_swaps(to_resolve, graph, mapping, allowed),
+                key=lambda s: (swap_score(s, fronts, mapping, h_dist, dists, gain_cap), s.key()),
+            )
+        mapping.apply_swap(best.phys_a, best.phys_b)
+        events.append(SwapEvent(best))
+        stalled += 1
+    # Measurements are pinned to the end, remapped through the final layout.
     for program, gid, logical in pending_measures:
         events.append(GateEvent(program, gid, MEASURE, (mapping.phys(program, logical),)))
+    return events
 
 
 def xswap_route(
@@ -353,45 +404,27 @@ def xswap_route(
     """
     graph = backend.graph
     mapping = initial.clone()
-    states = [_ProgramState(i, p) for i, p in enumerate(programs)]
-    events: list = []
-    pending_measures: list[tuple[int, int, int]] = []
-    full_dist = shortest_paths(graph)
     own_cache: dict[frozenset, DistanceMatrix] = {}
-    gain_cap = graph.n_qubits
-    if stall_limit is None:
-        stall_limit = 3 * graph.n_qubits
-    stalled = 0
 
-    def own_dist(i: int) -> DistanceMatrix:
-        allowed = frozenset(mapping.free_qubits() | mapping.region(i))
-        if allowed not in own_cache:
-            own_cache[allowed] = shortest_paths(graph, set(allowed))
-        return own_cache[allowed]
+    def own_dists() -> list[DistanceMatrix]:
+        free = mapping.free_qubits()
+        out = []
+        for i in range(len(programs)):
+            allowed = free | mapping.region(i)
+            if allowed not in own_cache:
+                own_cache[allowed] = shortest_paths(graph, set(allowed))
+            out.append(own_cache[allowed])
+        return out
 
-    while True:
-        if _execute_compliant(states, mapping, graph, events, pending_measures):
-            stalled = 0
-        if all(st.done() for st in states):
-            break
-        to_resolve = [(st.index, g) for st in states for g in st.resolve_gates()]
-        if stalled >= stall_limit:
-            program, g = to_resolve[0]
-            pa = mapping.phys(program, g.qubits[0])
-            pb = mapping.phys(program, g.qubits[1])
-            step = min(graph.neighbors(pa), key=lambda x: (full_dist.hops(x, pb), x))
-            best = _classify(mapping, pa, step)
-        else:
-            fronts = [st.front_gates() for st in states]
-            dists = [own_dist(i) for i in range(len(states))]
-            best = min(
-                obtain_swaps(to_resolve, graph, mapping),
-                key=lambda s: (swap_score(s, fronts, mapping, full_dist, dists, gain_cap), s.key()),
-            )
-        mapping.apply_swap(best.phys_a, best.phys_b)
-        events.append(SwapEvent(best))
-        stalled += 1
-    _flush_measures(pending_measures, mapping, events)
+    events = _route(
+        list(enumerate(programs)),
+        mapping,
+        graph,
+        shortest_paths(graph),
+        stall_limit,
+        own_dists=own_dists,
+        gain_cap=graph.n_qubits,
+    )
     return Schedule(tuple(programs), tuple(events), initial.clone(), mapping, backend)
 
 
@@ -408,57 +441,11 @@ def baseline_route(
     """
     graph = backend.graph
     mapping = initial.clone()
-    if stall_limit is None:
-        stall_limit = 3 * graph.n_qubits
-    streams: list[list] = []
+    streams = []
     for i, program in enumerate(programs):
-        st = _ProgramState(i, program)
-        events_i: list = []
-        pending: list[tuple[int, int, int]] = []
-        region = sorted(mapping.region(i))
+        region = mapping.region(i)
         region_dist = shortest_paths(graph, set(region))
-        region_edges = [
-            (a, b) for a, b in sorted(graph.edges) if a in set(region) and b in set(region)
-        ]
-        stalled = 0
-        while True:
-            if _execute_compliant([st], mapping, graph, events_i, pending):
-                stalled = 0
-            if st.done():
-                break
-            resolve = st.resolve_gates()
-            for g in resolve:
-                pa, pb = mapping.phys(i, g.qubits[0]), mapping.phys(i, g.qubits[1])
-                if not region_dist.reachable(pa, pb):
-                    raise UnroutableProgramError(
-                        program.name, f"region {region} cannot connect qubits {pa} and {pb}"
-                    )
-            if stalled >= stall_limit:
-                g = resolve[0]
-                pa, pb = mapping.phys(i, g.qubits[0]), mapping.phys(i, g.qubits[1])
-                neighbors = [x for x in graph.neighbors(pa) if region_dist.reachable(x, pb)]
-                step = min(neighbors, key=lambda x: (region_dist.hops(x, pb), x))
-                best = _classify(mapping, pa, step)
-            else:
-                operand_phys = {mapping.phys(i, q) for g in resolve for q in g.qubits}
-                candidates = [
-                    _classify(mapping, a, b)
-                    for a, b in region_edges
-                    if a in operand_phys or b in operand_phys
-                ]
-                fronts_one = [st.front_gates()]
-                best = min(
-                    candidates,
-                    key=lambda s: (
-                        _restricted_score(s, fronts_one, mapping, i, region_dist),
-                        s.key(),
-                    ),
-                )
-            mapping.apply_swap(best.phys_a, best.phys_b)
-            events_i.append(SwapEvent(best))
-            stalled += 1
-        _flush_measures(pending, mapping, events_i)
-        streams.append(events_i)
+        streams.append(_route([(i, program)], mapping, graph, region_dist, stall_limit, allowed=region))
     merged: list = []
     cursors = [0] * len(streams)
     while any(c < len(s) for c, s in zip(cursors, streams)):
@@ -467,20 +454,6 @@ def baseline_route(
                 merged.append(stream[cursors[i]])
                 cursors[i] += 1
     return Schedule(tuple(programs), tuple(merged), initial.clone(), mapping, backend)
-
-
-def _restricted_score(swap: SwapOp, fronts_one, mapping: GlobalMapping, program: int, region_dist):
-    a, b = swap.phys_a, swap.phys_b
-
-    def after(p: int) -> int:
-        return b if p == a else a if p == b else p
-
-    total = 0.0
-    for g in fronts_one[0]:
-        pa = mapping.phys(program, g.qubits[0])
-        pb = mapping.phys(program, g.qubits[1])
-        total += region_dist.hops(after(pa), after(pb))
-    return total
 
 
 # --- decomposition and verification ----------------------------------------------

@@ -73,9 +73,9 @@ def independent_epst(job: Job, tree: HierarchyTree, backend: Backend) -> float:
     return epst(job.program, assignment.qubits, backend)
 
 
-def _co_epsts(jobs, tree: HierarchyTree, backend: Backend) -> dict[int, float] | None:
-    """Estimates for all jobs under a joint partition, or None if any job
-    cannot be placed alongside the others."""
+def _co_epsts(jobs, tree: HierarchyTree, backend: Backend) -> tuple[Partition, dict[int, float]] | None:
+    """The joint partition of all jobs and each job's estimate under it, or
+    None if any job cannot be placed alongside the others."""
     partition = partition_qubits(tree.clone(), [j.program for j in jobs], backend)
     if partition.unassigned:
         return None
@@ -86,7 +86,7 @@ def _co_epsts(jobs, tree: HierarchyTree, backend: Backend) -> dict[int, float] |
             out[job.id] = epst(job.program, region, backend)
         except SchedulingError:
             return None
-    return out
+    return partition, out
 
 
 def _violation(ind: float, co: float) -> float:
@@ -132,6 +132,7 @@ def schedule_tasks(
             jobs = jobs[1:]
             continue
         members = [head]
+        accepted = None
         idx = 1
         while idx < len(jobs) and idx < lookahead and len(members) < max_colocate:
             tentative = jobs[idx]
@@ -142,16 +143,16 @@ def schedule_tasks(
             except SchedulingError:
                 continue
             trial = members + [tentative]
-            co = _co_epsts(trial, tree, backend)
-            if co is None:
+            result = _co_epsts(trial, tree, backend)
+            if result is None:
                 continue
-            if all(_acceptable(_violation(j.ind_epst, co[j.id]), epsilon) for j in trial):
-                members = trial
-        final_partition = partition_qubits(tree.clone(), [j.program for j in members], backend)
+            if all(_acceptable(_violation(j.ind_epst, result[1][j.id]), epsilon) for j in trial):
+                members, accepted = trial, result
+        # The last accepted trial already partitioned exactly these members.
+        final_partition, co = accepted or _co_epsts(members, tree, backend)
         record: dict[int, float | None] = {}
         for job in members:
-            region = next(a.qubits for a in final_partition.assignments if a.program is job.program)
-            job.co_epst = epst(job.program, region, backend)
+            job.co_epst = co[job.id]
             record[job.id] = _violation(job.ind_epst, job.co_epst)
             job.status = "batched" if len(members) > 1 else "independent"
         batches.append(Batch(jobs=tuple(members), partition=final_partition, decision_record=record))

@@ -120,11 +120,7 @@ def bitstring(index: int, n: int) -> str:
 def output_distribution(program: QuantumProgram, cap: int = DEFAULT_QUBIT_CAP) -> dict[str, float]:
     """Exact outcome probabilities of a program, keyed by bitstring
     (qubit n-1 leftmost). Entries below 1e-15 are pruned."""
-    if program.n_qubits > min(cap, HARD_QUBIT_CAP):
-        raise QubitCapExceeded(
-            f"{program.n_qubits} qubits exceed the simulation cap of {min(cap, HARD_QUBIT_CAP)}"
-        )
-    probs = np.abs(simulate_statevector(program)) ** 2
+    probs = distribution_vector(program, cap)
     n = program.n_qubits
     return {bitstring(i, n): float(p) for i, p in enumerate(probs) if p >= PRUNE_BELOW}
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import make_backend, random_program
 from qmultiprog import fixtures
 from qmultiprog.circuit import Gate, QuantumProgram, parse_program
 from qmultiprog.hardware import UnreachableError, shortest_paths
+from qmultiprog.partition import build_hierarchy_tree, frp_partition, partition_qubits
 from qmultiprog.routing import (
     FREE,
     GlobalMapping,
@@ -14,6 +16,7 @@ from qmultiprog.routing import (
     baseline_route,
     decompose,
     gain,
+    mapping_from_partition,
     obtain_swaps,
     swap_score,
     verify_equivalence,
@@ -249,6 +252,138 @@ def test_baseline_unroutable_region_reported():
     schedule = xswap_route([program], mapping, backend)
     assert schedule.swap_count > 0
     assert verify_schedule(schedule)[0]
+
+
+# --- golden schedules -----------------------------------------------------------------
+
+# SHA-256 of Schedule.to_json() per instance, in the order
+# (xswap, stall_limit=None), (xswap, 0), (baseline, None), (baseline, 0).
+GOLDEN_SCHEDULES = {
+    "boundary": (
+        "0f265d554c9fd159a3c747b0c287b7800e137cef7a38d081d39ff5760ae67cbb",
+        "9dde066fcb1ae174f54d1ac1baae356ca4d3ec14fd9aff51c2b2f656c4e88c65",
+        "629d92ab43e51bcdfe334d9ad220ec7dd30f951c6ffb25ca73bb76c948e1b163",
+        "1f8fd9837d7cba978732fc3333f22c9f28836e58cf51969eff86fd6db677b080",
+    ),
+    "shortcut": (
+        "4697e7e8fc9ebfca0eb93b8927b82bdebba8fb35b102b9fae816ef88563e7f2b",
+        "4697e7e8fc9ebfca0eb93b8927b82bdebba8fb35b102b9fae816ef88563e7f2b",
+        "92eac97e22b79a7f29a9a35a2d4a8c1ad009a73c275fb212fb4d533dd0c1ba34",
+        "92eac97e22b79a7f29a9a35a2d4a8c1ad009a73c275fb212fb4d533dd0c1ba34",
+    ),
+    "tokyo20-s0-frp": (
+        "9279294d34f0aaf0104961c84318e76d7f2f773a880aa855808a0fb4c8dbc70a",
+        "d889070951259229495506149a4c8167a7334cba7d462ee5faa01ad458f47b01",
+        "3e5ccfb37ae15f8464481e557ea633ca8b08d1c9a8b0ac206343cb191084de39",
+        "ee17dca4d2d3d92b2d9a465319858e8daa1330b74ceff163776c98048c0d28fe",
+    ),
+    "tokyo20-s0-cdap": (
+        "1dd50d1e7b39b906331bd3d13749b50059e5031889f6ec15fef3dc0ae8be724d",
+        "34353972cfa7bc6edffa4b18bce68bddc2486f9f2fce442e9369102bba21a8bd",
+        "7dd0b04a374433780d27680fe7f9cf1f66d5addf4a9870886f1a85a2286e0ac6",
+        "b47f88b99ccffc63230a9bfc77a73b1897649493b8acf8ed7cc36e57a435a5c4",
+    ),
+    "tokyo20-s1-frp": (
+        "d15c0f9c196a91bd9e06aa5626383e6477d38963d474b3a9deb55a8c6d2fba06",
+        "822b636cf189bbba88e42aeee35b60b1f4fd15d033c9f1041b8806a7b4abdeef",
+        "d70a520028dbdf8b1122de0d5dc76a62a9f7ccb9e2382db4dfc084fae24c43e4",
+        "9c2647bb5c8cd3f470952126e95743e311d4b88f96f8b95f4c4fb9e6e47428cc",
+    ),
+    "tokyo20-s1-cdap": (
+        "f6ea5826d03dbb21784bcafb23022b4a41c3ea86a6323e1000db079eecb502bd",
+        "2b7acfe2a9ec2305c0d85fba7269c5d6c0a6fe92c33a428f86e4d845813d775f",
+        "2337e8b9fb84bac494fad814c21fb6d16ffb5eabc3173fd92242b4eee695561a",
+        "8b36b93cd7821413e06fb8ef7a0ba1dbc2e9375170610ce0447786a80f8762a3",
+    ),
+    "tokyo20-s2-frp": (
+        "4821ccac3d411dcc1f735a3fd2036f170860eaf50cb9bcba5a1262615c60517d",
+        "28dd4c2262ed8e1c7ebf3e03790ac95b7a27b066156c2946a686cb906b686c22",
+        "771419ca24a992ceee7345547e2372c9881951c384bfa2d53fe6b8240c7a981d",
+        "a3257cfe1cb49f4cc3c8c3b76edc9c96076df98267b41a23fd1c12ec5171c2a1",
+    ),
+    "tokyo20-s2-cdap": (
+        "16777f4e490c389e20c13cb11fb2880f808e721d181420aae95aaef2f54d0041",
+        "42589617ffbfd789ad52cfa712ff38f93384ac409b5d434a1f77652ac57620f5",
+        "1e5bb03bcafcc16773358630ccefa8e20719023d307e67bcc98ceb5c8c9b3d8d",
+        "b17b7d72079694ee21e14b7d172f9f41e43280c1fe2a79241a98c09dfc6a0ad4",
+    ),
+    "melbourne-s0-frp": (
+        "7a31cdf51e24b4c5cb603264d1370c2690c1f46467c3cab185c23867f736bfd5",
+        "751a0172d724c36427c67a17d5f977729200b8bb3b59f6ea8594e9d3765eb5b7",
+        "307dafa036e9b0a51ca656f1cd2f87c2ce07b1bc5bdb822b28c15760d3ead899",
+        "af4846208c5ab47b3fc1d2f8e1e545f945929761d51754d615cb7599322b6d70",
+    ),
+    "melbourne-s0-cdap": (
+        "090598c0c06f59dbb79ac9b39c92b9fe5269d3ebe17240eacee0cbf47dea6cd6",
+        "6227eca13bac8b9d59c694f5432a7642be7d1848114eb1bae93dc76896f6af8d",
+        "2ac68d8a9c8f8414658efa13b1ad73651d266cb4735ea3bc3d19de8249e06611",
+        "4a9c6a3fb096eeaaa94408e8c0c0875be0b4049bbc5c47ad80eeca2d1861f94e",
+    ),
+    "melbourne-s1-frp": (
+        "fb937ddc1c6e10d69382e6c52facfb0d6f38675cb3a3b3d3538f1547d3ea5f19",
+        "115017eb70be3b27786e2a35066239ae6b1ebc2b80a674a5bd879df538c80d17",
+        "b9adb9ba0deaf60260cfa9c3ebca834f0ef852ea0f52897172168ce65ece300f",
+        "208c72309b759538870ecd9a05740871533bf1c0aa611e3aa85f9c8e9f716ff4",
+    ),
+    "melbourne-s1-cdap": (
+        "fe1af9a5be6f1f49984a7a199b2b85d70a2950108047698cd46fe30b8fea750b",
+        "bd1c014b429cb4c310a30d8621abf5fa7237c69e0ecff05a24f4ae5dc4dc38d8",
+        "9221e140effa85b5df01ee06c7b7b4d4d7e1a6a08e26540e0271a1ef0c9b6724",
+        "ab211ebe5bc6d9fd44a048648b53039f4eccc5e926eae7035081f95dc370d407",
+    ),
+    "melbourne-s2-frp": (
+        "1c6903321d49753ebf6da753ff4de6c1e8d8f38f42896d2069bf7499501f5d5e",
+        "65d201e30b38ae788562de7308ea34a337d0102456211deb7b270413b6eefd90",
+        "5fb903f4fcccb31edc3542e9eab0bcbf4959126447280472c79fb831ab7955e6",
+        "3f20ad0abc2a056a64fb30465db054e7559d4936c398f93a404e083302673966",
+    ),
+    "melbourne-s2-cdap": (
+        "fa13caca4cf12978c1c51058007d052b42f24efb9653cc88508c6add8c196991",
+        "82ab173963f013d6c89fe6a0a53c379940690a4945625de037eef397c8f6784c",
+        "c098e97427e8d586631e4186775813f8835a382781d588c1890ff67ffd07b324",
+        "4f24ea88d578439b27c3e141a1e2928e1f5343ebfbd3e27fd17684582c8eb8a6",
+    ),
+}
+
+
+def _golden_instance(name):
+    if name == "boundary":
+        return fixtures.boundary_swap_instance()
+    if name == "shortcut":
+        return fixtures.shortcut_swap_instance()
+    chip, seed, placer = name.split("-")
+    seed = int(seed[1:])
+    backend = fixtures.load_fixture_backend(chip)
+    programs = [
+        random_program(f"{chip}{seed}_{k}", n, 24, 12, seed=100 * seed + k)
+        for k, n in enumerate((5, 4, 3))
+    ]
+    if placer == "frp":
+        partition = frp_partition(programs, backend)
+    else:
+        partition = partition_qubits(build_hierarchy_tree(backend), programs, backend)
+    placed = [p for p in programs if p not in partition.unassigned]
+    return placed, mapping_from_partition(partition, placed, backend.n_qubits), backend
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
+def test_golden_schedule_digests(name):
+    programs, mapping, backend = _golden_instance(name)
+    digests = tuple(
+        hashlib.sha256(router(programs, mapping, backend, stall_limit=stall).to_json().encode()).hexdigest()
+        for router in (xswap_route, baseline_route)
+        for stall in (None, 0)
+    )
+    assert digests == GOLDEN_SCHEDULES[name]
+
+
+def test_golden_unroutable_message():
+    backend = make_backend(4, [(0, 1), (1, 2), (2, 3)])
+    program = parse_program("qreg q[2]; cx q[0],q[1];", name="gap")
+    mapping = GlobalMapping([{0: 0, 1: 3}], n_phys=4)
+    with pytest.raises(UnroutableProgramError) as err:
+        baseline_route([program], mapping, backend)
+    assert str(err.value) == "program 'gap' is unroutable: region [0, 3] cannot connect qubits 0 and 3"
 
 
 # --- decomposition ------------------------------------------------------------------

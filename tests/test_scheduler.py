@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_backend, random_program
 from qmultiprog.hardware import random_backend
-from qmultiprog.partition import build_hierarchy_tree
+from qmultiprog.partition import build_hierarchy_tree, partition_qubits
 from qmultiprog.scheduler import (
     Batch,
     Job,
@@ -237,3 +237,31 @@ def test_competition_can_beat_the_solo_estimate(tokyo20):
                     if job.co_epst > job.ind_epst + 1e-12:
                         found = True
     assert found
+
+
+def test_batch_partition_matches_fresh_partition(tokyo20):
+    # each batch reuses its last accepted trial's partition instead of
+    # partitioning again; it must be the partition its members would get
+    rng = random.Random(91)
+    for trial in range(3):
+        backend = random_backend(tokyo20.graph, tokyo20.calib, seed=700 + trial)
+        tree = build_hierarchy_tree(backend)
+        queue = [
+            Job(
+                id=k,
+                program=random_program(
+                    f"p{trial}_{k}", rng.randint(2, 4), rng.randint(2, 10), rng.randint(1, 6), seed=rng.randrange(1 << 30)
+                ),
+            )
+            for k in range(7)
+        ]
+        batches = schedule_tasks(queue, tree, backend, epsilon=0.3, max_colocate=3)
+        assert any(len(b.jobs) > 1 for b in batches)
+        for batch in batches:
+            if batch.partition is None:  # head cannot be placed even alone
+                continue
+            fresh = partition_qubits(tree.clone(), [j.program for j in batch.jobs], backend)
+            assert batch.partition == fresh
+            for job in batch.jobs:
+                region = next(a.qubits for a in fresh.assignments if a.program is job.program)
+                assert job.co_epst == epst(job.program, region, backend)
