@@ -152,7 +152,11 @@ def build_dag(program: QuantumProgram) -> Dag:
 
 
 def front_layer(dag: Dag, executed: set[int]) -> set[int]:
-    """CNOT gates whose DAG predecessors are all executed, themselves pending."""
+    """CNOT gates whose DAG predecessors are all executed, themselves pending.
+
+    This is the reference definition, rescanning every gate; the routers
+    maintain the same set incrementally as gates execute.
+    """
     return {
         g.id
         for g in dag.program.gates
@@ -167,7 +171,11 @@ def critical_gates(dag: Dag, front: set[int]) -> set[int]:
 
 
 def ready_gates(dag: Dag, executed: set[int]) -> list[int]:
-    """All pending gates (any kind) whose predecessors are executed, in id order."""
+    """All pending gates (any kind) whose predecessors are executed, in id order.
+
+    This is the reference definition, rescanning every gate; the routers
+    maintain the same set incrementally as gates execute.
+    """
     return [
         g.id
         for g in dag.program.gates

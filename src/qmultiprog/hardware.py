@@ -12,6 +12,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 Edge = tuple[int, int]
@@ -45,9 +46,17 @@ class CouplingGraph:
     def from_pairs(n_qubits: int, pairs) -> "CouplingGraph":
         return CouplingGraph(n_qubits, frozenset(_norm_edge(a, b) for a, b in pairs))
 
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        # Built on first use; not a dataclass field, so == and hash ignore it.
+        adj: dict[int, list[int]] = {}
+        for a, b in self.edges:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        return {q: tuple(sorted(nbs)) for q, nbs in adj.items()}
+
     def neighbors(self, q: int) -> list[int]:
-        out = [b for a, b in self.edges if a == q] + [a for a, b in self.edges if b == q]
-        return sorted(out)
+        return list(self._adjacency.get(q, ()))
 
     def has_edge(self, a: int, b: int) -> bool:
         return _norm_edge(a, b) in self.edges

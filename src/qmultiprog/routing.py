@@ -15,6 +15,10 @@ three things that differ:
 - shortcut bonus: the joint router passes the per-step restricted distances
   so that SWAPs shortcutting a constraint across program boundaries score
   better; the baseline passes none.
+
+The dependency frontier is kept incrementally (as in SABRE): each program
+counts every gate's unexecuted predecessors and updates its set of ready
+gates as gates execute, so a step costs O(frontier), not O(gates).
 """
 from __future__ import annotations
 
@@ -33,8 +37,6 @@ from .circuit import (
     QuantumProgram,
     build_dag,
     critical_gates,
-    front_layer,
-    ready_gates,
 )
 from .hardware import Backend, DistanceMatrix, shortest_paths
 from . import sim
@@ -262,26 +264,35 @@ def swap_score(
     minimization prefer exactly the shortcut SWAPs.
     """
     a, b = swap.phys_a, swap.phys_b
-
-    def after(p: int) -> int:
-        return b if p == a else a if p == b else p
-
+    dist = h_dist.dist
+    row_a, row_b = dist[a], dist[b]
     score = 0.0
     for i, front in enumerate(fronts):
         if not front:
             continue
         per_layer = 1.0 / len(front)
+        sigma = mapping.sigmas[i]
         for g in front:
-            pa = mapping.phys(i, g.qubits[0])
-            pb = mapping.phys(i, g.qubits[1])
-            score += h_dist.hops(after(pa), after(pb))
+            pa, pb = sigma[g.qubits[0]], sigma[g.qubits[1]]
+            qa = b if pa == a else a if pa == b else pa
+            qb = b if pb == a else a if pb == b else pb
+            moved = dist[qa][qb]
+            score += h_dist.hops(qa, qb) if moved is None else moved
             if own_dists is None:
                 continue
-            d = h_dist.hops(pa, pb)
-            on_path = (
-                h_dist.hops(pa, a) + 1 + h_dist.hops(b, pb) == d
-                or h_dist.hops(pa, b) + 1 + h_dist.hops(a, pb) == d
-            )
+            row = dist[pa]
+            hops = (row[pb], row[a], row_b[pb], row[b], row_a[pb])
+            if None in hops:
+                # Some pair is unreachable: the checked lookups raise
+                # UnreachableError exactly where the on-path test needs one.
+                d = h_dist.hops(pa, pb)
+                on_path = (
+                    h_dist.hops(pa, a) + 1 + h_dist.hops(b, pb) == d
+                    or h_dist.hops(pa, b) + 1 + h_dist.hops(a, pb) == d
+                )
+            else:
+                d = hops[0]
+                on_path = hops[1] + 1 + hops[2] == d or hops[3] + 1 + hops[4] == d
             if on_path:
                 restricted = own_dists[i].get(pa, pb)
                 saved = gain_cap if restricted is None else restricted - d
@@ -293,11 +304,28 @@ def swap_score(
 
 
 class _ProgramState:
+    """One program's routing progress, kept incrementally.
+
+    ``waiting[gid]`` counts the gate's DAG predecessors not yet executed;
+    ``ready`` holds the pending gates with none left, i.e. exactly what
+    ``ready_gates(dag, executed)`` returns, without rescanning the program.
+    """
+
     def __init__(self, index: int, program: QuantumProgram):
         self.index = index
         self.program = program
         self.dag: Dag = build_dag(program)
         self.executed: set[int] = set()
+        self.waiting = {gid: len(preds) for gid, preds in self.dag.predecessors.items()}
+        self.ready = {gid for gid, n in self.waiting.items() if n == 0}
+
+    def execute(self, gid: int):
+        self.executed.add(gid)
+        self.ready.remove(gid)
+        for succ in self.dag.successors[gid]:
+            self.waiting[succ] -= 1
+            if not self.waiting[succ]:
+                self.ready.add(succ)
 
     def done(self) -> bool:
         return len(self.executed) == len(self.program.gates)
@@ -310,12 +338,13 @@ def _execute_compliant(states, mapping: GlobalMapping, graph, events, pending_me
     while moved:
         moved = False
         for st in states:
-            for gid in ready_gates(st.dag, st.executed):
+            # A snapshot: gates readied during this pass wait for the next one.
+            for gid in sorted(st.ready):
                 g = st.program.gates[gid]
                 phys = tuple(mapping.phys(st.index, q) for q in g.qubits)
                 if g.is_cnot and not graph.has_edge(*phys):
                     continue
-                st.executed.add(gid)
+                st.execute(gid)
                 moved = progress = True
                 if g.kind == MEASURE:
                     pending_measures.append((st.index, gid, g.qubits[0]))
@@ -359,7 +388,9 @@ def _route(
             break
         to_resolve = []
         for st in states:
-            front = front_layer(st.dag, st.executed)
+            # The CNOTs still ready after the compliant pass are exactly
+            # front_layer(dag, executed): every ready non-CNOT has executed.
+            front = {gid for gid in st.ready if st.program.gates[gid].is_cnot}
             fronts[st.index] = [st.program.gates[gid] for gid in sorted(front)]
             for gid in sorted(critical_gates(st.dag, front) or front):
                 g = st.program.gates[gid]

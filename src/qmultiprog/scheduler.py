@@ -111,8 +111,9 @@ def schedule_tasks(
     Seed a batch with the queue head, then scan up to ``lookahead`` positions,
     tentatively adding each job and recomputing every member's co-located
     estimate under a joint partition; a tentative addition that pushes any
-    member's violation past ``epsilon`` is dropped. Jobs whose programs fail
-    partitioning run independently.
+    member's violation past ``epsilon`` is dropped. A job whose program object
+    is already in the batch is skipped and waits for a later batch. Jobs whose
+    programs fail partitioning run independently.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
@@ -137,6 +138,9 @@ def schedule_tasks(
         while idx < len(jobs) and idx < lookahead and len(members) < max_colocate:
             tentative = jobs[idx]
             idx += 1
+            if any(m.program is tentative.program for m in members):
+                # A partition places each program object once; wait for a later batch.
+                continue
             try:
                 if tentative.ind_epst is None:
                     tentative.ind_epst = independent_epst(tentative, tree, backend)

@@ -1,10 +1,16 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from qmultiprog import fixtures
 from qmultiprog.circuit import Gate, QuantumProgram
 from qmultiprog.hardware import Backend, Calibration, CouplingGraph
+
+# Property tests replay the same examples on every run, never fail on timing
+# and keep no example database between runs.
+settings.register_profile("qmultiprog", derandomize=True, deadline=None, database=None)
+settings.load_profile("qmultiprog")
 
 
 def make_backend(n, pairs, cnot=0.02, readout=0.03, oneq=0.001, name="chip"):

@@ -117,6 +117,30 @@ def test_bfs_matches_floyd_warshall(seed):
                 assert got.get(a, b) is None
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_adjacency_matches_edge_scan(seed):
+    # neighbors/degree/is_connected read precomputed adjacency; check them
+    # against a scan of the edge set, on connected graphs and on random
+    # subgraphs that may fall apart
+    rng = random.Random(seed)
+    full = random_graph(rng.randint(1, 12), seed)
+    kept = frozenset(e for e in full.edges if rng.random() < 0.6)
+    for graph in (full, CouplingGraph(full.n_qubits, kept)):
+        for q in range(-1, graph.n_qubits + 1):
+            scan = sorted([b for a, b in graph.edges if a == q] + [a for a, b in graph.edges if b == q])
+            assert graph.neighbors(q) == scan
+            assert graph.degree(q) == len(scan)
+        component = {0}
+        while True:
+            grown = component | {x for e in graph.edges if set(e) & component for x in e}
+            if grown == component:
+                break
+            component = grown
+        assert graph.is_connected() == (len(component) == graph.n_qubits)
+        twin = CouplingGraph(graph.n_qubits, frozenset(graph.edges))
+        assert twin == graph and hash(twin) == hash(graph) and repr(twin) == repr(graph)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_every_edge_has_distance_one_and_restriction_monotone(seed):
     graph = random_graph(8, 100 + seed)

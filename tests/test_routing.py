@@ -2,10 +2,11 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_backend, random_program
 from qmultiprog import fixtures
-from qmultiprog.circuit import Gate, QuantumProgram, parse_program
+from qmultiprog.circuit import Gate, QuantumProgram, front_layer, parse_program, ready_gates
 from qmultiprog.hardware import UnreachableError, shortest_paths
 from qmultiprog.partition import build_hierarchy_tree, frp_partition, partition_qubits
 from qmultiprog.routing import (
@@ -13,6 +14,7 @@ from qmultiprog.routing import (
     GlobalMapping,
     RoutingError,
     UnroutableProgramError,
+    _ProgramState,
     baseline_route,
     decompose,
     gain,
@@ -254,6 +256,46 @@ def test_baseline_unroutable_region_reported():
     assert verify_schedule(schedule)[0]
 
 
+# --- incremental frontier ------------------------------------------------------------
+
+
+@st.composite
+def _programs(draw):
+    """Random programs over CNOTs, rotations, partial barriers and measures."""
+    n = draw(st.integers(1, 5))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(["cx", "h", "u3", "barrier", "measure"]), max_size=40)):
+        if kind == "cx":
+            if n < 2:
+                continue
+            qubits = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        elif kind == "barrier":
+            qubits = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        else:
+            qubits = [draw(st.integers(0, n - 1))]
+        params = (0.1, 0.2, 0.3) if kind == "u3" else ()
+        gates.append(Gate(kind, tuple(qubits), params, id=len(gates)))
+    return QuantumProgram("prop", n, tuple(gates))
+
+
+@given(program=_programs(), data=st.data())
+def test_incremental_frontier_matches_reference(program, data):
+    # drive the router's per-program state through a random valid execution
+    # order; after every step it must agree with the rescanning definitions
+    state = _ProgramState(0, program)
+    executed: set[int] = set()
+    while True:
+        assert sorted(state.ready) == ready_gates(state.dag, executed)
+        assert {gid for gid in state.ready if program.gates[gid].is_cnot} == front_layer(state.dag, executed)
+        assert state.executed == executed
+        if not state.ready:
+            break
+        gid = data.draw(st.sampled_from(sorted(state.ready)))
+        state.execute(gid)
+        executed.add(gid)
+    assert state.done() and len(executed) == len(program.gates)
+
+
 # --- golden schedules -----------------------------------------------------------------
 
 # SHA-256 of Schedule.to_json() per instance, in the order
@@ -337,6 +379,18 @@ GOLDEN_SCHEDULES = {
         "5fb903f4fcccb31edc3542e9eab0bcbf4959126447280472c79fb831ab7955e6",
         "3f20ad0abc2a056a64fb30465db054e7559d4936c398f93a404e083302673966",
     ),
+    "cross9-mixed": (
+        "1d317eab96239b6a45606b2706489003045a91e320bc8473d23164fbfa5f0c28",
+        "02219a48bd395a97a361f5a3251e883f4b45ae574c3984f13c933f312d17300b",
+        "3c3840af3368b6282d56e624719794ccaf0fc917bf505be49740e5611878eac6",
+        "8d8f305a27544373c18bb5a56d3f3e53a35a72851beaca4e7f6b42166b1eeeae",
+    ),
+    "tokyo20-deep-frp": (
+        "93615d35e2326698995c095e75cdbea56daa8271bf9433ee7b524678ec6f35d6",
+        "5750f926b77a27e997711df477e525a6401cd26fe63905573869686a5c67ca88",
+        "067f8d3dcfe7fd0cb73a94eddaed7e7f8e176353349982b3495f045ef5f1549e",
+        "d397d324b3bc6864d4d5a3c9eca70ef74be7b9de5e88b87101aab6fad2dec3d0",
+    ),
     "melbourne-s2-cdap": (
         "fa13caca4cf12978c1c51058007d052b42f24efb9653cc88508c6add8c196991",
         "82ab173963f013d6c89fe6a0a53c379940690a4945625de037eef397c8f6784c",
@@ -346,11 +400,53 @@ GOLDEN_SCHEDULES = {
 }
 
 
+def _mixed_program(name, n_qubits, n_cnot, n_1q, seed):
+    """A random program with u3 rotations, partial barriers and measures; each
+    qubit is measured right after its last use or at the very end."""
+    rng = random.Random(seed)
+    body = random_program(name, n_qubits, n_cnot, n_1q, seed=seed).gates
+    last_use = {q: i for i, g in enumerate(body) for q in g.qubits}
+    gates, deferred = [], [q for q in range(n_qubits) if q not in last_use]
+
+    def add(kind, qubits, params=()):
+        gates.append(Gate(kind, tuple(qubits), tuple(params), id=len(gates)))
+
+    for i, g in enumerate(body):
+        add(g.kind, g.qubits)
+        if rng.random() < 0.2:
+            add("u3", (rng.choice(g.qubits),), [round(rng.uniform(-3, 3), 3) for _ in range(3)])
+        if rng.random() < 0.1:
+            add("barrier", sorted(rng.sample(range(n_qubits), rng.randint(1, n_qubits))))
+        for q in g.qubits:
+            if last_use[q] == i:
+                if rng.random() < 0.5:
+                    add("measure", (q,))
+                else:
+                    deferred.append(q)
+    add("barrier", range(n_qubits))
+    for q in sorted(deferred):
+        add("measure", (q,))
+    return QuantumProgram(name, n_qubits, tuple(gates))
+
+
 def _golden_instance(name):
     if name == "boundary":
         return fixtures.boundary_swap_instance()
     if name == "shortcut":
         return fixtures.shortcut_swap_instance()
+    if name == "cross9-mixed":
+        # The scattered layout of the pipeline stress test: the hub (phys 4) is free.
+        backend = fixtures.load_fixture_backend("cross9")
+        programs = [_mixed_program(f"mixed_{k}", n, 14, 8, seed=500 + k) for k, n in enumerate((3, 2, 3))]
+        mapping = GlobalMapping([{0: 0, 1: 1, 2: 2}, {0: 3, 1: 6}, {0: 5, 1: 7, 2: 8}], n_phys=9)
+        return programs, mapping, backend
+    if name == "tokyo20-deep-frp":
+        # Shaped like the route_deep benchmark workload, at 150 CNOTs per program.
+        backend = fixtures.load_fixture_backend("tokyo20")
+        programs = [random_program(f"deep_{k}", 6, 150, 75, seed=300 + k) for k in range(3)]
+        partition = frp_partition(programs, backend)
+        assert not partition.unassigned
+        return programs, mapping_from_partition(partition, programs, backend.n_qubits), backend
     chip, seed, placer = name.split("-")
     seed = int(seed[1:])
     backend = fixtures.load_fixture_backend(chip)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import make_backend, random_program
+from qmultiprog import fixtures
 from qmultiprog.hardware import random_backend
 from qmultiprog.partition import build_hierarchy_tree, partition_qubits
 from qmultiprog.scheduler import (
@@ -265,3 +266,17 @@ def test_batch_partition_matches_fresh_partition(tokyo20):
             for job in batch.jobs:
                 region = next(a.qubits for a in fresh.assignments if a.program is job.program)
                 assert job.co_epst == epst(job.program, region, backend)
+
+
+def test_repeated_program_object_waits_for_a_later_batch(tokyo20):
+    # a partition places each program object once, so a job whose program
+    # is already in the batch is skipped instead of failing the trial
+    bv, peres = fixtures.load_benchmark("bv_n3"), fixtures.load_benchmark("peres_3")
+    tree = build_hierarchy_tree(tokyo20)
+    for epsilon, expected in ((0.0, [[0], [1], [2]]), (0.15, [[0, 1], [2]]), (1.0, [[0, 1], [2]])):
+        queue = [Job(0, bv), Job(1, peres), Job(2, bv)]
+        batches = schedule_tasks(queue, tree, tokyo20, epsilon=epsilon, max_colocate=3)
+        assert [[j.id for j in b.jobs] for b in batches] == expected
+        for b in batches:
+            assert len({id(j.program) for j in b.jobs}) == len(b.jobs)
+            assert all(j.co_epst is not None for j in b.jobs)
