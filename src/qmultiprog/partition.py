@@ -2,11 +2,13 @@
 
 A dendrogram of qubit communities is built bottom-up over the coupling graph:
 each merge maximizes a reward combining the modularity delta of the grouping
-with the fidelity of the links crossing the merge. Programs then claim
-regions by climbing the tree from its leaves, and an interaction-graph greedy
-(greatest weighted edge first) places logical qubits inside the claimed
-region. A greedy utility-based partitioner is included as the comparison
-baseline.
+with the fidelity of the links crossing the merge. The delta is the closed
+form e_ab/m - 2(d_a/2m)(d_b/2m) of Clauset, Newman and Moore (2004) over the
+crossing links and the two sides' degree sums, and only communities that
+share a link are scored. Programs then claim regions by climbing the tree
+from its leaves, and an interaction-graph greedy (greatest weighted edge
+first) places logical qubits inside the claimed region. A greedy
+utility-based partitioner is included as the comparison baseline.
 """
 from __future__ import annotations
 
@@ -129,67 +131,65 @@ def modularity(grouping: dict[int, int], graph: CouplingGraph) -> float:
 
 
 def _between_edges(a: frozenset[int], b: frozenset[int], graph: CouplingGraph):
-    return [(x, y) for x, y in graph.edges if (x in a and y in b) or (x in b and y in a)]
+    both = a | b
+    return [(x, y) for x, y in graph.edges if x in both and y in both and (x in a) != (y in a)]
 
 
-def merge_reward(
-    a: HierarchyNode,
-    b: HierarchyNode,
-    grouping: dict[int, int],
-    backend: Backend,
-    omega: float,
-) -> float:
-    """Benefit of merging communities a and b: modularity delta plus
-    omega * (mean CNOT fidelity of crossing links) * (mean readout fidelity of
-    their endpoint qubits). Returns -inf when no link crosses (unmergeable).
+def merge_reward(a: HierarchyNode, b: HierarchyNode, backend: Backend, omega: float) -> float:
+    """Benefit of merging communities a and b: the closed-form modularity
+    delta (``modularity`` after the merge minus before) plus omega * (mean CNOT
+    fidelity of crossing links) * (mean readout fidelity of their endpoint
+    qubits). Returns -inf when no link crosses (unmergeable).
     """
-    crossing = _between_edges(a.qubits, b.qubits, backend.graph)
+    graph = backend.graph
+    crossing = _between_edges(a.qubits, b.qubits, graph)
     if not crossing:
         return UNMERGEABLE
-    q_origin = modularity(grouping, backend.graph)
-    merged_group = min(grouping[q] for q in a.qubits | b.qubits)
-    merged = {q: (merged_group if q in a.qubits or q in b.qubits else g) for q, g in grouping.items()}
-    q_merged = modularity(merged, backend.graph)
+    m = len(graph.edges)
+    d_a = sum(map(graph.degree, a.qubits))
+    d_b = sum(map(graph.degree, b.qubits))
+    # One division of exact integers: mathematically equal deltas round alike.
+    delta_q = (2 * m * len(crossing) - d_a * d_b) / (2 * m * m)
     link_fid = sum(backend.calib.cnot_fidelity(x, y) for x, y in crossing) / len(crossing)
     endpoint_qubits = sorted({q for e in crossing for q in e})
     readout_fid = sum(backend.calib.readout_fidelity(q) for q in endpoint_qubits) / len(endpoint_qubits)
-    return q_merged - q_origin + omega * link_fid * readout_fid
+    return delta_q + omega * link_fid * readout_fid
 
 
 def build_hierarchy_tree(backend: Backend, omega: float = DEFAULT_OMEGA) -> HierarchyTree:
     """Agglomerate single-qubit communities by repeatedly merging the pair
     with the highest reward until one community remains.
 
-    Ties take the pair with the smallest (min qubit of first, min qubit of
-    second) after ordering each pair by its minimum qubit.
+    Only pairs joined by at least one link are scored; any other pair is
+    unmergeable. Ties take the pair with the smallest (min qubit of first,
+    min qubit of second) after ordering each pair by its minimum qubit.
     """
     if omega < 0:
         raise ValueError("omega must be non-negative")
-    communities = [HierarchyNode([q]) for q in range(backend.n_qubits)]
-    leaves = {q: communities[q] for q in range(backend.n_qubits)}
+    leaves = {q: HierarchyNode([q]) for q in range(backend.n_qubits)}
+    # Communities are keyed by their minimum qubit; owner[q] is q's community key.
+    communities = dict(leaves)
+    owner = list(range(backend.n_qubits))
     step = 0
     while len(communities) > 1:
-        grouping = {q: i for i, node in enumerate(communities) for q in node.qubits}
-        best = None
-        for i in range(len(communities) - 1):
-            for j in range(i + 1, len(communities)):
-                a, b = communities[i], communities[j]
-                if min(a.qubits) > min(b.qubits):
-                    a, b = b, a
-                reward = merge_reward(a, b, grouping, backend, omega)
-                if reward == UNMERGEABLE:
-                    continue
-                key = (-reward, min(a.qubits), min(b.qubits))
-                if best is None or key < best[0]:
-                    best = (key, a, b, reward)
-        if best is None:
+        adjacent = {
+            (min(owner[x], owner[y]), max(owner[x], owner[y]))
+            for x, y in backend.graph.edges
+            if owner[x] != owner[y]
+        }
+        if not adjacent:
             raise PartitionError("coupling graph is disconnected; cannot finish the dendrogram")
-        _, a, b, reward = best
+        rewards = {
+            (ka, kb): merge_reward(communities[ka], communities[kb], backend, omega) for ka, kb in adjacent
+        }
+        ka, kb = min(rewards, key=lambda pair: (-rewards[pair], pair))
+        a, b = communities.pop(ka), communities.pop(kb)
         step += 1
-        merged = HierarchyNode(a.qubits | b.qubits, a, b, merge_step=step, reward=reward)
-        communities = [c for c in communities if c is not a and c is not b]
-        communities.append(merged)
-    return HierarchyTree(root=communities[0], leaves=leaves, omega=omega)
+        communities[ka] = HierarchyNode(a.qubits | b.qubits, a, b, merge_step=step, reward=rewards[ka, kb])
+        for q in b.qubits:
+            owner[q] = ka
+    (root,) = communities.values()
+    return HierarchyTree(root=root, leaves=leaves, omega=omega)
 
 
 def max_redundant_qubits(node: HierarchyNode) -> int:
@@ -305,7 +305,7 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
         logical_weight[a] += w
         logical_weight[b] += w
     region_edges = [e for e in sorted(backend.graph.edges) if e[0] in region and e[1] in region]
-    full_dist = shortest_paths(backend.graph)
+    full_dist = None  # chip-wide hops, built only if the nearest-qubit fallback runs
 
     sigma: dict[int, int] = {}
     used: set[int] = set()
@@ -353,6 +353,8 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
                     key=lambda p: (coverage(free_l, p), backend.calib.cnot_fidelity(anchor_p, p), -p),
                 )
             else:
+                if full_dist is None:
+                    full_dist = shortest_paths(backend.graph)
                 target = min(free_region(), key=lambda p: (full_dist.hops(anchor_p, p), p))
             place(free_l, target)
             continue

@@ -215,11 +215,12 @@ def gain(gate: Gate, sigma: dict[int, int], full_dist: DistanceMatrix, own_dist:
     return own_dist.hops(a, b) - full_dist.hops(a, b)
 
 
-def obtain_swaps(to_resolve, graph, mapping: GlobalMapping, allowed=None) -> list[SwapOp]:
-    """Candidate SWAPs: every coupling edge incident to a physical qubit that
-    hosts an operand of a gate to resolve, regardless of who owns the other
-    endpoint (this is what admits cross-program and free-qubit SWAPs). With
-    ``allowed``, only edges with both endpoints in that set qualify."""
+def obtain_swaps(to_resolve, graph, mapping: GlobalMapping, allowed=None) -> list[tuple[int, int]]:
+    """Candidate SWAPs as sorted (low, high) edges: every coupling edge
+    incident to a physical qubit that hosts an operand of a gate to resolve,
+    regardless of who owns the other endpoint (this is what admits
+    cross-program and free-qubit SWAPs). With ``allowed``, only edges with
+    both endpoints in that set qualify."""
     edges: set[tuple[int, int]] = set()
     for program, g in to_resolve:
         for lq in g.qubits:
@@ -229,7 +230,7 @@ def obtain_swaps(to_resolve, graph, mapping: GlobalMapping, allowed=None) -> lis
             for nb in graph.neighbors(p):
                 if allowed is None or nb in allowed:
                     edges.add((min(p, nb), max(p, nb)))
-    return [_classify(mapping, a, b) for a, b in sorted(edges)]
+    return sorted(edges)
 
 
 def _classify(mapping: GlobalMapping, a: int, b: int) -> SwapOp:
@@ -247,14 +248,14 @@ def _classify(mapping: GlobalMapping, a: int, b: int) -> SwapOp:
 
 
 def swap_score(
-    swap: SwapOp,
+    edge: tuple[int, int],
     fronts,
     mapping: GlobalMapping,
     h_dist: DistanceMatrix,
     own_dists=None,
     gain_cap: int = 0,
 ) -> float:
-    """Score a candidate SWAP; lower is better.
+    """Score a candidate SWAP on ``edge``; lower is better.
 
     The base term sums, over every front-layer CNOT, its operand distance
     after hypothetically applying the SWAP. When ``own_dists`` is given, a
@@ -263,7 +264,7 @@ def swap_score(
     program boundaries (normalized per front layer). Subtracting makes the
     minimization prefer exactly the shortcut SWAPs.
     """
-    a, b = swap.phys_a, swap.phys_b
+    a, b = edge
     dist = h_dist.dist
     row_a, row_b = dist[a], dist[b]
     score = 0.0
@@ -409,10 +410,11 @@ def _route(
             best = _classify(mapping, pa, step)
         else:
             dists = None if own_dists is None else own_dists()
-            best = min(
+            edge = min(
                 obtain_swaps(to_resolve, graph, mapping, allowed),
-                key=lambda s: (swap_score(s, fronts, mapping, h_dist, dists, gain_cap), s.key()),
+                key=lambda e: (swap_score(e, fronts, mapping, h_dist, dists, gain_cap), e),
             )
+            best = _classify(mapping, *edge)
         mapping.apply_swap(best.phys_a, best.phys_b)
         events.append(SwapEvent(best))
         stalled += 1
@@ -492,15 +494,14 @@ def baseline_route(
 
 @dataclass(frozen=True)
 class CompiledCircuits:
-    """Physical circuits obtained by expanding SWAPs into CNOT triples."""
+    """The physical circuit obtained by expanding SWAPs into CNOT triples."""
 
     combined: QuantumProgram
-    per_program: tuple[QuantumProgram, ...]
     stats: dict = field(repr=False)
 
 
 def decompose(schedule: Schedule) -> CompiledCircuits:
-    """Expand every SWAP into three CNOTs and emit physical circuits.
+    """Expand every SWAP into three CNOTs and emit the physical circuit.
 
     Replays the schedule to verify that executed CNOTs and SWAPs act on
     adjacent qubits and that the accumulated permutation matches the final
@@ -510,10 +511,9 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
     n_phys = schedule.initial.n_phys
     replayed = schedule.initial.clone()
     combined: list[Gate] = []
-    per_program: list[list[Gate]] = [[] for _ in schedule.programs]
 
-    def emit(target: list[Gate], kind: str, phys: tuple[int, ...], params=()):
-        target.append(Gate(kind, phys, tuple(params), id=len(target)))
+    def emit(kind: str, phys: tuple[int, ...], params=()):
+        combined.append(Gate(kind, phys, tuple(params), id=len(combined)))
 
     for event in schedule.events:
         if isinstance(event, SwapEvent):
@@ -521,8 +521,7 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
             if not graph.has_edge(a, b):
                 raise RoutingError(f"swap ({a},{b}) is not a coupling edge")
             for pair in ((a, b), (b, a), (a, b)):
-                emit(combined, CNOT, pair)
-                emit(per_program[event.swap.attributed], CNOT, pair)
+                emit(CNOT, pair)
             replayed.apply_swap(a, b)
         else:
             if event.kind == CNOT:
@@ -535,8 +534,7 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
                 raise RoutingError(
                     f"event operands {event.phys} disagree with replayed mapping {expected}"
                 )
-            emit(combined, event.kind, event.phys, event.params)
-            emit(per_program[event.program], event.kind, event.phys, event.params)
+            emit(event.kind, event.phys, event.params)
     for i, sigma in enumerate(replayed.sigmas):
         if sigma != schedule.final.sigmas[i]:
             raise RoutingError(f"final mapping of program {i} does not match the replay")
@@ -564,11 +562,7 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
         "depth": _depth(combined),
     }
     combined_program = QuantumProgram(name="combined", n_qubits=n_phys, gates=tuple(combined))
-    views = tuple(
-        QuantumProgram(name=f"{p.name}@phys", n_qubits=n_phys, gates=tuple(gates))
-        for p, gates in zip(schedule.programs, per_program)
-    )
-    return CompiledCircuits(combined=combined_program, per_program=views, stats=stats)
+    return CompiledCircuits(combined=combined_program, stats=stats)
 
 
 def _depth(gates) -> int:

@@ -1,12 +1,16 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import make_backend, random_graph, random_program
 from qmultiprog import fixtures
 from qmultiprog.hardware import CouplingGraph, random_backend
 from qmultiprog.partition import (
     UNMERGEABLE,
+    HierarchyNode,
     allocate,
     average_redundancy,
     build_hierarchy_tree,
@@ -78,41 +82,52 @@ def test_modularity_matches_brute_force_200_graphs():
 # --- merge reward ----------------------------------------------------------------
 
 
-def _singleton_grouping(tree_nodes):
-    return {q: i for i, node in enumerate(tree_nodes) for q in node.qubits}
-
-
 def test_merge_reward_omega_zero_ignores_calibration():
-    from qmultiprog.partition import HierarchyNode
-
     graph_pairs = [(0, 1), (1, 2), (2, 3)]
     noisy = make_backend(4, graph_pairs, cnot={(0, 1): 0.3, (1, 2): 0.01, (2, 3): 0.2})
     clean = make_backend(4, graph_pairs, cnot=0.001, readout=0.001)
     nodes = [HierarchyNode([q]) for q in range(4)]
-    grouping = _singleton_grouping(nodes)
     for a, b in [(0, 1), (1, 2)]:
-        r_noisy = merge_reward(nodes[a], nodes[b], grouping, noisy, omega=0.0)
-        r_clean = merge_reward(nodes[a], nodes[b], grouping, clean, omega=0.0)
+        r_noisy = merge_reward(nodes[a], nodes[b], noisy, omega=0.0)
+        r_clean = merge_reward(nodes[a], nodes[b], clean, omega=0.0)
         assert r_noisy == pytest.approx(r_clean, abs=1e-15)
 
 
 def test_merge_reward_unconnected_pair_unmergeable():
-    from qmultiprog.partition import HierarchyNode
-
     backend = make_backend(3, [(0, 1), (1, 2)])
     nodes = [HierarchyNode([q]) for q in range(3)]
-    grouping = _singleton_grouping(nodes)
-    assert merge_reward(nodes[0], nodes[2], grouping, backend, omega=1.0) == UNMERGEABLE
+    assert merge_reward(nodes[0], nodes[2], backend, omega=1.0) == UNMERGEABLE
 
 
 def test_merge_reward_two_qubit_chip_perfect_calibration():
-    from qmultiprog.partition import HierarchyNode
-
     backend = make_backend(2, [(0, 1)], cnot=0.0, readout=0.0, oneq=0.0)
     nodes = [HierarchyNode([0]), HierarchyNode([1])]
-    grouping = _singleton_grouping(nodes)
     # modularity delta on the one-edge graph is 0 - (-1/2) = 1/2
-    assert merge_reward(nodes[0], nodes[1], grouping, backend, omega=1.0) == pytest.approx(1.5)
+    assert merge_reward(nodes[0], nodes[1], backend, omega=1.0) == pytest.approx(1.5)
+
+
+@given(
+    n=st.integers(2, 16),
+    seed=st.integers(0, 2**31),
+    extra=st.sampled_from((0.0, 0.15, 0.4)),
+    n_groups=st.integers(2, 8),
+)
+def test_merge_reward_omega_zero_is_modularity_delta(n, seed, extra, n_groups):
+    rng = random.Random(seed)
+    graph = random_graph(n, seed=seed, extra_edge_prob=extra)
+    backend = random_backend(graph, fixtures.load_fixture_backend("melbourne").calib, seed)
+    grouping = {q: rng.randrange(n_groups) for q in range(n)}
+    adjacent = sorted(
+        {(min(grouping[x], grouping[y]), max(grouping[x], grouping[y])) for x, y in backend.graph.edges}
+        - {(g, g) for g in range(n_groups)}
+    )
+    assume(adjacent)
+    ga, gb = rng.choice(adjacent)
+    a = HierarchyNode([q for q in range(n) if grouping[q] == ga])
+    b = HierarchyNode([q for q in range(n) if grouping[q] == gb])
+    merged = {q: ga if g == gb else g for q, g in grouping.items()}
+    delta = modularity(merged, backend.graph) - modularity(grouping, backend.graph)
+    assert merge_reward(a, b, backend, omega=0.0) == pytest.approx(delta, abs=1e-12)
 
 
 # --- hierarchy tree ----------------------------------------------------------------
@@ -168,14 +183,81 @@ def test_large_omega_degrades_to_greedy_first_merge(melbourne):
     assert tuple(sorted(first.qubits)) == best
 
 
-def test_tree_structure_invariants(tokyo20):
-    tree = build_hierarchy_tree(tokyo20)
+def _assert_tree_invariants(tree, n_qubits):
     internal = tree.internal_nodes()
-    assert len(internal) == tokyo20.n_qubits - 1
-    assert len(tree.leaves) == tokyo20.n_qubits
+    assert len(internal) == n_qubits - 1
+    assert len(tree.leaves) == n_qubits
     for node in internal:
         assert node.left.qubits | node.right.qubits == node.qubits
         assert not (node.left.qubits & node.right.qubits)
+
+
+def test_tree_structure_invariants(tokyo20):
+    _assert_tree_invariants(build_hierarchy_tree(tokyo20), tokyo20.n_qubits)
+
+
+def test_tree_structure_invariants_11x11_grid(melbourne):
+    pairs = [(q, q + 1) for q in range(121) if q % 11 != 10] + [(q, q + 11) for q in range(110)]
+    backend = random_backend(CouplingGraph.from_pairs(121, pairs), melbourne.calib, seed=11)
+    tree = build_hierarchy_tree(backend)
+    _assert_tree_invariants(tree, 121)
+    assert tree.root.qubits == frozenset(range(121))
+
+
+def test_exact_tie_takes_lowest_pair(tokyo20):
+    # At omega=0 the pairs (0,1) and (15,16) have the same modularity delta.
+    tree = build_hierarchy_tree(tokyo20, omega=0.0)
+    first = min(tree.internal_nodes(), key=lambda n: n.merge_step)
+    assert first.qubits == frozenset({0, 1})
+
+
+def _merge_digest(backend, omega=0.95):
+    tree = build_hierarchy_tree(backend, omega=omega)
+    merges = [
+        [min(n.left.qubits), min(n.right.qubits)]
+        for n in sorted(tree.internal_nodes(), key=lambda n: n.merge_step)
+    ]
+    return hashlib.sha256(json.dumps(merges).encode()).hexdigest()[:16]
+
+
+# Merge orders (the (min left, min right) qubit of every merge, in order),
+# pinned from the all-pairs two-pass implementation the closed form replaced.
+GOLDEN_MERGES = {
+    "cross9": ["0707ad800dce10c4", "0707ad800dce10c4", "0707ad800dce10c4"],
+    "grid2x3": ["5ab04acacd4f6092", "5ab04acacd4f6092", "5ab04acacd4f6092"],
+    "london": ["06028939ee2d8dbe", "a358867bf9cee7d4", "a358867bf9cee7d4"],
+    "melbourne": ["40e610807994773b", "955756686b20db85", "a15ec4b1382266e4"],
+    "tokyo20": ["ff98399b07a99dca", "6d82e22ab5c4df8d", "46a7fc7b5d0a5e3f"],
+}
+GOLDEN_CALIBRATED_MERGES = {
+    "tokyo20": [
+        "5c408dcaec17a8cf", "2c94aad79f443c66", "dafb1cc594402612", "fe951605f8dec676",
+        "221994880c32a246", "c96166081660720d", "d39d71f576c6e6b6", "8ec6dee95fa536f7",
+        "e0a9ca164a792b8e", "ab204fce59d498ef", "33eec7c260c53799", "068c278447652201",
+        "b3bed070d418e1f3", "78e3e51893de20bc", "4703c4f5f7a7213b", "2a729354cb03bedb",
+        "d3e9dfbb5ce81ac9", "c761f40c3344e8d6", "63def0f2fc38b73e", "6c5d8b9e52b87bef",
+    ],
+    "melbourne": [
+        "d0dcf51bb8ef1cbb", "533b40c606498bfb", "754419154007a9a0", "095878e377151e1f",
+        "f1de438f7c322106", "319c41292798e7e9", "6dfd8279a6aa947c", "8834a43409adc209",
+        "3e4a72452be939aa", "0c7e8f811c2cc6db", "2873249905dd36f7", "2a2d7285df6345f0",
+        "ee33e9fcdd2696a5", "250bb01b70864c11", "8d6b99b212c84329", "7b98e967b6956cd5",
+        "be405874148807e0", "59fefca1cf172911", "72c778c01749a4ab", "09b0df9b06002ad5",
+    ],
+}
+
+
+@pytest.mark.parametrize("chip", sorted(GOLDEN_MERGES))
+def test_golden_merge_orders(chip):
+    backend = fixtures.load_fixture_backend(chip)
+    assert [_merge_digest(backend, omega) for omega in (0.5, 0.95, 2.5)] == GOLDEN_MERGES[chip]
+
+
+@pytest.mark.parametrize("chip", sorted(GOLDEN_CALIBRATED_MERGES))
+def test_golden_merge_orders_random_calibrations(chip):
+    base = fixtures.load_fixture_backend(chip)
+    digests = [_merge_digest(random_backend(base.graph, base.calib, seed=s)) for s in range(20)]
+    assert digests == GOLDEN_CALIBRATED_MERGES[chip]
 
 
 def test_tree_clone_is_independent(london):

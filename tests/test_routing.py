@@ -15,6 +15,7 @@ from qmultiprog.routing import (
     RoutingError,
     UnroutableProgramError,
     _ProgramState,
+    _classify,
     baseline_route,
     decompose,
     gain,
@@ -85,11 +86,10 @@ def test_gain_raises_on_unreachable():
 def test_obtain_swaps_crossed_grid_candidates():
     programs, mapping, backend = fixtures.shortcut_swap_instance()
     blocked = programs[0].gates[-1]
-    swaps = obtain_swaps([(0, blocked)], backend.graph, mapping)
-    keys = [s.key() for s in swaps]
+    keys = obtain_swaps([(0, blocked)], backend.graph, mapping)
     # edges incident to the blocked operands (phys 0 and 8), owners ignored
     assert keys == [(0, 1), (0, 3), (0, 4), (4, 8), (5, 8), (7, 8)]
-    by_key = {s.key(): s for s in swaps}
+    by_key = {k: _classify(mapping, *k) for k in keys}
     assert by_key[(0, 4)].swap_class == "inter"
     assert by_key[(0, 1)].swap_class == "intra"
 
@@ -99,7 +99,7 @@ def test_obtain_swaps_path_chip():
     program = parse_program("qreg q[2]; cx q[0],q[1];", name="p")
     mapping = GlobalMapping([{0: 0, 1: 2}], n_phys=3)
     swaps = obtain_swaps([(0, program.gates[0])], backend.graph, mapping)
-    assert [s.key() for s in swaps] == [(0, 1), (1, 2)]
+    assert swaps == [(0, 1), (1, 2)]
     assert obtain_swaps([], backend.graph, mapping) == []
 
 
@@ -114,8 +114,8 @@ def test_score_prefers_shortcut_swap():
     fronts = [[blocked], []]
     candidates = obtain_swaps([(0, blocked)], backend.graph, mapping)
     scores = {
-        s.key(): swap_score(s, fronts, mapping, full, own, gain_cap=backend.n_qubits)
-        for s in candidates
+        e: swap_score(e, fronts, mapping, full, own, gain_cap=backend.n_qubits)
+        for e in candidates
     }
     # the two shortcut swaps on the 0-4-8 path win; ties resolve to (0, 4)
     assert scores[(0, 4)] == min(scores.values())
