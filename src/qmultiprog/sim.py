@@ -3,6 +3,22 @@ compiled circuits and as a desk-scale stand-in for hardware success rates.
 
 Convention: amplitudes are little-endian, qubit 0 is the least significant
 bit of the basis-state index. Bitstring keys render qubit n-1 leftmost.
+
+Noisy model: every gate fully depolarizes its operands with its calibration
+error rate, and readout flips each bit with the qubit's readout error.
+``noisy_success_probability`` simulates only the active qubits (those a
+unitary gate touches or a layout names), in one of two modes:
+
+- exact: the density matrix evolves in place as one [2]*(2m) tensor.
+  U rho U^dagger acts through slice views of the row and column axes;
+  depolarizing scales rho by 1 - r and adds r/2^k times the partial trace
+  over the gate's k qubits to each diagonal block.
+- sampled: every random number is drawn first, shot by shot in a fixed
+  order (each noisy gate's failure draw and, on failure, one Pauli
+  ``randrange(4)`` per operand; the outcome draw; one readout draw per
+  qubit), so the estimate depends only on the seed. All shots then evolve
+  as one (shots x 2^m) array, in chunks that keep the working set under
+  ``TRAJECTORY_BYTES``.
 """
 from __future__ import annotations
 
@@ -135,17 +151,12 @@ def distribution_vector(program: QuantumProgram, cap: int = DEFAULT_QUBIT_CAP) -
 
 def marginal_distribution(probs: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
     """Marginal over ``keep``, in the given order: bit j of the result indexes
-    original qubit keep[j]."""
-    out = np.zeros(2 ** len(keep))
-    for idx in range(probs.size):
-        p = probs[idx]
-        if p == 0.0:
-            continue
-        new_idx = 0
-        for j, q in enumerate(keep):
-            new_idx |= ((idx >> q) & 1) << j
-        out[new_idx] += p
-    return out
+    original qubit keep[j]. Entries are summed in index order."""
+    idx = np.arange(probs.size)
+    new_idx = np.zeros(probs.size, dtype=np.intp)
+    for j, q in enumerate(keep):
+        new_idx |= ((idx >> q) & 1) << j
+    return np.bincount(new_idx, weights=probs, minlength=2 ** len(keep))
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -153,6 +164,25 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 
 # --- noisy execution model -------------------------------------------------------
+#
+# Both estimators share one op list, built once per call: for every unitary
+# gate its matrix, its operands renumbered onto the simulated register and
+# its calibration error rate (looked up on the physical operands). The
+# success estimator simulates only the active qubits: those a unitary gate
+# touches plus those its layouts name, renumbered in ascending order. Every
+# other qubit stays |0> and no kept marginal depends on it.
+
+# Byte budget for the sampled estimator's working set. Shots are evolved in
+# chunks of rows small enough that the chunk and the kernel's copies of it fit.
+TRAJECTORY_BYTES = 32 << 20
+# Per amplitude of a chunk: the chunk (16), the new slices a dense one-qubit
+# gate computes (16) and its product temporary (8), the rows a Pauli error
+# copies (16).
+_WORKING_BYTES = 64
+
+_PAULIS = (None, _FIXED_1Q["x"], _FIXED_1Q["y"], _FIXED_1Q["z"])
+
+_Op = tuple[np.ndarray, tuple[int, ...], float]
 
 
 def _gate_error(gate: Gate, operands: tuple[int, ...], backend: Backend) -> float:
@@ -162,42 +192,66 @@ def _gate_error(gate: Gate, operands: tuple[int, ...], backend: Backend) -> floa
     return backend.calib.oneq_error[operands[0]]
 
 
-def _density_apply_unitary(rho: np.ndarray, gate: Gate, operands: tuple[int, ...], n: int) -> np.ndarray:
-    """rho -> U rho U^dagger, with rho flattened as a 2n-qubit vector whose low
-    n bits index columns and high n bits index rows."""
-    row_ops = tuple(n + q for q in operands)
-    col_ops = operands
-    mat = gate_matrix(gate)
-    flat = rho.reshape(-1)
-    flat = _apply_matrix(flat, mat, row_ops, 2 * n)
-    flat = _apply_matrix(flat, mat.conj(), col_ops, 2 * n)
-    return flat
+def _noisy_ops(program: QuantumProgram, backend: Backend, local) -> list[_Op]:
+    """(matrix, local operands, error rate) per unitary gate; ``local`` maps a
+    physical qubit to its index in the simulated register."""
+    return [
+        (gate_matrix(g), tuple(local[q] for q in g.qubits), _gate_error(g, g.qubits, backend))
+        for g in program.gates
+        if g.kind not in (MEASURE, BARRIER)
+    ]
 
 
-def _replace_with_mixed(rho_flat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Unconditionally replace one qubit's state by I/2 (trace out, re-embed)."""
-    tensor = rho_flat.reshape([2] * (2 * n))
-    row_ax = 2 * n - 1 - (n + qubit)
-    col_ax = 2 * n - 1 - qubit
-    traced = np.trace(tensor, axis1=row_ax, axis2=col_ax)  # shape [2]*(2n-2)
-    out = np.zeros_like(tensor)
-    idx: list = [slice(None)] * (2 * n)
-    for b in (0, 1):
-        idx[row_ax] = b
-        idx[col_ax] = b
-        out[tuple(idx)] = traced / 2.0
-    return out.reshape(-1)
+def _blocks(tensor: np.ndarray, axes: list[int]) -> list[np.ndarray]:
+    """Views of ``tensor`` with ``axes`` fixed, one per basis index of those
+    axes; axes[0] is the index's most significant bit. The trailing Ellipsis
+    keeps a view even when every axis is fixed."""
+    k = len(axes)
+    views = []
+    for b in range(2**k):
+        idx: list = [slice(None)] * tensor.ndim
+        for i, ax in enumerate(axes):
+            idx[ax] = (b >> (k - 1 - i)) & 1
+        views.append(tensor[(*idx, ...)])
+    return views
 
 
-def _density_depolarize(rho_flat: np.ndarray, qubits, rate: float, n: int) -> np.ndarray:
-    """One failure event with probability ``rate`` fully depolarizes every
-    involved qubit at once (not an independent coin per qubit)."""
-    if rate == 0.0:
-        return rho_flat
-    mixed = rho_flat
-    for q in qubits:
-        mixed = _replace_with_mixed(mixed, q, n)
-    return (1.0 - rate) * rho_flat + rate * mixed
+def _contract(tensor: np.ndarray, matrix: np.ndarray, axes: list[int]) -> None:
+    """In place: apply ``matrix`` to the given axes of ``tensor`` (axes[0] is
+    the matrix index's most significant bit). Zero entries are skipped, so a
+    diagonal gate only scales slices and a CNOT only swaps two of them."""
+    views = _blocks(tensor, axes)
+    scales, mixed = [], []
+    for b, row in enumerate(matrix):
+        src = np.flatnonzero(row)
+        if src.size == 1 and src[0] == b:
+            if row[b] != 1:
+                scales.append(b)
+            continue
+        # the new slice b, computed from the old slices before any is written
+        out = views[src[0]].copy() if row[src[0]] == 1 else views[src[0]] * row[src[0]]
+        for a in src[1:]:
+            out += views[a] * row[a]
+        mixed.append((b, out))
+    for b in scales:
+        views[b] *= matrix[b, b]
+    for b, out in mixed:
+        views[b][...] = out
+
+
+def _depolarize(tensor: np.ndarray, rows: list[int], cols: list[int], rate: float) -> None:
+    """In place: one failure event with probability ``rate`` fully
+    depolarizes every involved qubit at once (not an independent coin per
+    qubit): rho -> (1 - r) rho + r Tr_Q(rho) (x) I / 2^k."""
+    k = len(rows)
+    diagonal = _blocks(tensor, rows + cols)[:: 2**k + 1]
+    traced = diagonal[0].copy()
+    for block in diagonal[1:]:
+        traced += block
+    traced *= rate / 2**k
+    tensor *= 1.0 - rate
+    for block in diagonal:
+        block += traced
 
 
 def _readout_flip(probs: np.ndarray, qubit: int, rate: float, n: int) -> np.ndarray:
@@ -208,6 +262,26 @@ def _readout_flip(probs: np.ndarray, qubit: int, rate: float, n: int) -> np.ndar
     return ((1.0 - rate) * tensor + rate * flipped).reshape(-1)
 
 
+def _exact_distribution(ops: list[_Op], active: list[int], backend: Backend) -> np.ndarray:
+    """Outcome distribution over the ``active`` qubits: rho evolves in place
+    as one [2]*(2m) tensor (row axes first), then readout flips each bit."""
+    m = len(active)
+    rho = np.zeros((2**m, 2**m), dtype=complex)
+    rho[0, 0] = 1.0  # |0..0><0..0|
+    tensor = rho.reshape([2] * (2 * m))
+    for matrix, qubits, rate in ops:
+        rows = [m - 1 - q for q in qubits]
+        cols = [2 * m - 1 - q for q in qubits]
+        _contract(tensor, matrix, rows)
+        _contract(tensor, matrix.conj(), cols)
+        if rate:
+            _depolarize(tensor, rows, cols, rate)
+    diag = rho.diagonal().real.copy()
+    for i, q in enumerate(active):
+        diag = _readout_flip(diag, i, backend.calib.readout_error[q], m)
+    return diag
+
+
 def noisy_output_distribution(program: QuantumProgram, backend: Backend, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Exact outcome distribution under the stochastic failure model: every
     gate independently depolarizes its operands with its calibration error
@@ -215,17 +289,7 @@ def noisy_output_distribution(program: QuantumProgram, backend: Backend, cap: in
     n = program.n_qubits
     if n > min(cap, HARD_QUBIT_CAP):
         raise QubitCapExceeded(f"{n} qubits exceed the simulation cap")
-    rho = np.zeros(4 ** n, dtype=complex)
-    rho[0] = 1.0  # |0..0><0..0| flattened
-    for g in program.gates:
-        if g.kind in (MEASURE, BARRIER):
-            continue
-        rho = _density_apply_unitary(rho, g, g.qubits, n)
-        rho = _density_depolarize(rho, g.qubits, _gate_error(g, g.qubits, backend), n)
-    diag = rho.reshape(2 ** n, 2 ** n).diagonal().real.copy()
-    for q in range(n):
-        diag = _readout_flip(diag, q, backend.calib.readout_error[q], n)
-    return diag
+    return _exact_distribution(_noisy_ops(program, backend, range(n)), list(range(n)), backend)
 
 
 def modal_outcome(dist: np.ndarray, tol: float = 1e-12) -> int | None:
@@ -236,28 +300,61 @@ def modal_outcome(dist: np.ndarray, tol: float = 1e-12) -> int | None:
     return int(winners[0]) if winners.size == 1 else None
 
 
-def _sample_trajectory(program: QuantumProgram, backend: Backend, rng: random.Random) -> int:
-    n = program.n_qubits
-    state = np.zeros(2 ** n, dtype=complex)
-    state[0] = 1.0
-    paulis = [None, "x", "y", "z"]
-    for g in program.gates:
-        if g.kind in (MEASURE, BARRIER):
+def _draw_shots(ops: list[_Op], readout: list[tuple[float, int]], shots: int, rng: random.Random):
+    """Every random number of every shot, in per-shot order: for each noisy
+    gate its failure draw and, on failure, one Pauli ``randrange(4)`` per
+    operand; then the outcome draw; then one readout draw per qubit. None of
+    them depends on the state. Returns the Pauli errors per op index as
+    (shot, local qubit, pauli) arrays, the outcome uniforms and the readout
+    flip mask of each shot (``readout`` pairs a rate with its local bit)."""
+    rand, pick = rng.random, rng.randrange
+    noisy = [(i, qubits, rate) for i, (_, qubits, rate) in enumerate(ops) if rate > 0.0]
+    events: dict[int, list[tuple[int, int, int]]] = {}
+    uniforms, flips = [], []
+    for shot in range(shots):
+        for i, qubits, rate in noisy:
+            if rand() < rate:
+                for q in qubits:
+                    p = pick(4)
+                    if p:
+                        events.setdefault(i, []).append((shot, q, p))
+        uniforms.append(rand())
+        mask = 0
+        for rate, bit in readout:
+            if rand() < rate:
+                mask |= bit
+        flips.append(mask)
+    errors = {i: tuple(np.array(ev).T) for i, ev in events.items()}
+    return errors, np.array(uniforms), np.array(flips, dtype=np.int64)
+
+
+def _sampled_outcomes(ops: list[_Op], m: int, errors, uniforms: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Measured register index (before readout error) of shots lo..hi-1,
+    evolved together as one (shots x 2^m) array."""
+    state = np.zeros((hi - lo, 2**m), dtype=complex)
+    state[:, 0] = 1.0
+    tensor = state.reshape((hi - lo,) + (2,) * m)  # axis of local qubit q: m - q
+    for i, (matrix, qubits, _) in enumerate(ops):
+        _contract(tensor, matrix, [m - q for q in qubits])
+        if i not in errors:
             continue
-        state = apply_gate(state, g)
-        err = _gate_error(g, g.qubits, backend)
-        if err > 0.0 and rng.random() < err:
-            for q in g.qubits:
-                p = paulis[rng.randrange(4)]
-                if p is not None:
-                    state = apply_gate(state, Gate(p, (q,), (), id=-1), (q,))
-    probs = np.abs(state) ** 2
-    cumulative = np.cumsum(probs / probs.sum())
-    outcome = min(int(np.searchsorted(cumulative, rng.random(), side="right")), probs.size - 1)
-    for q in range(n):
-        if rng.random() < backend.calib.readout_error[q]:
-            outcome ^= 1 << q
-    return outcome
+        shot, qubit, pauli = errors[i]
+        in_chunk = (shot >= lo) & (shot < hi)
+        for q in qubits:
+            for p in (1, 2, 3):
+                rows = shot[in_chunk & (qubit == q) & (pauli == p)] - lo
+                if rows.size:
+                    hit = tensor[rows]
+                    _contract(hit, _PAULIS[p], [m - q])
+                    tensor[rows] = hit
+    probs = np.abs(state)
+    del state, tensor
+    probs *= probs
+    probs /= probs.sum(axis=1, keepdims=True)
+    np.cumsum(probs, axis=1, out=probs)
+    # count of cumulative entries <= u is searchsorted(cumulative, u, "right")
+    drawn = np.count_nonzero(probs <= uniforms[lo:hi, None], axis=1)
+    return np.minimum(drawn, 2**m - 1)
 
 
 def noisy_success_probability(
@@ -276,35 +373,46 @@ def noisy_success_probability(
     ``layouts`` maps each program's logical qubits to final physical qubits.
     ``mode`` is "exact" (full mixed-state evolution) or "sampled" (``shots``
     trajectories with the given seed). Programs with an ambiguous ideal mode
-    get None.
+    get None; when every mode is ambiguous nothing is simulated.
     """
     n = compiled.n_qubits
     if n > min(cap, HARD_QUBIT_CAP):
         raise QubitCapExceeded(f"{n} qubits exceed the simulation cap")
-    modes = [modal_outcome(d) for d in ideal_distributions]
-    if mode == "exact":
-        phys = noisy_output_distribution(compiled, backend, cap=cap)
-        results: list[float | None] = []
-        for layout, modal in zip(layouts, modes):
-            if modal is None:
-                results.append(None)
-                continue
-            keep = [layout[q] for q in sorted(layout)]
-            marg = marginal_distribution(phys, n, keep)
-            results.append(float(marg[modal]))
-        return results
-    if mode != "sampled":
+    if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    rng = random.Random(seed)
-    hits = [0] * len(layouts)
-    for _ in range(shots):
-        outcome = _sample_trajectory(compiled, backend, rng)
-        for i, (layout, modal) in enumerate(zip(layouts, modes)):
+    if mode == "sampled" and shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    modes = [modal_outcome(d) for d in ideal_distributions]
+    if all(modal is None for modal in modes):
+        return [None for _ in zip(layouts, modes)]
+    active = sorted(
+        {q for g in compiled.gates if g.kind not in (MEASURE, BARRIER) for q in g.qubits}
+        | {q for layout in layouts for q in layout.values()}
+    )
+    if active and active[-1] >= n:
+        raise ValueError(f"layout qubit {active[-1]} is outside the {n}-qubit circuit")
+    local = {q: i for i, q in enumerate(active)}
+    m = len(active)
+    ops = _noisy_ops(compiled, backend, local)
+    keeps = [[local[layout[q]] for q in sorted(layout)] for layout in layouts]
+    if mode == "exact":
+        dist = _exact_distribution(ops, active, backend)
+        return [
+            None if modal is None else float(marginal_distribution(dist, m, keep)[modal])
+            for keep, modal in zip(keeps, modes)
+        ]
+    readout = [(backend.calib.readout_error[q], 1 << local[q] if q in local else 0) for q in range(n)]
+    errors, uniforms, flips = _draw_shots(ops, readout, shots, random.Random(seed))
+    chunk = max(1, TRAJECTORY_BYTES // (_WORKING_BYTES * 2**m))
+    hits = [0] * len(keeps)
+    for lo in range(0, shots, chunk):
+        hi = min(lo + chunk, shots)
+        outcome = _sampled_outcomes(ops, m, errors, uniforms, lo, hi) ^ flips[lo:hi]
+        for i, (keep, modal) in enumerate(zip(keeps, modes)):
             if modal is None:
                 continue
-            bits = 0
-            for j, q in enumerate(sorted(layout)):
-                bits |= ((outcome >> layout[q]) & 1) << j
-            if bits == modal:
-                hits[i] += 1
-    return [None if m is None else h / shots for h, m in zip(hits, modes)]
+            bits = np.zeros_like(outcome)
+            for j, q in enumerate(keep):
+                bits |= ((outcome >> q) & 1) << j
+            hits[i] += int(np.count_nonzero(bits == modal))
+    return [None if modal is None else h / shots for h, modal in zip(hits, modes)]

@@ -1,10 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_backend, random_program
+from qmultiprog import sim
 from qmultiprog import fixtures
 from qmultiprog.circuit import Gate, QuantumProgram, parse_program
 from qmultiprog.sim import (
@@ -106,6 +109,33 @@ def test_simulator_matches_matrix_chain(seed):
         full = expand_unitary(g, n) @ full
     oracle = full @ state(n)
     assert np.allclose(psi, oracle, atol=1e-12)
+
+
+def _marginal_oracle(probs, n, keep):
+    """Entry-by-entry marginal, summed in index order."""
+    out = np.zeros(2 ** len(keep))
+    for idx in range(probs.size):
+        p = probs[idx]
+        if p == 0.0:
+            continue
+        new_idx = 0
+        for j, q in enumerate(keep):
+            new_idx |= ((idx >> q) & 1) << j
+        out[new_idx] += p
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_marginal_is_bit_identical_to_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    probs = rng.random(2 ** n)
+    probs[rng.random(2 ** n) < 0.3] = 0.0
+    probs /= probs.sum()
+    keep = [int(q) for q in rng.permutation(n)[: rng.integers(0, n + 1)]]
+    got = marginal_distribution(probs, n, keep)
+    assert got.dtype == np.float64
+    assert got.tobytes() == _marginal_oracle(probs, n, keep).tobytes()
 
 
 def test_bv_marginal_is_point_mass():
@@ -274,3 +304,198 @@ def test_noisy_exact_matches_dense_oracle(name):
     program = fixtures.load_benchmark(name)
     got = noisy_output_distribution(program, backend)
     assert np.allclose(got, _noisy_oracle(program, backend), atol=1e-12)
+
+
+# --- compacted exact mode against the dense oracle -----------------------------
+
+
+@st.composite
+def _placed_instances(draw):
+    """A 2-4 qubit random program placed on a larger all-to-all chip with
+    idle qubits, random per-item calibration, and layouts over subsets of the
+    chip (idle qubits included), each with a one-hot ideal distribution."""
+    k = draw(st.integers(2, 4))
+    n = k + draw(st.integers(1, 2))
+    place = draw(st.permutations(range(n)))[:k]
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(["cx", "h", "t", "u3", "measure"]), max_size=10)):
+        if kind == "cx":
+            a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            gates.append(Gate("cx", (place[a], place[b]), (), len(gates)))
+        elif kind == "u3":
+            params = tuple(draw(st.floats(0, 2 * math.pi)) for _ in range(3))
+            gates.append(Gate("u3", (place[draw(st.integers(0, k - 1))],), params, len(gates)))
+        elif kind != "measure":
+            gates.append(Gate(kind, (place[draw(st.integers(0, k - 1))],), (), len(gates)))
+    compiled = QuantumProgram("placed", n, tuple(gates))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    backend = make_backend(
+        n,
+        pairs,
+        cnot={e: rng.uniform(0, 0.3) for e in pairs},
+        readout={q: rng.uniform(0, 0.2) for q in range(n)},
+        oneq={q: rng.choice([0.0, rng.uniform(0, 0.1)]) for q in range(n)},
+    )
+    layouts, ideals = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        phys = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        layouts.append(dict(enumerate(phys)))
+        ideal = np.zeros(2 ** len(phys))
+        ideal[draw(st.integers(0, 2 ** len(phys) - 1))] = 1.0
+        ideals.append(ideal)
+    return compiled, backend, layouts, ideals
+
+
+@settings(max_examples=40)
+@given(instance=_placed_instances())
+def test_compacted_exact_matches_dense_oracle(instance):
+    compiled, backend, layouts, ideals = instance
+    full = _noisy_oracle(compiled, backend)
+    assert np.allclose(noisy_output_distribution(compiled, backend), full, rtol=0, atol=1e-12)
+    got = noisy_success_probability(compiled, layouts, backend, ideals, mode="exact")
+    for layout, ideal, estimate in zip(layouts, ideals, got, strict=True):
+        keep = [layout[q] for q in sorted(layout)]
+        want = _marginal_oracle(full, compiled.n_qubits, keep)[modal_outcome(ideal)]
+        assert abs(estimate - want) <= 1e-12
+
+
+# --- batched sampler against the per-shot loop ---------------------------------
+
+
+def _sample_trajectory(program, backend, rng):
+    """One trajectory, simulated gate by gate on the full register."""
+    n = program.n_qubits
+    psi = state(n)
+    paulis = [None, "x", "y", "z"]
+    for g in program.gates:
+        if g.kind in ("measure", "barrier"):
+            continue
+        psi = apply_gate(psi, g)
+        if g.kind == "cx":
+            a, b = g.qubits
+            err = backend.calib.cnot_error[(min(a, b), max(a, b))]
+        else:
+            err = backend.calib.oneq_error[g.qubits[0]]
+        if err > 0.0 and rng.random() < err:
+            for q in g.qubits:
+                p = paulis[rng.randrange(4)]
+                if p is not None:
+                    psi = apply_gate(psi, Gate(p, (q,), (), id=-1), (q,))
+    probs = np.abs(psi) ** 2
+    cumulative = np.cumsum(probs / probs.sum())
+    outcome = min(int(np.searchsorted(cumulative, rng.random(), side="right")), probs.size - 1)
+    for q in range(n):
+        if rng.random() < backend.calib.readout_error[q]:
+            outcome ^= 1 << q
+    return outcome
+
+
+def _per_shot_hits(compiled, layouts, backend, ideals, shots, seed):
+    modes = [modal_outcome(d) for d in ideals]
+    rng = random.Random(seed)
+    hits = [0] * len(layouts)
+    for _ in range(shots):
+        outcome = _sample_trajectory(compiled, backend, rng)
+        for i, (layout, modal) in enumerate(zip(layouts, modes)):
+            bits = 0
+            for j, q in enumerate(sorted(layout)):
+                bits |= ((outcome >> layout[q]) & 1) << j
+            hits[i] += bits == modal
+    return hits
+
+
+def _noisy_placed_instance():
+    """A 4-qubit program on qubits 0, 1, 3, 4 of a 6-qubit line, with error
+    rates high enough that most shots carry a Pauli error."""
+    program = random_program("placed", 4, 6, 8, seed=5)
+    place = [0, 1, 3, 4]
+    gates = []
+    for g in program.gates:
+        qubits = tuple(place[q] for q in g.qubits)
+        gates.append(Gate(g.kind, qubits, (), len(gates)))
+        gates.append(Gate("u3", (qubits[-1],), (0.3 * g.id, 0.7, 1.1), len(gates)))
+    compiled = QuantumProgram("placed", 6, tuple(gates))
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    backend = make_backend(6, pairs, cnot=0.15, readout=0.08, oneq=0.04)
+    layouts = [{0: 0, 1: 1}, {0: 3, 1: 4}, {0: 4, 1: 2}]
+    ideals = []
+    for layout in layouts:
+        ideal = np.zeros(2 ** len(layout))
+        ideal[1] = 1.0
+        ideals.append(ideal)
+    return compiled, backend, layouts, ideals
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_batched_sampler_matches_per_shot_loop(seed):
+    compiled, backend, layouts, ideals = _noisy_placed_instance()
+    shots = 200
+    hits = _per_shot_hits(compiled, layouts, backend, ideals, shots, seed)
+    got = noisy_success_probability(compiled, layouts, backend, ideals, mode="sampled", shots=shots, seed=seed)
+    assert got == [h / shots for h in hits]
+
+
+def test_batched_sampler_chunks_match_per_shot_loop(monkeypatch):
+    compiled, backend, layouts, ideals = _noisy_placed_instance()
+    # the active register is qubits 0-4 (5 qubits): 7 shots per chunk
+    monkeypatch.setattr(sim, "TRAJECTORY_BYTES", 7 * sim._WORKING_BYTES * 2**5)
+    shots = 100
+    assert shots % 7
+    hits = _per_shot_hits(compiled, layouts, backend, ideals, shots, 9)
+    got = noisy_success_probability(compiled, layouts, backend, ideals, mode="sampled", shots=shots, seed=9)
+    assert got == [h / shots for h in hits]
+
+
+def test_sampled_working_set_stays_under_budget():
+    # a few gates; the layout names all 12 qubits, so all 12 are simulated
+    n = 12
+    program = parse_program("qreg q[12]; h q[0]; cx q[0],q[1]; u3(0.4,0.2,0.1) q[1]; cx q[1],q[11]; h q[11];")
+    backend = make_backend(n, [(0, 1), (1, 11)] + [(q, q + 1) for q in range(1, 10)], cnot=0.2, oneq=0.1)
+    ideal = np.zeros(2**n)
+    ideal[0] = 1.0
+    shots = 8024
+    assert shots * 16 * 2**n > sim.TRAJECTORY_BYTES  # one unchunked array would not fit
+    tracemalloc.start()
+    try:
+        [estimate] = noisy_success_probability(
+            program, [{q: q for q in range(n)}], backend, [ideal], mode="sampled", shots=shots, seed=1
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < estimate < 1.0
+    assert peak < sim.TRAJECTORY_BYTES
+
+
+# --- argument checks ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shots", [0, -3])
+def test_sampled_rejects_non_positive_shots(shots):
+    backend, program, layout, ideal = _three_qubit_instance()
+    with pytest.raises(ValueError, match="shots"):
+        noisy_success_probability(program, [layout], backend, [ideal], mode="sampled", shots=shots)
+
+
+def test_unknown_mode_and_out_of_range_layout_rejected():
+    backend, program, layout, ideal = _three_qubit_instance()
+    with pytest.raises(ValueError, match="mode"):
+        noisy_success_probability(program, [layout], backend, [ideal], mode="density")
+    with pytest.raises(ValueError, match="outside"):
+        noisy_success_probability(program, [{0: 0, 1: 1, 2: 3}], backend, [ideal])
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_all_ambiguous_modes_skip_simulation(mode, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated although no mode is defined")
+
+    for kernel in ("_noisy_ops", "_exact_distribution", "_draw_shots", "_sampled_outcomes"):
+        monkeypatch.setattr(sim, kernel, fail)
+    backend = make_backend(3, [(0, 1), (1, 2), (0, 2)])
+    program = fixtures.load_benchmark("bv_n3")
+    ideal = distribution_vector(program)
+    layouts = [{0: 0, 1: 1, 2: 2}, {0: 2}]
+    got = noisy_success_probability(program, layouts, backend, [ideal, np.array([0.5, 0.5])], mode=mode)
+    assert got == [None, None]
