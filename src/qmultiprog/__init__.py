@@ -25,6 +25,7 @@ from .hardware import (
     CouplingGraph,
     DistanceMatrix,
     UnreachableError,
+    bfs_hops,
     load_backend,
     load_backend_file,
     random_backend,

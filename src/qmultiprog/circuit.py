@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 ONE_QUBIT_GATES = frozenset(
     ["u1", "u2", "u3", "rx", "ry", "rz", "h", "x", "y", "z", "s", "sdg", "t", "tdg"]
@@ -98,14 +101,21 @@ class QuantumProgram:
     def cnot_density(self) -> float:
         return self.n_cnot / self.n_qubits
 
-    def cnot_weights(self) -> dict[tuple[int, int], int]:
-        """CNOT count per unordered logical pair (the interaction graph)."""
+    @cached_property
+    def _cnot_counts(self) -> dict[tuple[int, int], int]:
+        # Counted on first use; not a dataclass field, so == and hash ignore it.
         weights: dict[tuple[int, int], int] = {}
         for g in self.gates:
             if g.is_cnot:
                 key = (min(g.qubits), max(g.qubits))
                 weights[key] = weights.get(key, 0) + 1
         return weights
+
+    def cnot_weights(self) -> Mapping[tuple[int, int], int]:
+        """CNOT count per unordered logical pair (the interaction graph), in
+        order of first appearance. Counted once per program; callers get a
+        read-only view of the cached counts."""
+        return MappingProxyType(self._cnot_counts)
 
 
 @dataclass(frozen=True)
@@ -121,9 +131,6 @@ class Dag:
     @property
     def nodes(self) -> range:
         return range(len(self.program.gates))
-
-    def in_degree(self, gate_id: int) -> int:
-        return len(self.predecessors[gate_id])
 
 
 def build_dag(program: QuantumProgram) -> Dag:

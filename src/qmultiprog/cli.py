@@ -310,15 +310,19 @@ def cmd_bench(args) -> int:
                 "mean_post_gates": sum(c["post_gates"] for c in good) / len(good),
                 "cells": len(good),
             }
+    # Successful cells by (workload, seed) and policy, in cell order.
+    ok_cells: dict[tuple, dict[str, list[dict]]] = {}
+    for c in cells:
+        if c["ok"]:
+            ok_cells.setdefault((c["workload"], c["seed"]), {}).setdefault(c["policy"], []).append(c)
     deltas = {}
     for i, a in enumerate(policies):
         for b in policies[i + 1 :]:
             common = [
                 (ca, cb)
                 for ca in cells
-                for cb in cells
-                if ca["policy"] == a and cb["policy"] == b and ca["ok"] and cb["ok"]
-                and ca["workload"] == cb["workload"] and ca["seed"] == cb["seed"]
+                if ca["ok"] and ca["policy"] == a
+                for cb in ok_cells[ca["workload"], ca["seed"]].get(b, ())
             ]
             if common:
                 deltas[f"{a}-vs-{b}"] = {

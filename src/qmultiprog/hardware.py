@@ -1,16 +1,19 @@
-"""Chip model: coupling graph, calibration data, hop-distance matrices and
-synthetic backend generation.
+"""Chip model: coupling graph, calibration data, hop distances and synthetic
+backend generation.
 
 Distances are unweighted hop counts. Noise awareness enters through the
 partitioning reward and the fidelity estimates, never through distances, so
-SWAP-count arithmetic stays exact. Everything here is immutable after
-construction and safe to share across threads.
+SWAP-count arithmetic stays exact. One breadth-first search over the graph's
+cached adjacency, ``bfs_hops``, answers every distance question: a single
+source, optionally confined to a qubit subset, so a caller that needs a few
+hops inside a small region never pays for a chip-wide matrix.
+``shortest_paths`` builds the all-pairs matrix from its rows. Everything here
+is immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -65,17 +68,7 @@ class CouplingGraph:
         return len(self.neighbors(q))
 
     def is_connected(self) -> bool:
-        if self.n_qubits == 0:
-            return False
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n_qubits
+        return self.n_qubits > 0 and len(bfs_hops(self, 0)) == self.n_qubits
 
 
 @dataclass(frozen=True)
@@ -158,32 +151,44 @@ class DistanceMatrix:
         return self.dist[a][b] is not None
 
 
+def bfs_hops(graph: CouplingGraph, source: int, allowed: set[int] | None = None) -> dict[int, int]:
+    """Hop counts from ``source`` to every qubit it reaches, by breadth-first
+    search over the graph's cached adjacency.
+
+    With ``allowed`` the search stays inside that qubit subset (the subgraph
+    it induces); a source outside it reaches nothing. Qubits missing from the
+    result are unreachable.
+    """
+    if allowed is not None and source not in allowed:
+        return {}
+    adjacency = graph._adjacency
+    hops = {source: 0}
+    queue = [source]
+    for v in queue:  # the list grows as the search runs; it is the FIFO queue
+        d = hops[v] + 1
+        for w in adjacency.get(v, ()):
+            if w not in hops and (allowed is None or w in allowed):
+                hops[w] = d
+                queue.append(w)
+    return hops
+
+
 def shortest_paths(graph: CouplingGraph, allowed: set[int] | None = None) -> DistanceMatrix:
-    """BFS hop distances within the subgraph induced by ``allowed``.
+    """All-pairs hop distances within the subgraph induced by ``allowed``, one
+    ``bfs_hops`` row per qubit.
 
     With ``allowed=None`` every qubit participates (the chip-wide matrix);
     otherwise rows/columns outside ``allowed`` are ``None``.
     """
-    universe = set(range(graph.n_qubits)) if allowed is None else set(allowed)
-    adj: dict[int, list[int]] = {q: [] for q in universe}
-    for a, b in graph.edges:
-        if a in universe and b in universe:
-            adj[a].append(b)
-            adj[b].append(a)
+    n = graph.n_qubits
+    allowed = None if allowed is None else set(allowed)
     rows: list[tuple[int | None, ...]] = []
-    for src in range(graph.n_qubits):
-        row: list[int | None] = [None] * graph.n_qubits
-        if src in universe:
-            row[src] = 0
-            queue = deque([src])
-            while queue:
-                v = queue.popleft()
-                for w in adj[v]:
-                    if row[w] is None:
-                        row[w] = row[v] + 1
-                        queue.append(w)
+    for src in range(n):
+        row: list[int | None] = [None] * n
+        for q, d in bfs_hops(graph, src, allowed).items():
+            row[q] = d
         rows.append(tuple(row))
-    return DistanceMatrix(graph.n_qubits, tuple(rows))
+    return DistanceMatrix(n, tuple(rows))
 
 
 # --- backend documents --------------------------------------------------------

@@ -5,17 +5,22 @@ each merge maximizes a reward combining the modularity delta of the grouping
 with the fidelity of the links crossing the merge. The delta is the closed
 form e_ab/m - 2(d_a/2m)(d_b/2m) of Clauset, Newman and Moore (2004) over the
 crossing links and the two sides' degree sums, and only communities that
-share a link are scored. Programs then claim regions by climbing the tree
-from its leaves, and an interaction-graph greedy (greatest weighted edge
-first) places logical qubits inside the claimed region. A greedy
-utility-based partitioner is included as the comparison baseline.
+share a link are scored. The reward table is kept across merges: each merge
+rescores only the merged community against its linked neighbours. Programs
+then claim regions by climbing the tree from its leaves, and an
+interaction-graph greedy (greatest weighted edge first, over the program's
+cached ``cnot_weights``) places logical qubits inside the claimed region.
+Every hop count here comes from a single-source search (``bfs_hops``),
+confined to the placed qubits where the region matters; nothing builds a
+chip-wide distance matrix. A greedy utility-based partitioner is included as
+the comparison baseline.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .circuit import QuantumProgram
-from .hardware import Backend, CouplingGraph, shortest_paths
+from .hardware import Backend, CouplingGraph, UnreachableError, bfs_hops
 
 DEFAULT_OMEGA = 0.95
 UNMERGEABLE = float("-inf")
@@ -163,31 +168,35 @@ def build_hierarchy_tree(backend: Backend, omega: float = DEFAULT_OMEGA) -> Hier
     Only pairs joined by at least one link are scored; any other pair is
     unmergeable. Ties take the pair with the smallest (min qubit of first,
     min qubit of second) after ordering each pair by its minimum qubit.
+
+    The reward table persists across steps, as in Clauset, Newman and Moore
+    (2004): a merge drops every pair touching either side and scores only
+    the merged community against the communities linked to it. Every other
+    pair keeps the reward it had, which is the reward a rescan would give,
+    since neither of its communities changed.
     """
     if omega < 0:
         raise ValueError("omega must be non-negative")
     leaves = {q: HierarchyNode([q]) for q in range(backend.n_qubits)}
-    # Communities are keyed by their minimum qubit; owner[q] is q's community key.
+    # Communities are keyed by their minimum qubit; rewards[(ka, kb)] with
+    # ka < kb holds every pair of communities that share a link.
     communities = dict(leaves)
-    owner = list(range(backend.n_qubits))
+    rewards = {(x, y): merge_reward(leaves[x], leaves[y], backend, omega) for x, y in backend.graph.edges}
     step = 0
     while len(communities) > 1:
-        adjacent = {
-            (min(owner[x], owner[y]), max(owner[x], owner[y]))
-            for x, y in backend.graph.edges
-            if owner[x] != owner[y]
-        }
-        if not adjacent:
+        if not rewards:
             raise PartitionError("coupling graph is disconnected; cannot finish the dendrogram")
-        rewards = {
-            (ka, kb): merge_reward(communities[ka], communities[kb], backend, omega) for ka, kb in adjacent
-        }
         ka, kb = min(rewards, key=lambda pair: (-rewards[pair], pair))
         a, b = communities.pop(ka), communities.pop(kb)
         step += 1
         communities[ka] = HierarchyNode(a.qubits | b.qubits, a, b, merge_step=step, reward=rewards[ka, kb])
-        for q in b.qubits:
-            owner[q] = ka
+        linked: set[int] = set()
+        for pair in [pair for pair in rewards if ka in pair or kb in pair]:
+            del rewards[pair]
+            linked.update(pair)
+        for kc in linked - {ka, kb}:
+            pair = (ka, kc) if ka < kc else (kc, ka)
+            rewards[pair] = merge_reward(communities[pair[0]], communities[pair[1]], backend, omega)
     (root,) = communities.values()
     return HierarchyTree(root=root, leaves=leaves, omega=omega)
 
@@ -266,12 +275,17 @@ def _allocation_pressure(mapping: "InitialMapping", backend: Backend) -> int | N
     """CNOT-weighted excess hop count of a placement, measured inside the
     region it occupies (the router confined to that region pays for every
     extra hop). None when some interacting pair has no internal path at all,
-    which makes the placement unusable."""
-    used = set(mapping.sigma.values())
-    dist = shortest_paths(backend.graph, used)
+    which makes the placement unusable. Hops come from one search confined
+    to the placed qubits per distinct source qubit."""
+    sigma = mapping.sigma
+    used = set(sigma.values())
+    rows: dict[int, dict[int, int]] = {}
     total = 0
     for (a, b), w in mapping.program.cnot_weights().items():
-        d = dist.get(mapping.sigma[a], mapping.sigma[b])
+        src = sigma[a]
+        if src not in rows:
+            rows[src] = bfs_hops(backend.graph, src, used)
+        d = rows[src].get(sigma[b])
         if d is None:
             return None
         total += w * (d - 1)
@@ -304,8 +318,9 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
     for (a, b), w in weights.items():
         logical_weight[a] += w
         logical_weight[b] += w
-    region_edges = [e for e in sorted(backend.graph.edges) if e[0] in region and e[1] in region]
-    full_dist = None  # chip-wide hops, built only if the nearest-qubit fallback runs
+    # Internal links in sorted order: neighbour lists are sorted, so walking
+    # the region's qubits in order lists each (low, high) link once, sorted.
+    region_edges = [(a, b) for a in sorted(region) for b in backend.graph.neighbors(a) if a < b and b in region]
 
     sigma: dict[int, int] = {}
     used: set[int] = set()
@@ -353,9 +368,12 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
                     key=lambda p: (coverage(free_l, p), backend.calib.cnot_fidelity(anchor_p, p), -p),
                 )
             else:
-                if full_dist is None:
-                    full_dist = shortest_paths(backend.graph)
-                target = min(free_region(), key=lambda p: (full_dist.hops(anchor_p, p), p))
+                hops = bfs_hops(backend.graph, anchor_p)  # chip-wide, from the anchor only
+                free = free_region()
+                cut_off = next((p for p in free if p not in hops), None)
+                if cut_off is not None:
+                    raise UnreachableError(f"no path between qubits {anchor_p} and {cut_off}")
+                target = min(free, key=lambda p: (hops[p], p))
             place(free_l, target)
             continue
         unmapped_edges = [e for e in pending if e[0] not in sigma and e[1] not in sigma]
@@ -450,10 +468,9 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend) -> Partiti
         if parent is not None:
             sibling = parent.left if parent.right is winner else parent.right
             sib_alive = set(sibling.alive)
-            other_alive = set(tree.root.alive) - sib_alive
+            root_alive = tree.root.alive
             linked = any(
-                (a in sib_alive and b in other_alive) or (b in sib_alive and a in other_alive)
-                for a, b in backend.graph.edges
+                n in root_alive and n not in sib_alive for q in sib_alive for n in backend.graph.neighbors(q)
             )
             if sib_alive and not linked:
                 node = sibling.parent

@@ -373,26 +373,27 @@ def noisy_success_probability(
     ``layouts`` maps each program's logical qubits to final physical qubits.
     ``mode`` is "exact" (full mixed-state evolution) or "sampled" (``shots``
     trajectories with the given seed). Programs with an ambiguous ideal mode
-    get None; when every mode is ambiguous nothing is simulated.
+    get None; when every mode is ambiguous nothing is simulated. The cap
+    bounds the active register, not the chip the circuit was compiled for.
     """
-    n = compiled.n_qubits
-    if n > min(cap, HARD_QUBIT_CAP):
-        raise QubitCapExceeded(f"{n} qubits exceed the simulation cap")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
-    modes = [modal_outcome(d) for d in ideal_distributions]
-    if all(modal is None for modal in modes):
-        return [None for _ in zip(layouts, modes)]
+    n = compiled.n_qubits
     active = sorted(
         {q for g in compiled.gates if g.kind not in (MEASURE, BARRIER) for q in g.qubits}
         | {q for layout in layouts for q in layout.values()}
     )
     if active and active[-1] >= n:
         raise ValueError(f"layout qubit {active[-1]} is outside the {n}-qubit circuit")
-    local = {q: i for i, q in enumerate(active)}
     m = len(active)
+    if m > min(cap, HARD_QUBIT_CAP):
+        raise QubitCapExceeded(f"{m} active qubits exceed the simulation cap of {min(cap, HARD_QUBIT_CAP)}")
+    modes = [modal_outcome(d) for d in ideal_distributions]
+    if all(modal is None for modal in modes):
+        return [None for _ in zip(layouts, modes)]
+    local = {q: i for i, q in enumerate(active)}
     ops = _noisy_ops(compiled, backend, local)
     keeps = [[local[layout[q]] for q in sorted(layout)] for layout in layouts]
     if mode == "exact":

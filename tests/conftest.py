@@ -72,3 +72,27 @@ def tokyo20():
 @pytest.fixture(scope="session")
 def melbourne():
     return fixtures.load_fixture_backend("melbourne")
+
+
+# The ten bundled benchmark circuits (the four routing-fixture circuits are
+# test scaffolding, not benchmarks).
+BUNDLED = (
+    "3_17_13", "4mod5-v1_22", "alu-v0_27", "bv_n3", "bv_n4",
+    "decod24-v2_43", "fredkin_3", "mod5mils_65", "peres_3", "toffoli_3",
+)
+
+
+def grid_graph(rows, cols):
+    """Rectangular nearest-neighbour grid, qubits numbered row by row."""
+    pairs = [(q, q + 1) for q in range(rows * cols) if q % cols != cols - 1]
+    pairs += [(q, q + cols) for q in range((rows - 1) * cols)]
+    return CouplingGraph.from_pairs(rows * cols, pairs)
+
+
+def grid_queue(seed):
+    """Every bundled circuit once plus two repeats (parsed again, so each is
+    its own program object), in seeded order."""
+    rng = random.Random(seed)
+    names = list(BUNDLED) + rng.sample(BUNDLED, 2)
+    rng.shuffle(names)
+    return [fixtures.load_benchmark(n) for n in names]

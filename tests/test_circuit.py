@@ -51,6 +51,18 @@ def test_parse_counts_and_density():
     assert len(program.gates) == program.gate_count + 2
 
 
+def test_cnot_weights_counted_once_and_read_only():
+    src = "qreg q[3]; cx q[1],q[0]; h q[2]; cx q[0],q[1]; cx q[1],q[2];"
+    program = parse_program(src)
+    weights = program.cnot_weights()
+    assert list(weights.items()) == [((0, 1), 2), ((1, 2), 1)]  # order of first appearance
+    with pytest.raises(TypeError):
+        weights[0, 1] = 7
+    assert program.cnot_weights() == {(0, 1): 2, (1, 2): 1}
+    # the cache is no field: equality and hashing see only the program
+    assert program == parse_program(src) and hash(program) == hash(parse_program(src))
+
+
 def test_parse_param_expressions():
     program = parse_program(
         "qreg q[1]; rz(pi/2) q[0]; u3(pi, -pi/4, 0.5) q[0]; rx(2*pi) q[0];"

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_backend, random_graph
 from qmultiprog import fixtures
@@ -9,6 +10,7 @@ from qmultiprog.hardware import (
     Calibration,
     CouplingGraph,
     UnreachableError,
+    bfs_hops,
     load_backend,
     backend_to_doc,
     random_backend,
@@ -115,6 +117,28 @@ def test_bfs_matches_floyd_warshall(seed):
                     assert got.hops(a, b) == expected
             else:
                 assert got.get(a, b) is None
+
+
+@given(
+    n=st.integers(1, 14),
+    seed=st.integers(0, 2**31),
+    keep=st.sampled_from((1.0, 0.6)),
+    restrict=st.booleans(),
+)
+def test_single_source_search_matches_floyd_warshall(n, seed, keep, restrict):
+    # connected chips and chips that fell apart, whole or confined to a subset
+    rng = random.Random(seed)
+    full = random_graph(n, seed)
+    graph = CouplingGraph(n, frozenset(e for e in full.edges if rng.random() < keep))
+    allowed = set(rng.sample(range(n), rng.randint(0, n))) if restrict else None
+    oracle = floyd_warshall(graph, allowed)
+    source = rng.randrange(n)
+    expected = {
+        q: int(oracle[source, q])
+        for q in range(n)
+        if (source, q) in oracle and oracle[source, q] != float("inf")
+    }
+    assert bfs_hops(graph, source, allowed) == expected
 
 
 @pytest.mark.parametrize("seed", range(12))

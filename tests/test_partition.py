@@ -5,12 +5,13 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import make_backend, random_graph, random_program
+from conftest import grid_graph, grid_queue, make_backend, random_graph, random_program
 from qmultiprog import fixtures
-from qmultiprog.hardware import CouplingGraph, random_backend
+from qmultiprog.hardware import CouplingGraph, UnreachableError, random_backend, shortest_paths
 from qmultiprog.partition import (
     UNMERGEABLE,
     HierarchyNode,
+    InitialMapping,
     allocate,
     average_redundancy,
     build_hierarchy_tree,
@@ -459,6 +460,37 @@ def test_partition_candidate_choice_matches_brute_force():
                 node = node.parent
 
 
+def _partition_digest(partition):
+    record = {
+        "assigned": [
+            [a.program.name, sorted(a.qubits), a.avg_fidelity, sorted(a.mapping.sigma.items())]
+            for a in partition.assignments
+        ],
+        "unassigned": [p.name for p in partition.unassigned],
+    }
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
+
+
+# Partitions of windows of a seeded bundled-circuit queue (one to four
+# programs, then the whole queue) on an 8x8 grid under two calibrations drawn
+# from melbourne's ranges, pinned from the implementation that built
+# chip-wide distance matrices.
+GOLDEN_GRID_PARTITIONS = {
+    5: "24b99d5d250e7169",
+    6: "b37aa46cec506ad3",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_GRID_PARTITIONS))
+def test_golden_grid_partitions(seed, melbourne):
+    backend = random_backend(grid_graph(8, 8), melbourne.calib, seed=seed)
+    tree = build_hierarchy_tree(backend)
+    queue = grid_queue(seed)
+    windows = [queue[i : i + k] for k in (1, 2, 3, 4) for i in range(0, len(queue) - k + 1, k)]
+    digests = [_partition_digest(partition_qubits(tree.clone(), w, backend)) for w in windows + [queue]]
+    assert hashlib.sha256(json.dumps(digests).encode()).hexdigest()[:16] == GOLDEN_GRID_PARTITIONS[seed]
+
+
 # --- allocation ----------------------------------------------------------------------
 
 
@@ -553,3 +585,217 @@ def test_frp_unassigned_when_chip_full():
     partition = frp_partition([big, extra], backend)
     assert len(partition.assignments) == 1
     assert len(partition.unassigned) == 1
+
+
+# --- references: the chip-wide implementations the region-local ones replaced ------
+
+
+def _rescan_merges(backend, omega):
+    """The dendrogram loop that rescored every linked community pair at every
+    step; returns (left key, right key, reward) per merge."""
+    communities = {q: HierarchyNode([q]) for q in range(backend.n_qubits)}
+    owner = list(range(backend.n_qubits))
+    merges = []
+    while len(communities) > 1:
+        adjacent = {
+            (min(owner[x], owner[y]), max(owner[x], owner[y]))
+            for x, y in backend.graph.edges
+            if owner[x] != owner[y]
+        }
+        if not adjacent:
+            raise PartitionError("coupling graph is disconnected; cannot finish the dendrogram")
+        rewards = {
+            (ka, kb): merge_reward(communities[ka], communities[kb], backend, omega) for ka, kb in adjacent
+        }
+        ka, kb = min(rewards, key=lambda pair: (-rewards[pair], pair))
+        a, b = communities.pop(ka), communities.pop(kb)
+        communities[ka] = HierarchyNode(a.qubits | b.qubits, a, b)
+        for q in b.qubits:
+            owner[q] = ka
+        merges.append((ka, kb, rewards[ka, kb]))
+    return merges
+
+
+def _tree_merges(tree):
+    return [
+        (min(n.left.qubits), min(n.right.qubits), n.reward)
+        for n in sorted(tree.internal_nodes(), key=lambda n: n.merge_step)
+    ]
+
+
+def _matrix_pressure(mapping, backend):
+    """_allocation_pressure over a chip-sized distance matrix confined to the
+    placed qubits."""
+    dist = shortest_paths(backend.graph, set(mapping.sigma.values()))
+    total = 0
+    for (a, b), w in mapping.program.cnot_weights().items():
+        d = dist.get(mapping.sigma[a], mapping.sigma[b])
+        if d is None:
+            return None
+        total += w * (d - 1)
+    return total
+
+
+def _matrix_allocate(program, region, backend, fired):
+    """allocate with a sorted scan of every chip edge for the region's links
+    and a chip-wide distance matrix for the nearest-free-qubit fallback;
+    appends to ``fired`` each time the fallback runs."""
+    region = set(region)
+    if len(region) < program.n_qubits:
+        raise PartitionError("region too small")
+    weights = program.cnot_weights()
+    logical_weight = {q: 0 for q in range(program.n_qubits)}
+    for (a, b), w in weights.items():
+        logical_weight[a] += w
+        logical_weight[b] += w
+    region_edges = [e for e in sorted(backend.graph.edges) if e[0] in region and e[1] in region]
+    full_dist = None
+    sigma, used = {}, set()
+
+    def anchor_score(p):
+        return sum(backend.calib.cnot_fidelity(a, b) for a, b in region_edges if p in (a, b))
+
+    def place(logical, phys):
+        sigma[logical] = phys
+        used.add(phys)
+
+    def coverage(logical, p):
+        total = 0.0
+        for other, phys in sigma.items():
+            key = (min(logical, other), max(logical, other))
+            if key in weights and backend.graph.has_edge(p, phys):
+                total += weights[key] * backend.calib.cnot_fidelity(p, phys)
+        return total
+
+    pending = sorted(weights, key=lambda e: (-weights[e], e))
+    while True:
+        half = [e for e in pending if (e[0] in sigma) != (e[1] in sigma)]
+        if half:
+            la, lb = min(half, key=lambda e: (-weights[e], e))
+            anchor, free_l = (la, lb) if la in sigma else (lb, la)
+            anchor_p = sigma[anchor]
+            adjacent = [p for p in sorted(region - used) if backend.graph.has_edge(anchor_p, p)]
+            if adjacent:
+                target = max(
+                    adjacent,
+                    key=lambda p: (coverage(free_l, p), backend.calib.cnot_fidelity(anchor_p, p), -p),
+                )
+            else:
+                fired.append(anchor_p)
+                if full_dist is None:
+                    full_dist = shortest_paths(backend.graph)
+                target = min(sorted(region - used), key=lambda p: (full_dist.hops(anchor_p, p), p))
+            place(free_l, target)
+            continue
+        unmapped = [e for e in pending if e[0] not in sigma and e[1] not in sigma]
+        if not unmapped:
+            break
+        la, lb = min(unmapped, key=lambda e: (-weights[e], e))
+        free_edges = [e for e in region_edges if e[0] not in used and e[1] not in used]
+        if not free_edges:
+            break
+        pa, pb = max(free_edges, key=lambda e: (backend.calib.cnot_fidelity(*e), (-e[0], -e[1])))
+        if logical_weight[la] < logical_weight[lb] or (logical_weight[la] == logical_weight[lb] and la > lb):
+            la, lb = lb, la
+        if anchor_score(pa) < anchor_score(pb):
+            pa, pb = pb, pa
+        place(la, pa)
+        place(lb, pb)
+    for logical in range(program.n_qubits):
+        if logical not in sigma:
+            place(logical, max(sorted(region - used), key=lambda p: (backend.calib.readout_fidelity(p), -p)))
+    return sigma
+
+
+def _random_chip(n, seed, extra, keep=1.0):
+    """A random calibrated chip drawn from melbourne's ranges; with keep < 1
+    each link survives with that probability, so the chip may fall apart."""
+    graph = random_graph(n, seed=seed, extra_edge_prob=extra)
+    if keep < 1.0:
+        rng = random.Random(seed)
+        graph = CouplingGraph(n, frozenset(e for e in graph.edges if rng.random() < keep))
+    return random_backend(graph, fixtures.load_fixture_backend("melbourne").calib, seed)
+
+
+@given(
+    n=st.integers(2, 14),
+    seed=st.integers(0, 2**31),
+    extra=st.sampled_from((0.0, 0.2, 0.5)),
+    omega=st.sampled_from((0.0, 0.5, 0.95, 2.5)),
+    uniform=st.booleans(),
+)
+def test_incremental_tree_matches_rescan(n, seed, extra, omega, uniform):
+    backend = _random_chip(n, seed, extra)
+    if uniform:  # equal calibrations: exact reward ties at every omega
+        backend = make_backend(n, backend.graph.edges)
+    assert _tree_merges(build_hierarchy_tree(backend, omega)) == _rescan_merges(backend, omega)
+
+
+def test_incremental_tree_breaks_exact_ties_like_rescan():
+    # a uniform 4x4 grid at omega=0: most steps choose among tied pairs
+    backend = make_backend(16, grid_graph(4, 4).edges)
+    merges = _rescan_merges(backend, 0.0)
+    rewards = [r for _, _, r in merges]
+    assert len(set(rewards)) < len(rewards)
+    assert _tree_merges(build_hierarchy_tree(backend, 0.0)) == merges
+
+
+def test_incremental_tree_rejects_disconnected_chip():
+    backend = make_backend(5, [(0, 1), (1, 2), (3, 4)])
+    for build in (build_hierarchy_tree, _rescan_merges):
+        with pytest.raises(PartitionError, match="disconnected"):
+            build(backend, 0.95)
+
+
+@given(
+    n=st.integers(2, 14),
+    seed=st.integers(0, 2**31),
+    extra=st.sampled_from((0.0, 0.2, 0.5)),
+    k=st.integers(2, 6),
+    n_cnot=st.integers(0, 12),
+)
+def test_allocation_pressure_matches_matrix_reference(n, seed, extra, k, n_cnot):
+    # arbitrary placements, often split across the chip: None must agree too
+    backend = _random_chip(n, seed, extra)
+    k = min(k, n)
+    program = random_program("placed", k, n_cnot, 2, seed)
+    placed = random.Random(seed).sample(range(n), k)
+    mapping = InitialMapping(program, dict(enumerate(placed)))
+    assert _allocation_pressure(mapping, backend) == _matrix_pressure(mapping, backend)
+
+
+def test_allocation_pressure_none_on_split_placement():
+    backend = make_backend(4, [(0, 1), (1, 2), (2, 3)])
+    program = random_program("split", 2, 3, 0, seed=1)
+    mapping = InitialMapping(program, {0: 0, 1: 3})
+    assert _allocation_pressure(mapping, backend) is None is _matrix_pressure(mapping, backend)
+    joined = InitialMapping(program, {0: 0, 1: 1})
+    assert _allocation_pressure(joined, backend) == 0 == _matrix_pressure(joined, backend)
+
+
+@given(
+    n=st.integers(6, 20),
+    seed=st.integers(0, 2**31),
+    extra=st.sampled_from((0.0, 0.1, 0.3)),
+    keep=st.sampled_from((1.0, 1.0, 0.7)),
+    k=st.integers(3, 6),
+    spare=st.integers(0, 3),
+    n_cnot=st.integers(2, 15),
+)
+def test_allocate_matches_matrix_reference_when_fallback_fires(n, seed, extra, keep, k, spare, n_cnot):
+    # sparse random regions: anchors often have no free neighbour in them
+    backend = _random_chip(n, seed, extra, keep)
+    k = min(k, n)
+    program = random_program("alloc", k, n_cnot, 3, seed)
+    region = set(random.Random(seed).sample(range(n), min(n, k + spare)))
+    fired = []
+    try:
+        expected = _matrix_allocate(program, region, backend, fired)
+    except UnreachableError:
+        expected = UnreachableError
+    assume(fired)
+    if expected is UnreachableError:
+        with pytest.raises(UnreachableError):
+            allocate(program, region, backend)
+    else:
+        assert allocate(program, region, backend).sigma == expected

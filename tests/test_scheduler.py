@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from conftest import make_backend, random_program
+from conftest import grid_graph, grid_queue, make_backend, random_program
 from qmultiprog import fixtures
 from qmultiprog.hardware import random_backend
 from qmultiprog.partition import build_hierarchy_tree, partition_qubits
@@ -280,3 +282,33 @@ def test_repeated_program_object_waits_for_a_later_batch(tokyo20):
         for b in batches:
             assert len({id(j.program) for j in b.jobs}) == len(b.jobs)
             assert all(j.co_epst is not None for j in b.jobs)
+
+
+# Batch membership, estimates, decision records and partitions of a 12-job
+# bundled-circuit queue on an 8x8 grid under two calibrations drawn from
+# melbourne's ranges (epsilon 0.15, lookahead 8, up to four co-located
+# jobs), pinned from the implementation that built chip-wide distance
+# matrices.
+GOLDEN_GRID_SCHEDULES = {
+    5: "a57555dfa08b4ef9",
+    6: "332b38aae52f0486",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_GRID_SCHEDULES))
+def test_golden_grid_schedules(seed, melbourne):
+    backend = random_backend(grid_graph(8, 8), melbourne.calib, seed=seed)
+    tree = build_hierarchy_tree(backend)
+    queue = [Job(id=i, program=p) for i, p in enumerate(grid_queue(seed))]
+    batches = schedule_tasks(queue, tree, backend, epsilon=0.15, lookahead=8, max_colocate=4)
+    record = [
+        {
+            "jobs": [[j.id, j.program.name, j.status, j.ind_epst, j.co_epst] for j in b.jobs],
+            "decisions": sorted(b.decision_record.items()),
+            "regions": None
+            if b.partition is None
+            else [[a.program.name, sorted(a.mapping.sigma.items())] for a in b.partition.assignments],
+        }
+        for b in batches
+    ]
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16] == GOLDEN_GRID_SCHEDULES[seed]

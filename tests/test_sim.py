@@ -499,3 +499,47 @@ def test_all_ambiguous_modes_skip_simulation(mode, monkeypatch):
     layouts = [{0: 0, 1: 1, 2: 2}, {0: 2}]
     got = noisy_success_probability(program, layouts, backend, [ideal, np.array([0.5, 0.5])], mode=mode)
     assert got == [None, None]
+
+
+# --- the cap bounds the active register -------------------------------------------
+
+
+def _tokyo_pair_compile():
+    from qmultiprog.cli import compile_workload
+
+    tokyo20 = fixtures.load_fixture_backend("tokyo20")
+    programs = [fixtures.load_benchmark("toffoli_3"), fixtures.load_benchmark("fredkin_3")]
+    result = compile_workload(programs, tokyo20, "cdap-xswap")
+    compiled = result["compiled"][0]
+    layouts = [dict(s) for s in result["schedules"][0].final.sigmas]
+    ideals = [distribution_vector(p) for p in programs]
+    return compiled, layouts, tokyo20, ideals
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_cap_counts_active_qubits_not_chip_width(mode):
+    # 6 active qubits on a 20-qubit chip: within the default cap of 12
+    compiled, layouts, tokyo20, ideals = _tokyo_pair_compile()
+    assert compiled.n_qubits == 20 > sim.DEFAULT_QUBIT_CAP
+    got = noisy_success_probability(compiled, layouts, tokyo20, ideals, mode=mode, shots=64)
+    assert got == noisy_success_probability(compiled, layouts, tokyo20, ideals, mode=mode, shots=64, cap=20)
+    assert all(0.0 < p < 1.0 for p in got)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_active_register_over_the_cap_raises_before_simulating(mode, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated although the active register exceeds the cap")
+
+    for kernel in ("_noisy_ops", "_exact_distribution", "_draw_shots", "_sampled_outcomes"):
+        monkeypatch.setattr(sim, kernel, fail)
+    compiled, layouts, tokyo20, ideals = _tokyo_pair_compile()
+    with pytest.raises(QubitCapExceeded, match="6 active qubits"):
+        noisy_success_probability(compiled, layouts, tokyo20, ideals, mode=mode, cap=5)
+
+
+def test_noisy_output_distribution_caps_the_full_register():
+    program = parse_program("qreg q[13]; h q[0];")
+    backend = make_backend(13, [(q, q + 1) for q in range(12)])
+    with pytest.raises(QubitCapExceeded):
+        noisy_output_distribution(program, backend)
