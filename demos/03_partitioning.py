@@ -31,7 +31,7 @@ for omega in (0.0, 0.95, 2.5):
 tokyo = load_fixture_backend("tokyo20")
 tree = build_hierarchy_tree(tokyo)
 programs = [load_benchmark("decod24-v2_43"), load_benchmark("4mod5-v1_22")]
-partition = partition_qubits(tree.clone(), programs, tokyo)
+partition = partition_qubits(tree, programs, tokyo)
 print("\nregions on tokyo20:")
 for assignment in partition.assignments:
     sigma = dict(sorted(assignment.mapping.sigma.items()))

@@ -198,7 +198,8 @@ _OPERAND_RE = re.compile(r"([A-Za-z_]\w*)(?:\s*\[\s*(\d+)\s*\])?$")
 
 
 def _eval_param(expr: str, line: int) -> float:
-    """Evaluate a QASM angle expression: numbers, pi, + - * / and parentheses."""
+    """Evaluate a QASM angle expression: numbers, pi, + - * / and parentheses.
+    Division by zero and a non-finite result are parse errors."""
     tokens = re.findall(r"pi|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?|[()+\-*/]", expr)
     if "".join(tokens).replace(" ", "") != expr.replace(" ", ""):
         raise QasmError(f"bad angle expression {expr!r}", line)
@@ -254,9 +255,16 @@ def _eval_param(expr: str, line: int) -> float:
             val = val + rhs if op == "+" else val - rhs
         return val
 
-    result = add_expr()
+    try:
+        result = add_expr()
+    except ZeroDivisionError:
+        raise QasmError(f"division by zero in angle expression {expr!r}", line) from None
+    except RecursionError:
+        raise QasmError("angle expression nested too deeply", line) from None
     if pos != len(tokens):
         raise QasmError(f"trailing tokens in angle expression {expr!r}", line)
+    if not math.isfinite(result):
+        raise QasmError(f"angle expression {expr!r} is not a finite number", line)
     return result
 
 
@@ -335,7 +343,10 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
                 operands = rest.split(",")
                 if len(operands) != 2:
                     raise QasmError("cx takes two operands", lineno)
-                (a,), (b,) = (operand_indices(t, lineno) for t in operands)
+                indices = [operand_indices(t, lineno) for t in operands]
+                if any(len(idx) != 1 for idx in indices):
+                    raise QasmError("cx operands must be single indexed qubits", lineno)
+                (a,), (b,) = indices
                 if a == b:
                     raise QasmError("cx operands must be distinct", lineno)
                 emit(CNOT, (a, b), (), lineno)

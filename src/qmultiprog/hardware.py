@@ -196,26 +196,51 @@ def shortest_paths(graph: CouplingGraph, allowed: set[int] | None = None) -> Dis
 _REQUIRED_FIELDS = ("n_qubits", "edges", "cnot_error", "readout_error", "oneq_error")
 
 
+def _typed(value, kind, field: str):
+    """``value`` if it is an instance of ``kind`` other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"backend field {field!r} holds {value!r}, not a number of the expected type")
+    return value
+
+
 def load_backend(doc: dict) -> Backend:
     """Validate a backend description document (parsed JSON) into a Backend.
 
-    Unknown extra fields (T1, T2, notes, ...) are accepted and ignored;
-    missing required fields, disconnected graphs and out-of-range rates are
-    rejected.
+    Unknown extra fields (T1, T2, notes, ...) are accepted and ignored. Any
+    malformed document raises ValueError naming the field at fault: missing
+    required fields, values of the wrong type, ``cnot_error`` keys that are
+    not edges, rate lists of the wrong length, disconnected graphs and
+    out-of-range rates.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("backend document must be a JSON object")
     for f in _REQUIRED_FIELDS:
         if f not in doc:
             raise ValueError(f"backend document missing required field {f!r}")
-    n = int(doc["n_qubits"])
-    graph = CouplingGraph.from_pairs(n, [(int(a), int(b)) for a, b in doc["edges"]])
+    n = _typed(doc["n_qubits"], int, "n_qubits")
+    edges = doc["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
+        raise ValueError("backend field 'edges' must be a list of [a, b] pairs")
+    graph = CouplingGraph.from_pairs(n, [(_typed(a, int, "edges"), _typed(b, int, "edges")) for a, b in edges])
     if not graph.is_connected():
         raise ValueError("coupling graph is disconnected")
+    if not isinstance(doc["cnot_error"], dict):
+        raise ValueError("backend field 'cnot_error' must map \"a-b\" keys to rates")
     cnot_error: dict[Edge, float] = {}
     for key, rate in doc["cnot_error"].items():
-        a, b = key.split("-")
-        cnot_error[_norm_edge(int(a), int(b))] = float(rate)
-    readout = {q: float(r) for q, r in enumerate(doc["readout_error"])}
-    oneq = {q: float(r) for q, r in enumerate(doc["oneq_error"])}
+        try:
+            a, b = (int(x) for x in key.split("-"))
+        except (AttributeError, ValueError):
+            raise ValueError(f"backend field 'cnot_error' has key {key!r}, not of the form \"a-b\"") from None
+        edge = _norm_edge(a, b)
+        if edge not in graph.edges:
+            raise ValueError(f"backend field 'cnot_error' has key {key!r}, which is not an edge")
+        cnot_error[edge] = float(_typed(rate, (int, float), "cnot_error"))
+    rate_fields = ("readout_error", "oneq_error")
+    for f in rate_fields:
+        if not isinstance(doc[f], list) or len(doc[f]) != n:
+            raise ValueError(f"backend field {f!r} must list one rate per qubit ({n})")
+    readout, oneq = ({q: float(_typed(r, (int, float), f)) for q, r in enumerate(doc[f])} for f in rate_fields)
     calib = Calibration(cnot_error, readout, oneq, timestamp=str(doc.get("timestamp", "")))
     return Backend(graph=graph, calib=calib, name=str(doc.get("name", "backend")))
 

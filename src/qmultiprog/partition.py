@@ -31,20 +31,15 @@ class PartitionError(ValueError):
 
 
 class HierarchyNode:
-    """A community of physical qubits; leaves hold exactly one qubit.
+    """A community of physical qubits; leaves hold exactly one qubit."""
 
-    ``alive`` is the subset not yet consumed by an allocation; it shrinks as
-    programs claim qubits, while ``qubits`` records the community as built.
-    """
-
-    __slots__ = ("qubits", "left", "right", "parent", "alive", "merge_step", "reward")
+    __slots__ = ("qubits", "left", "right", "parent", "merge_step", "reward")
 
     def __init__(self, qubits, left=None, right=None, merge_step=None, reward=None):
         self.qubits: frozenset[int] = frozenset(qubits)
         self.left: HierarchyNode | None = left
         self.right: HierarchyNode | None = right
         self.parent: HierarchyNode | None = None
-        self.alive: set[int] = set(qubits)
         self.merge_step: int | None = merge_step
         self.reward: float | None = reward
         if left is not None:
@@ -64,9 +59,11 @@ class HierarchyNode:
         return f"HierarchyNode({sorted(self.qubits)})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class HierarchyTree:
-    """Dendrogram over a backend's qubits, as produced by the merge loop."""
+    """Dendrogram over a backend's qubits, as produced by the merge loop.
+    Nothing writes to it after the build, so one tree serves any number of
+    partitioning calls."""
 
     root: HierarchyNode
     leaves: dict[int, HierarchyNode]
@@ -84,36 +81,6 @@ class HierarchyTree:
 
     def internal_nodes(self) -> list[HierarchyNode]:
         return [n for n in self.nodes() if not n.is_leaf]
-
-    def clone(self) -> "HierarchyTree":
-        """Structurally independent copy; allocation mutates alive sets, so
-        every partitioning call must run on its own clone."""
-
-        def copy_node(node: HierarchyNode) -> HierarchyNode:
-            if node.is_leaf:
-                fresh = HierarchyNode(node.qubits)
-            else:
-                fresh = HierarchyNode(
-                    node.qubits,
-                    copy_node(node.left),
-                    copy_node(node.right),
-                    merge_step=node.merge_step,
-                    reward=node.reward,
-                )
-            fresh.alive = set(node.alive)
-            return fresh
-
-        root = copy_node(self.root)
-        leaves: dict[int, HierarchyNode] = {}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                (q,) = node.qubits
-                leaves[q] = node
-            else:
-                stack.extend([node.left, node.right])
-        return HierarchyTree(root=root, leaves=leaves, omega=self.omega)
 
 
 def modularity(grouping: dict[int, int], graph: CouplingGraph) -> float:
@@ -404,11 +371,16 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend) -> Partiti
     """Assign disjoint chip regions to programs by climbing the dendrogram.
 
     For each program (densest first) every leaf climbs until a node with
-    enough alive qubits is found; the candidate with the best pooled average
-    fidelity over its alive subgraph wins. The placed qubits are removed from
-    every node containing them; surplus alive qubits of the winning community
-    stay available for later programs. A sibling left with no link to any
-    other alive qubit is cut loose so it never seeds an unusable region.
+    enough alive (not yet claimed) qubits is found; the candidate with the
+    best pooled average fidelity over its alive subgraph wins. The placed
+    qubits are removed from every node on the climb from their leaves;
+    surplus alive qubits of the winning community stay available for later
+    programs. A sibling left with no link to any other alive qubit is cut
+    loose so it never seeds an unusable region: its alive qubits leave every
+    node above it, and a climb stops at it.
+
+    The claims live in this call only; the tree is never modified, so one
+    tree can be shared by any number of calls.
     """
     if not programs:
         raise PartitionError("no programs to partition")
@@ -416,22 +388,31 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend) -> Partiti
         raise PartitionError(
             "each program must be a distinct object; parse the source again to co-run a circuit with itself"
         )
+    # Alive qubits of every node that has lost some; any other node still
+    # has all of ``node.qubits``. The parent of a cut node counts as None.
+    free: dict[HierarchyNode, frozenset[int]] = {}
+    cut: set[HierarchyNode] = set()
+
+    def alive(node: HierarchyNode) -> frozenset[int]:
+        return free.get(node, node.qubits)
+
+    def up(node: HierarchyNode) -> HierarchyNode | None:
+        return None if node in cut else node.parent
+
+    def climb(node: HierarchyNode | None):
+        while node is not None:
+            yield node
+            node = up(node)
+
     assignments: list[Assignment] = []
     unassigned: list[QuantumProgram] = []
     for program in program_order(programs):
         need = program.n_qubits
         candidates: list[HierarchyNode] = []
-        seen: set[int] = set()
         for q in sorted(tree.leaves):
-            node: HierarchyNode | None = tree.leaves[q]
-            while node is not None and len(node.alive) < need:
-                node = node.parent
-            if node is not None and id(node) not in seen:
-                seen.add(id(node))
+            node = next((n for n in climb(tree.leaves[q]) if len(alive(n)) >= need), None)
+            if node is not None and node not in candidates:
                 candidates.append(node)
-        if not candidates:
-            unassigned.append(program)
-            continue
         # Score each candidate by the region the program would actually occupy
         # (pooled alive-set means would punish supersets for qubits left
         # unused): fewest forced SWAPs first, then best pooled fidelity.
@@ -439,7 +420,7 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend) -> Partiti
         # are unusable and dropped.
         scored = []
         for node in candidates:
-            trial = allocate(program, set(node.alive), backend)
+            trial = allocate(program, alive(node), backend)
             trial_used = set(trial.sigma.values())
             pressure = _allocation_pressure(trial, backend)
             if pressure is None:
@@ -458,28 +439,24 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend) -> Partiti
             continue
         scored.sort(key=lambda t: t[:3])
         _, neg_fid, _, mapping, winner = scored[0]
-        used = set(mapping.sigma.values())
+        used = frozenset(mapping.sigma.values())
         for q in used:
-            node = tree.leaves[q]
-            while node is not None:
-                node.alive.discard(q)
-                node = node.parent
-        parent = winner.parent
+            for node in climb(tree.leaves[q]):
+                free[node] = alive(node) - {q}
+        parent = up(winner)
         if parent is not None:
             sibling = parent.left if parent.right is winner else parent.right
-            sib_alive = set(sibling.alive)
-            root_alive = tree.root.alive
+            sib_alive = alive(sibling)
+            root_alive = alive(tree.root)
             linked = any(
                 n in root_alive and n not in sib_alive for q in sib_alive for n in backend.graph.neighbors(q)
             )
             if sib_alive and not linked:
-                node = sibling.parent
-                while node is not None:
-                    node.alive -= sib_alive
-                    node = node.parent
-                sibling.parent = None
+                for node in climb(up(sibling)):
+                    free[node] = alive(node) - sib_alive
+                cut.add(sibling)
         assignments.append(
-            Assignment(program=program, qubits=frozenset(used), avg_fidelity=-neg_fid, mapping=mapping)
+            Assignment(program=program, qubits=used, avg_fidelity=-neg_fid, mapping=mapping)
         )
     return Partition(assignments=tuple(assignments), unassigned=tuple(unassigned))
 

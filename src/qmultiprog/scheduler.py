@@ -66,7 +66,7 @@ def epst(program: QuantumProgram, region, backend: Backend) -> float:
 
 def independent_epst(job: Job, tree: HierarchyTree, backend: Backend) -> float:
     """Best estimate the job's program can reach with the chip to itself."""
-    partition = partition_qubits(tree.clone(), [job.program], backend)
+    partition = partition_qubits(tree, [job.program], backend)
     if partition.unassigned:
         raise SchedulingError(f"{job.program.name} cannot be placed even alone")
     assignment = partition.assignments[0]
@@ -76,7 +76,7 @@ def independent_epst(job: Job, tree: HierarchyTree, backend: Backend) -> float:
 def _co_epsts(jobs, tree: HierarchyTree, backend: Backend) -> tuple[Partition, dict[int, float]] | None:
     """The joint partition of all jobs and each job's estimate under it, or
     None if any job cannot be placed alongside the others."""
-    partition = partition_qubits(tree.clone(), [j.program for j in jobs], backend)
+    partition = partition_qubits(tree, [j.program for j in jobs], backend)
     if partition.unassigned:
         return None
     out: dict[int, float] = {}

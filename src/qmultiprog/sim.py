@@ -86,36 +86,20 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"no unitary for gate kind {kind!r}")
 
 
-def _apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a k-qubit unitary to the given qubits of an n-qubit state."""
-    k = len(qubits)
-    tensor = state.reshape([2] * n)
-    # axis of qubit q is n-1-q (little-endian)
-    axes = [n - 1 - q for q in qubits]
-    op = matrix.reshape([2] * (2 * k))
-    tensor = np.tensordot(op, tensor, axes=(list(range(k, 2 * k)), axes))
-    # tensordot moved the acted-on axes to the front; transpose them back
-    remaining = [a for a in range(n) if a not in axes]
-    perm = [0] * n
-    for i, a in enumerate(axes):
-        perm[a] = i
-    for i, a in enumerate(remaining):
-        perm[a] = k + i
-    return tensor.transpose(perm).reshape(-1)
-
-
 def apply_gate(state: np.ndarray, gate: Gate, operands: tuple[int, ...] | None = None) -> np.ndarray:
-    """Apply one unitary gate to a statevector, returning the new state."""
+    """Apply one unitary gate to a statevector, returning the new state; the
+    input is left untouched."""
     if not gate.is_unitary:
         raise ValueError(f"gate kind {gate.kind!r} has no unitary action")
     n = int(round(math.log2(state.size)))
     qubits = gate.qubits if operands is None else operands
     if any(q >= n for q in qubits):
         raise ValueError(f"operand {qubits} out of range for {n}-qubit state")
-    if gate.kind == CNOT:
-        # matrix basis is |control target>, so pass (control, target)
-        return _apply_matrix(state, gate_matrix(gate), (qubits[0], qubits[1]), n)
-    return _apply_matrix(state, gate_matrix(gate), qubits, n)
+    out = state.astype(complex)
+    # axis of qubit q is n-1-q (little-endian); a CNOT matrix's basis is
+    # |control target>, so the control comes first
+    _contract(out.reshape([2] * n), gate_matrix(gate), [n - 1 - q for q in qubits])
+    return out
 
 
 def simulate_statevector(program: QuantumProgram) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_program
 from qmultiprog import fixtures
@@ -91,12 +92,47 @@ def test_parse_broadcast_and_measure_arrow():
         ("h q[0];", "before qreg"),
         ("qreg q[2]; qreg p[2];", "exactly one qreg"),
         ("qreg q[2]; measure q[0] -> c[0]; h q[0];", "terminal"),
+        ("qreg q[2]; cx q, q[1];", "single indexed"),
+        ("qreg q[1]; u1(pi/0) q[0];", "division by zero"),
+        ("qreg q[1]; u1(1e999*0) q[0];", "not a finite number"),
+        ("qreg q[1]; u1(1e999) q[0];", "not a finite number"),
+        ("qreg q[1]; rz(" + "-" * 5000 + "1) q[0];", "nested too deeply"),
     ],
 )
 def test_parse_errors(source, fragment):
     with pytest.raises(QasmError) as err:
         parse_program(source)
     assert fragment in str(err.value)
+
+
+_ANGLE = st.lists(
+    st.sampled_from(["pi", "0", "2", "1e999", ".5", "+", "-", "*", "/", "(", ")", "x"]), min_size=1, max_size=6
+).map("".join)
+_OPERAND = st.sampled_from(["q", "q[0]", "q[1]", "q[7]", "r[0]", "q[", "0", ""])
+_GATE = st.sampled_from(["u1", "u2", "u3", "rx", "rz", "h", "cx", "measure", "barrier", "cz", "creg c[2]", "qreg p[2]"])
+_STATEMENT = st.one_of(
+    st.builds(lambda g, p, op: f"{g}({p}) {op}", st.sampled_from(["u1", "rx", "rz"]), _ANGLE, _OPERAND),
+    st.builds(lambda g, ps, ops: f"{g}({','.join(ps)}) {','.join(ops)}", _GATE, st.lists(_ANGLE, max_size=3), st.lists(_OPERAND, max_size=3)),
+    st.builds(lambda g, ops: f"{g} {','.join(ops)}", _GATE, st.lists(_OPERAND, max_size=3)),
+    st.builds(lambda ops: f"measure {ops} -> c[0]", _OPERAND),
+    st.text(max_size=12),
+)
+_SOURCE = st.builds(
+    lambda n, stmts, sep: f"qreg q[{n}]{sep}" + sep.join(stmts),
+    st.integers(0, 9),
+    st.lists(_STATEMENT, max_size=6),
+    st.sampled_from([";", ";\n", "; // note\n", "\n"]),
+)
+
+
+@settings(max_examples=300)
+@given(_SOURCE)
+def test_parse_program_fuzz_raises_only_parse_errors(source):
+    try:
+        program = parse_program(source)
+    except (QasmError, ValueError):
+        return
+    assert all(math.isfinite(p) for g in program.gates for p in g.params)
 
 
 def test_parse_error_carries_line_number():

@@ -108,6 +108,22 @@ def test_exit_code_backend_parse_error(tmp_path):
     assert run(["compile", bench_file("bv_n3"), "--backend", str(bad)]) == 3
 
 
+def test_exit_code_malformed_backend_is_usage_error(tmp_path, capsys):
+    doc = json.loads(fixtures.backend_path("london").read_text())
+    doc["edges"] = [0, 1]
+    bad = tmp_path / "bad.backend"
+    bad.write_text(json.dumps(doc))
+    assert run(["compile", bench_file("bv_n3"), "--backend", str(bad)]) == 2
+    assert "'edges'" in capsys.readouterr().err
+
+
+def test_exit_code_bad_angle_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.qasm"
+    bad.write_text("qreg q[1];\nu1(pi/0) q[0];\n")
+    assert run(["compile", str(bad), "--backend", backend_file("london")]) == 3
+    assert "division by zero" in capsys.readouterr().err
+
+
 def test_exit_code_partition_failure():
     # two 3-qubit programs cannot share a 5-qubit chip region-disjointly
     code = run(

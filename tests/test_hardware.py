@@ -63,6 +63,17 @@ def test_load_backend_accepts_extra_fields():
         (lambda d: d["cnot_error"].popitem(), "missing cnot_error"),
         (lambda d: d.update(edges=[[0, 1]]), "disconnected"),
         (lambda d: d.update(readout_error=[0.02, 1.5, 0.02]), "outside [0, 1)"),
+        (lambda d: d.update(edges=[0, 1]), "'edges'"),
+        (lambda d: d.update(edges=[[0, 1], [1, 2.0]]), "'edges'"),
+        (lambda d: d.update(n_qubits="3"), "'n_qubits'"),
+        (lambda d: d.update(cnot_error=[0.01, 0.01]), "'cnot_error'"),
+        (lambda d: d["cnot_error"].update({"0-1": None}), "'cnot_error'"),
+        (lambda d: d["cnot_error"].update({"0:1": 0.01}), "'cnot_error'"),
+        (lambda d: d["cnot_error"].update({"0-2": 0.01}), "not an edge"),
+        (lambda d: d.update(readout_error=5), "'readout_error'"),
+        (lambda d: d.update(oneq_error=[0.001] * 4), "'oneq_error'"),
+        (lambda d: d.update(oneq_error=[0.001, "0.001", 0.001]), "'oneq_error'"),
+        (lambda d: d.clear(), "required field 'n_qubits'"),
     ],
 )
 def test_load_backend_rejections(mangle, fragment):
@@ -71,6 +82,49 @@ def test_load_backend_rejections(mangle, fragment):
     with pytest.raises(ValueError) as err:
         load_backend(doc)
     assert fragment in str(err.value)
+
+
+def test_load_backend_rejects_non_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        load_backend([1, 2])
+
+
+def _mutations(doc):
+    """Every path of a backend document (field, list item, map entry)."""
+    for field, value in doc.items():
+        yield (field,)
+        if isinstance(value, list):
+            yield from ((field, i) for i in range(len(value)))
+        elif isinstance(value, dict):
+            yield from ((field, k) for k in value)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@given(st.data())
+def test_load_backend_fuzz_raises_only_value_error(data):
+    doc = backend_to_doc(fixtures.load_fixture_backend(data.draw(st.sampled_from(["london", "grid2x3"]))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_mutations(doc))))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "delete" and isinstance(target, dict):
+            del target[path[-1]]
+        elif action == "add" and isinstance(target[path[-1]], dict):
+            target[path[-1]][data.draw(st.text(max_size=6))] = data.draw(_JSON)
+        else:
+            target[path[-1]] = data.draw(_JSON)
+    try:
+        load_backend(doc)
+    except ValueError:
+        pass
 
 
 def test_backend_doc_round_trip(london):

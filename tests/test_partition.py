@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -261,14 +262,6 @@ def test_golden_merge_orders_random_calibrations(chip):
     assert digests == GOLDEN_CALIBRATED_MERGES[chip]
 
 
-def test_tree_clone_is_independent(london):
-    tree = build_hierarchy_tree(london)
-    clone = tree.clone()
-    clone.root.alive.discard(0)
-    assert 0 in tree.root.alive
-    assert _tree_shape(clone) == _tree_shape(tree)
-
-
 # --- redundancy -----------------------------------------------------------------
 
 
@@ -338,10 +331,14 @@ def test_partition_four_qubit_program_on_london(london):
     assignment = partition.assignments[0]
     assert len(assignment.qubits) == 4
     assert assignment.qubits <= {0, 1, 2, 3, 4}
-    # the climb only tops out at the root; one redundant qubit stays alive
-    alive = set(tree.root.alive)
-    assert len(alive) == 1
-    assert alive.isdisjoint(assignment.qubits)
+    # the climb only tops out at the root; one redundant qubit stays alive,
+    # and a 1-qubit program in the same call lands on it
+    single = random_program("one", 1, 0, 2, seed=3)
+    both = partition_qubits(tree, [program, single], london)
+    assert not both.unassigned
+    assert both.mapping_for(program) == assignment.mapping
+    (leftover,) = {0, 1, 2, 3, 4} - assignment.qubits
+    assert both.mapping_for(single).sigma == {0: leftover}
 
 
 def test_partition_rejects_duplicate_program_objects(london):
@@ -412,12 +409,12 @@ def test_partition_near_full_chip_never_overlaps(tokyo20):
     assert outcomes["assigned"] > outcomes["unassigned"]  # fallback is the exception
 
 
-def reachable_candidates(tree, need):
+def reachable_candidates(tree, alive, need):
     """Independent climb: first node with enough alive qubits above each leaf."""
     found = {}
     for q in sorted(tree.leaves):
         node = tree.leaves[q]
-        while node is not None and len(node.alive) < need:
+        while node is not None and len(alive[node]) < need:
             node = node.parent
         if node is not None:
             found[id(node)] = node
@@ -436,13 +433,13 @@ def test_partition_candidate_choice_matches_brute_force():
     )
     programs = [random_program("px", 3, 8, 4, seed=11), random_program("py", 3, 5, 4, seed=12)]
     tree = build_hierarchy_tree(backend)
-    partition = partition_qubits(tree.clone(), programs, backend)
+    partition = partition_qubits(tree, programs, backend)
 
-    work = tree.clone()
+    alive = {node: set(node.qubits) for node in tree.nodes()}
     for program in program_order(programs):
         best = None
-        for node in reachable_candidates(work, program.n_qubits):
-            trial = allocate(program, set(node.alive), backend)
+        for node in reachable_candidates(tree, alive, program.n_qubits):
+            trial = allocate(program, alive[node], backend)
             pressure = _allocation_pressure(trial, backend)
             if pressure is None:
                 continue
@@ -454,9 +451,9 @@ def test_partition_candidate_choice_matches_brute_force():
         assert frozenset(best[1].sigma.values()) == assignment.qubits
         assert assignment.avg_fidelity == pytest.approx(-best[0][1])
         for q in assignment.qubits:
-            node = work.leaves[q]
+            node = tree.leaves[q]
             while node is not None:
-                node.alive.discard(q)
+                alive[node].discard(q)
                 node = node.parent
 
 
@@ -487,8 +484,54 @@ def test_golden_grid_partitions(seed, melbourne):
     tree = build_hierarchy_tree(backend)
     queue = grid_queue(seed)
     windows = [queue[i : i + k] for k in (1, 2, 3, 4) for i in range(0, len(queue) - k + 1, k)]
-    digests = [_partition_digest(partition_qubits(tree.clone(), w, backend)) for w in windows + [queue]]
+    digests = [_partition_digest(partition_qubits(tree, w, backend)) for w in windows + [queue]]
     assert hashlib.sha256(json.dumps(digests).encode()).hexdigest()[:16] == GOLDEN_GRID_PARTITIONS[seed]
+
+
+# Every pair of bundled circuits (routing fixtures included) on london, grid2x3
+# and cross9, and every triple on a uniformly calibrated 3x4 grid: inputs that
+# cut a sibling loose 46, 13, 37 and 350 times. One tree per chip serves every
+# call. Pinned from the implementation that wrote its claims into the tree
+# and so needed a fresh copy of it per call.
+GOLDEN_CUT_PARTITIONS = {
+    "london": (2, "896527369a2c31f7"),
+    "grid2x3": (2, "a761a95afa52d38f"),
+    "cross9": (2, "968809b6b11ffbbb"),
+    "grid3x4": (3, "3be3c2093f842051"),
+}
+
+
+def _cut_backend(chip):
+    if chip == "grid3x4":
+        return make_backend(12, sorted(grid_graph(3, 4).edges))
+    return fixtures.load_fixture_backend(chip)
+
+
+@pytest.mark.parametrize("chip", sorted(GOLDEN_CUT_PARTITIONS))
+def test_golden_cut_partitions(chip):
+    size, golden = GOLDEN_CUT_PARTITIONS[chip]
+    backend = _cut_backend(chip)
+    tree = build_hierarchy_tree(backend)
+    programs = {name: fixtures.load_benchmark(name) for name in fixtures.benchmark_names()}
+    digests = [
+        _partition_digest(partition_qubits(tree, [programs[n] for n in combo], backend))
+        for combo in itertools.combinations(sorted(programs), size)
+    ]
+    assert hashlib.sha256(json.dumps(digests).encode()).hexdigest()[:16] == golden
+
+
+def test_partition_leaves_tree_unchanged():
+    backend = _cut_backend("grid3x4")
+    tree = build_hierarchy_tree(backend)
+    shape = _tree_shape(tree)
+    programs = [fixtures.load_benchmark(n) for n in ("3_17_13", "4mod5-v1_22", "alu-v0_27")]
+    first = partition_qubits(tree, programs, backend)
+    second = partition_qubits(tree, programs, backend)
+    assert first == second
+    assert _tree_shape(tree) == shape
+    for node in tree.internal_nodes():
+        assert node.left.parent is node and node.right.parent is node
+    assert tree.root.parent is None
 
 
 # --- allocation ----------------------------------------------------------------------

@@ -263,7 +263,7 @@ def test_batch_partition_matches_fresh_partition(tokyo20):
         for batch in batches:
             if batch.partition is None:  # head cannot be placed even alone
                 continue
-            fresh = partition_qubits(tree.clone(), [j.program for j in batch.jobs], backend)
+            fresh = partition_qubits(tree, [j.program for j in batch.jobs], backend)
             assert batch.partition == fresh
             for job in batch.jobs:
                 region = next(a.qubits for a in fresh.assignments if a.program is job.program)
