@@ -23,13 +23,11 @@ from .hardware import (
     Backend,
     Calibration,
     CouplingGraph,
-    DistanceMatrix,
     UnreachableError,
     bfs_hops,
     load_backend,
     load_backend_file,
     random_backend,
-    shortest_paths,
 )
 from .partition import (
     DEFAULT_OMEGA,

@@ -268,6 +268,26 @@ def _eval_param(expr: str, line: int) -> float:
     return result
 
 
+def _split_params(text: str, line: int) -> tuple[list[str], str]:
+    """Split ``text``, which opens with ``(``, at the ``)`` that closes it:
+    the parameter texts between them, cut at top-level commas only, and the
+    rest of the statement after it."""
+    parts: list[str] = []
+    depth, start = 0, 1
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if not depth:
+                parts.append(text[start:i])
+                return parts, text[i + 1 :].lstrip()
+        elif ch == "," and depth == 1:
+            parts.append(text[start:i])
+            start = i + 1
+    raise QasmError(f"unbalanced parentheses in {text!r}", line)
+
+
 def _strip_comment(line: str) -> str:
     idx = line.find("//")
     return line if idx < 0 else line[:idx]
@@ -325,10 +345,18 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
             if qreg_name is None:
                 raise QasmError("statement before qreg declaration", lineno)
 
-            head = re.match(r"([A-Za-z_]\w*)\s*(\(([^)]*)\))?\s*(.*)$", stmt)
+            head = re.match(r"([A-Za-z_]\w*)\s*", stmt)
             if not head:
                 raise QasmError(f"cannot parse statement {stmt!r}", lineno)
-            opname, _, param_src, rest = head.groups()
+            opname, rest = head.group(1), stmt[head.end():]
+            param_parts = None
+            if rest.startswith("("):
+                param_parts, rest = _split_params(rest, lineno)
+            if opname not in ONE_QUBIT_GATES and opname not in (MEASURE, BARRIER, CNOT):
+                raise QasmError(f"unsupported gate {opname!r}", lineno)
+            want = PARAM_COUNTS.get(opname, 0)
+            if param_parts is not None and not want:
+                raise QasmError(f"{opname} takes no parameters", lineno)
 
             if opname == "measure":
                 target = rest.split("->")[0]  # classical target ignored
@@ -350,22 +378,14 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
                 if a == b:
                     raise QasmError("cx operands must be distinct", lineno)
                 emit(CNOT, (a, b), (), lineno)
-            elif opname in ONE_QUBIT_GATES:
-                want = PARAM_COUNTS.get(opname, 0)
+            else:
                 params: tuple[float, ...] = ()
                 if want:
-                    if param_src is None:
+                    if param_parts is None or len(param_parts) != want or any(not p.strip() for p in param_parts):
                         raise QasmError(f"{opname} needs {want} parameter(s)", lineno)
-                    parts = param_src.split(",")
-                    if len(parts) != want or any(not p.strip() for p in parts):
-                        raise QasmError(f"{opname} needs {want} parameter(s)", lineno)
-                    params = tuple(_eval_param(p.strip(), lineno) for p in parts)
-                elif param_src is not None:
-                    raise QasmError(f"{opname} takes no parameters", lineno)
+                    params = tuple(_eval_param(p.strip(), lineno) for p in param_parts)
                 for q in operand_indices(rest, lineno):
                     emit(opname, (q,), params, lineno)
-            else:
-                raise QasmError(f"unsupported gate {opname!r}", lineno)
 
     if qreg_name is None:
         raise QasmError("no qreg declaration found", len(text.splitlines()) or 1)

@@ -159,7 +159,7 @@ def _load_backend_arg(args) -> Backend:
         print("error: --backend is required", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     backend = load_backend_file(args.backend)
-    seed = getattr(args, "seed", None)
+    seed = args.seed
     if seed is not None:
         backend = random_backend(backend.graph, backend.calib, seed, name=f"{backend.name}#seed{seed}")
     return backend
@@ -457,53 +457,59 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--backend", help="backend description file")
-    sub.add_argument("--omega", type=float, default=DEFAULT_OMEGA, help="partition reward weight")
-    sub.add_argument(
-        "--seed",
+_OPTIONS = {
+    "--backend": dict(help="backend description file"),
+    "--omega": dict(type=float, default=DEFAULT_OMEGA, help="partition reward weight"),
+    "--seed": dict(
         type=int,
         default=None,
         help="redraw the calibration uniformly within the backend's observed ranges",
-    )
-    sub.add_argument("--out", default=None, help="directory for artifacts")
-    sub.add_argument("--format", choices=("doc", "text"), default="text")
-    sub.add_argument("--cap", type=int, default=DEFAULT_QUBIT_CAP, help="simulation qubit cap")
+    ),
+    "--out": dict(default=None, help="directory for artifacts"),
+    "--format": dict(choices=("doc", "text"), default="text"),
+    "--cap": dict(type=int, default=DEFAULT_QUBIT_CAP, help="simulation qubit cap"),
+}
+
+
+def _add_options(sub: argparse.ArgumentParser, *names: str):
+    """Give a subcommand the shared options it reads, and no others."""
+    for name in names:
+        sub.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qmultiprog", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("compile", help="compile a workload of programs onto one chip")
+    p = subs.add_parser("compile", allow_abbrev=False, help="compile a workload of programs onto one chip")
     p.add_argument("programs", nargs="+", help="program source files")
     p.add_argument("--policy", choices=POLICIES, default="cdap-xswap")
-    _add_common(p)
+    _add_options(p, "--backend", "--omega", "--seed", "--out", "--format", "--cap")
     p.set_defaults(func=cmd_compile)
 
-    p = subs.add_parser("bench", help="policy comparison over a workload manifest")
+    p = subs.add_parser("bench", allow_abbrev=False, help="policy comparison over a workload manifest")
     p.add_argument("manifest", help="file with one comma-separated workload per line")
     p.add_argument("--policies", default="baseline,cdap-xswap")
     p.add_argument("--seeds", default=None, help="comma-separated calibration seeds")
-    _add_common(p)
+    _add_options(p, "--backend", "--omega", "--out", "--format", "--cap")
     p.set_defaults(func=cmd_bench)
 
-    p = subs.add_parser("schedule", help="batch a queue of program files")
+    p = subs.add_parser("schedule", allow_abbrev=False, help="batch a queue of program files")
     p.add_argument("manifest", help="file listing program files in queue order")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD)
     p.add_argument("--max-colocate", type=int, default=DEFAULT_MAX_COLOCATE)
-    _add_common(p)
+    _add_options(p, "--backend", "--omega", "--seed", "--out", "--format")
     p.set_defaults(func=cmd_schedule)
 
-    p = subs.add_parser("tree", help="dump the partition dendrogram of a backend")
+    p = subs.add_parser("tree", allow_abbrev=False, help="dump the partition dendrogram of a backend")
     p.add_argument("--dot", action="store_true", help="also write Graphviz text")
-    _add_common(p)
+    _add_options(p, "--backend", "--omega", "--seed", "--out", "--format")
     p.set_defaults(func=cmd_tree)
 
-    p = subs.add_parser("simulate", help="exact output distribution of a circuit")
+    p = subs.add_parser("simulate", allow_abbrev=False, help="exact output distribution of a circuit")
     p.add_argument("circuit", help="program source file")
-    _add_common(p)
+    _add_options(p, "--out", "--format", "--cap")
     p.set_defaults(func=cmd_simulate)
     return parser
 

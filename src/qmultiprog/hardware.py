@@ -1,14 +1,16 @@
-"""Chip model: coupling graph, calibration data, hop distances and synthetic
+"""Chip model: coupling graph, calibration data, hop counts and synthetic
 backend generation.
 
 Distances are unweighted hop counts. Noise awareness enters through the
 partitioning reward and the fidelity estimates, never through distances, so
 SWAP-count arithmetic stays exact. One breadth-first search over the graph's
-cached adjacency, ``bfs_hops``, answers every distance question: a single
-source, optionally confined to a qubit subset, so a caller that needs a few
-hops inside a small region never pays for a chip-wide matrix.
-``shortest_paths`` builds the all-pairs matrix from its rows. Everything here
-is immutable after construction and safe to share across threads.
+cached adjacency, ``bfs_hops``, answers every distance question: it returns
+the hop row of one source, a dict from each qubit the source reaches to its
+hop count, optionally confined to a qubit subset. A qubit missing from the
+row is unreachable. A caller that needs many sources builds one row per
+source, and one that needs a few hops inside a small region never pays for
+the whole chip. Everything here is immutable after construction and safe to
+share across threads.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ def _norm_edge(a: int, b: int) -> Edge:
 
 
 class UnreachableError(ValueError):
-    """Raised when arithmetic is attempted on an unreachable distance."""
+    """Raised when two qubits that must be joined have no path between them."""
 
 
 @dataclass(frozen=True)
@@ -127,30 +129,6 @@ class Backend:
         return self.graph.n_qubits
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop counts, possibly restricted to an allowed qubit subset.
-
-    Entries involving excluded or mutually unreachable qubits hold ``None``;
-    use :meth:`hops` when a finite distance is required.
-    """
-
-    n: int
-    dist: tuple[tuple[int | None, ...], ...]
-
-    def get(self, a: int, b: int) -> int | None:
-        return self.dist[a][b]
-
-    def hops(self, a: int, b: int) -> int:
-        d = self.dist[a][b]
-        if d is None:
-            raise UnreachableError(f"no path between qubits {a} and {b} in the restriction")
-        return d
-
-    def reachable(self, a: int, b: int) -> bool:
-        return self.dist[a][b] is not None
-
-
 def bfs_hops(graph: CouplingGraph, source: int, allowed: set[int] | None = None) -> dict[int, int]:
     """Hop counts from ``source`` to every qubit it reaches, by breadth-first
     search over the graph's cached adjacency.
@@ -173,24 +151,6 @@ def bfs_hops(graph: CouplingGraph, source: int, allowed: set[int] | None = None)
     return hops
 
 
-def shortest_paths(graph: CouplingGraph, allowed: set[int] | None = None) -> DistanceMatrix:
-    """All-pairs hop distances within the subgraph induced by ``allowed``, one
-    ``bfs_hops`` row per qubit.
-
-    With ``allowed=None`` every qubit participates (the chip-wide matrix);
-    otherwise rows/columns outside ``allowed`` are ``None``.
-    """
-    n = graph.n_qubits
-    allowed = None if allowed is None else set(allowed)
-    rows: list[tuple[int | None, ...]] = []
-    for src in range(n):
-        row: list[int | None] = [None] * n
-        for q, d in bfs_hops(graph, src, allowed).items():
-            row[q] = d
-        rows.append(tuple(row))
-    return DistanceMatrix(n, tuple(rows))
-
-
 # --- backend documents --------------------------------------------------------
 
 _REQUIRED_FIELDS = ("n_qubits", "edges", "cnot_error", "readout_error", "oneq_error")
@@ -209,8 +169,8 @@ def load_backend(doc: dict) -> Backend:
     Unknown extra fields (T1, T2, notes, ...) are accepted and ignored. Any
     malformed document raises ValueError naming the field at fault: missing
     required fields, values of the wrong type, ``cnot_error`` keys that are
-    not edges, rate lists of the wrong length, disconnected graphs and
-    out-of-range rates.
+    not edges or that name one edge twice, rate lists of the wrong length,
+    disconnected graphs and out-of-range rates.
     """
     if not isinstance(doc, dict):
         raise ValueError("backend document must be a JSON object")
@@ -227,6 +187,7 @@ def load_backend(doc: dict) -> Backend:
     if not isinstance(doc["cnot_error"], dict):
         raise ValueError("backend field 'cnot_error' must map \"a-b\" keys to rates")
     cnot_error: dict[Edge, float] = {}
+    key_of: dict[Edge, str] = {}
     for key, rate in doc["cnot_error"].items():
         try:
             a, b = (int(x) for x in key.split("-"))
@@ -235,6 +196,9 @@ def load_backend(doc: dict) -> Backend:
         edge = _norm_edge(a, b)
         if edge not in graph.edges:
             raise ValueError(f"backend field 'cnot_error' has key {key!r}, which is not an edge")
+        if edge in key_of:
+            raise ValueError(f"backend field 'cnot_error' has keys {key_of[edge]!r} and {key!r} for one edge")
+        key_of[edge] = key
         cnot_error[edge] = float(_typed(rate, (int, float), "cnot_error"))
     rate_fields = ("readout_error", "oneq_error")
     for f in rate_fields:

@@ -10,11 +10,13 @@ three things that differ:
 
 - candidate edges: the joint router takes any coupling edge incident to a
   blocked operand, the baseline only edges inside the program's own region;
-- distance matrix: chip-wide for the joint router, restricted to the region
-  for the baseline;
-- shortcut bonus: the joint router passes the per-step restricted distances
-  so that SWAPs shortcutting a constraint across program boundaries score
-  better; the baseline passes none.
+- hop rows: ``hops[x]`` is ``hardware.bfs_hops`` from qubit ``x``, chip-wide
+  for the joint router and confined to the region for the baseline; a qubit
+  missing from a row is unreachable from ``x``;
+- shortcut bonus: the joint router passes per-step rows confined to each
+  program's region plus the free qubits, so that SWAPs shortcutting a
+  constraint across program boundaries score better; the baseline passes
+  none.
 
 The dependency frontier is kept incrementally (as in SABRE): each program
 counts every gate's unexecuted predecessors and updates its set of ready
@@ -38,7 +40,7 @@ from .circuit import (
     build_dag,
     critical_gates,
 )
-from .hardware import Backend, DistanceMatrix, shortest_paths
+from .hardware import Backend, bfs_hops
 from . import sim
 
 FREE = -1
@@ -86,9 +88,6 @@ class GlobalMapping:
     def owner_of(self, phys: int) -> int:
         occ = self._occupant.get(phys)
         return FREE if occ is None else occ[0]
-
-    def occupant(self, phys: int) -> tuple[int, int] | None:
-        return self._occupant.get(phys)
 
     def region(self, program: int) -> frozenset[int]:
         return frozenset(self.sigmas[program].values())
@@ -208,13 +207,6 @@ def mapping_from_partition(partition, programs, n_phys: int) -> GlobalMapping:
 # --- heuristics ----------------------------------------------------------------
 
 
-def gain(gate: Gate, sigma: dict[int, int], full_dist: DistanceMatrix, own_dist: DistanceMatrix) -> int:
-    """SWAPs saved by resolving this CNOT through foreign/free qubits instead
-    of inside its own region: restricted hop count minus chip-wide hop count."""
-    a, b = sigma[gate.qubits[0]], sigma[gate.qubits[1]]
-    return own_dist.hops(a, b) - full_dist.hops(a, b)
-
-
 def obtain_swaps(to_resolve, graph, mapping: GlobalMapping, allowed=None) -> list[tuple[int, int]]:
     """Candidate SWAPs as sorted (low, high) edges: every coupling edge
     incident to a physical qubit that hosts an operand of a gate to resolve,
@@ -251,22 +243,23 @@ def swap_score(
     edge: tuple[int, int],
     fronts,
     mapping: GlobalMapping,
-    h_dist: DistanceMatrix,
-    own_dists=None,
+    hops: dict[int, dict[int, int]],
+    own_hops=None,
     gain_cap: int = 0,
 ) -> float:
     """Score a candidate SWAP on ``edge``; lower is better.
 
-    The base term sums, over every front-layer CNOT, its operand distance
-    after hypothetically applying the SWAP. When ``own_dists`` is given, a
+    The base term sums, over every front-layer CNOT, its operand hop count
+    after hypothetically applying the SWAP. When ``own_hops`` is given, a
     bonus is subtracted for each front gate whose chip-wide shortest path the
     SWAP lies on, proportional to the SWAPs that gate saves by crossing
-    program boundaries (normalized per front layer). Subtracting makes the
+    program boundaries (normalized per front layer): its hop count inside
+    its own region plus the free qubits minus its chip-wide one, or
+    ``gain_cap`` when that region cannot connect it. Subtracting makes the
     minimization prefer exactly the shortcut SWAPs.
     """
     a, b = edge
-    dist = h_dist.dist
-    row_a, row_b = dist[a], dist[b]
+    row_a, row_b = hops[a], hops[b]
     score = 0.0
     for i, front in enumerate(fronts):
         if not front:
@@ -277,25 +270,19 @@ def swap_score(
             pa, pb = sigma[g.qubits[0]], sigma[g.qubits[1]]
             qa = b if pa == a else a if pa == b else pa
             qb = b if pb == a else a if pb == b else pb
-            moved = dist[qa][qb]
-            score += h_dist.hops(qa, qb) if moved is None else moved
-            if own_dists is None:
+            score += hops[qa][qb]
+            if own_hops is None:
                 continue
-            row = dist[pa]
-            hops = (row[pb], row[a], row_b[pb], row[b], row_a[pb])
-            if None in hops:
-                # Some pair is unreachable: the checked lookups raise
-                # UnreachableError exactly where the on-path test needs one.
-                d = h_dist.hops(pa, pb)
-                on_path = (
-                    h_dist.hops(pa, a) + 1 + h_dist.hops(b, pb) == d
-                    or h_dist.hops(pa, b) + 1 + h_dist.hops(a, pb) == d
-                )
-            else:
-                d = hops[0]
-                on_path = hops[1] + 1 + hops[2] == d or hops[3] + 1 + hops[4] == d
+            row = hops[pa]
+            d = row[pb]
+            # A missing pair defaults to d, which makes its sum exceed d:
+            # an unreachable endpoint is off the path.
+            on_path = (
+                row.get(a, d) + 1 + row_b.get(pb, d) == d
+                or row.get(b, d) + 1 + row_a.get(pb, d) == d
+            )
             if on_path:
-                restricted = own_dists[i].get(pa, pb)
+                restricted = own_hops[i][pa].get(pb)
                 saved = gain_cap if restricted is None else restricted - d
                 score -= per_layer * saved
     return score
@@ -359,21 +346,23 @@ def _route(
     programs,
     mapping: GlobalMapping,
     graph,
-    h_dist: DistanceMatrix,
+    hops: dict[int, dict[int, int]],
     stall_limit: int | None,
     allowed: frozenset[int] | None = None,
-    own_dists=None,
+    own_hops=None,
     gain_cap: int = 0,
 ) -> list:
     """The loop both routers share. Routes ``programs``, a list of (index in
     ``mapping``, program) pairs, and returns their events.
 
+    ``hops`` holds a ``bfs_hops`` row for every qubit a program may occupy.
     Candidates come from ``obtain_swaps(..., allowed)`` and are scored by
-    ``swap_score`` over ``h_dist``; ``own_dists``, when given, returns the
-    per-program restricted matrices for the current mapping and turns on the
-    shortcut bonus. After ``stall_limit`` (default 3 * n_qubits) consecutive
-    SWAPs that execute no gate, the oldest blocked gate steps along a
-    shortest path in ``h_dist`` instead.
+    ``swap_score`` over ``hops``; ``own_hops``, when given, returns the
+    per-program confined rows for the current mapping and turns on the
+    shortcut bonus. A front CNOT whose operands ``hops`` cannot connect
+    raises UnroutableProgramError. After ``stall_limit`` (default
+    3 * n_qubits) consecutive SWAPs that execute no gate, the oldest blocked
+    gate steps along a shortest path in ``hops`` instead.
     """
     if stall_limit is None:
         stall_limit = 3 * graph.n_qubits
@@ -393,26 +382,26 @@ def _route(
             # front_layer(dag, executed): every ready non-CNOT has executed.
             front = {gid for gid in st.ready if st.program.gates[gid].is_cnot}
             fronts[st.index] = [st.program.gates[gid] for gid in sorted(front)]
-            for gid in sorted(critical_gates(st.dag, front) or front):
-                g = st.program.gates[gid]
+            for g in fronts[st.index]:
                 pa, pb = mapping.phys(st.index, g.qubits[0]), mapping.phys(st.index, g.qubits[1])
-                if not h_dist.reachable(pa, pb):
+                if pb not in hops[pa]:
                     where = "the chip" if allowed is None else f"region {sorted(allowed)}"
                     raise UnroutableProgramError(
                         st.program.name, f"{where} cannot connect qubits {pa} and {pb}"
                     )
-                to_resolve.append((st.index, g))
+            for gid in sorted(critical_gates(st.dag, front) or front):
+                to_resolve.append((st.index, st.program.gates[gid]))
         if stalled >= stall_limit:
             program, g = to_resolve[0]
             pa, pb = mapping.phys(program, g.qubits[0]), mapping.phys(program, g.qubits[1])
-            neighbors = [x for x in graph.neighbors(pa) if h_dist.reachable(x, pb)]
-            step = min(neighbors, key=lambda x: (h_dist.hops(x, pb), x))
+            row = hops[pb]  # hop counts are symmetric
+            step = min((x for x in graph.neighbors(pa) if x in row), key=lambda x: (row[x], x))
             best = _classify(mapping, pa, step)
         else:
-            dists = None if own_dists is None else own_dists()
+            own = None if own_hops is None else own_hops()
             edge = min(
                 obtain_swaps(to_resolve, graph, mapping, allowed),
-                key=lambda e: (swap_score(e, fronts, mapping, h_dist, dists, gain_cap), e),
+                key=lambda e: (swap_score(e, fronts, mapping, hops, own, gain_cap), e),
             )
             best = _classify(mapping, *edge)
         mapping.apply_swap(best.phys_a, best.phys_b)
@@ -437,15 +426,15 @@ def xswap_route(
     """
     graph = backend.graph
     mapping = initial.clone()
-    own_cache: dict[frozenset, DistanceMatrix] = {}
+    own_cache: dict[frozenset, dict[int, dict[int, int]]] = {}
 
-    def own_dists() -> list[DistanceMatrix]:
+    def own_hops() -> list[dict[int, dict[int, int]]]:
         free = mapping.free_qubits()
         out = []
         for i in range(len(programs)):
             allowed = free | mapping.region(i)
             if allowed not in own_cache:
-                own_cache[allowed] = shortest_paths(graph, set(allowed))
+                own_cache[allowed] = {q: bfs_hops(graph, q, allowed) for q in allowed}
             out.append(own_cache[allowed])
         return out
 
@@ -453,9 +442,9 @@ def xswap_route(
         list(enumerate(programs)),
         mapping,
         graph,
-        shortest_paths(graph),
+        {q: bfs_hops(graph, q) for q in range(graph.n_qubits)},
         stall_limit,
-        own_dists=own_dists,
+        own_hops=own_hops,
         gain_cap=graph.n_qubits,
     )
     return Schedule(tuple(programs), tuple(events), initial.clone(), mapping, backend)
@@ -468,7 +457,7 @@ def baseline_route(
     per-program event streams round-robin.
 
     Candidates are restricted to coupling edges with both endpoints in the
-    program's region and distances to the region-induced subgraph, mirroring
+    program's region and hop counts to the region-induced subgraph, mirroring
     per-program heuristic routing. Raises UnroutableProgramError when a
     region cannot connect a CNOT's operands.
     """
@@ -477,8 +466,8 @@ def baseline_route(
     streams = []
     for i, program in enumerate(programs):
         region = mapping.region(i)
-        region_dist = shortest_paths(graph, set(region))
-        streams.append(_route([(i, program)], mapping, graph, region_dist, stall_limit, allowed=region))
+        region_hops = {q: bfs_hops(graph, q, region) for q in region}
+        streams.append(_route([(i, program)], mapping, graph, region_hops, stall_limit, allowed=region))
     merged: list = []
     cursors = [0] * len(streams)
     while any(c < len(s) for c, s in zip(cursors, streams)):

@@ -82,6 +82,22 @@ BUNDLED = (
 )
 
 
+def floyd_warshall(graph, allowed=None):
+    """Independent all-pairs oracle."""
+    nodes = set(range(graph.n_qubits)) if allowed is None else set(allowed)
+    inf = float("inf")
+    dist = {(a, b): (0 if a == b else inf) for a in nodes for b in nodes}
+    for a, b in graph.edges:
+        if a in nodes and b in nodes:
+            dist[(a, b)] = dist[(b, a)] = 1
+    for k in nodes:
+        for i in nodes:
+            for j in nodes:
+                if dist[(i, k)] + dist[(k, j)] < dist[(i, j)]:
+                    dist[(i, j)] = dist[(i, k)] + dist[(k, j)]
+    return dist
+
+
 def grid_graph(rows, cols):
     """Rectangular nearest-neighbour grid, qubits numbered row by row."""
     pairs = [(q, q + 1) for q in range(rows * cols) if q % cols != cols - 1]

@@ -9,7 +9,7 @@ from conftest import make_backend, random_graph, random_program
 from qmultiprog import fixtures
 from qmultiprog.circuit import Gate, QuantumProgram
 from qmultiprog.cli import POLICIES, compile_workload
-from qmultiprog.hardware import random_backend, shortest_paths
+from qmultiprog.hardware import bfs_hops, random_backend
 from qmultiprog.partition import (
     average_redundancy,
     build_hierarchy_tree,
@@ -19,7 +19,6 @@ from qmultiprog.partition import (
 from qmultiprog.routing import (
     baseline_route,
     decompose,
-    gain,
     verify_equivalence,
     verify_schedule,
     xswap_route,
@@ -52,22 +51,23 @@ def test_criterion_01_two_program_swap_counts():
 
 def test_criterion_02_shortcut_gain_and_counts():
     programs, mapping, backend = fixtures.shortcut_swap_instance()
-    full = shortest_paths(backend.graph)
-    own = shortest_paths(backend.graph, set(mapping.region(0)))
+    full = {q: bfs_hops(backend.graph, q) for q in range(backend.n_qubits)}
+    own = bfs_hops(backend.graph, 0, mapping.region(0))
     blocked = programs[0].gates[-1]
     joint = xswap_route(programs, mapping, backend)
     split = baseline_route(programs, mapping, backend)
-    d = full.hops(0, 8)
-    d_own = own.hops(0, 8)
+    d = full[0][8]
+    d_own = own[8]
     [swap] = joint.swaps()
     on_path = (
-        full.hops(0, swap.phys_a) + 1 + full.hops(swap.phys_b, 8) == d
-        or full.hops(0, swap.phys_b) + 1 + full.hops(swap.phys_a, 8) == d
+        full[0][swap.phys_a] + 1 + full[swap.phys_b][8] == d
+        or full[0][swap.phys_b] + 1 + full[swap.phys_a][8] == d
     )
     ok = (
         d == 2
         and d_own == 4
-        and gain(blocked, mapping.sigmas[0], full, own) == 2
+        and sorted(mapping.sigmas[0][q] for q in blocked.qubits) == [0, 8]
+        and d_own - d == 2
         and on_path
         and joint.swap_count == 1
         and split.swap_count == 3

@@ -73,6 +73,18 @@ def test_parse_param_expressions():
     assert program.gates[2].params == (2 * math.pi,)
 
 
+@pytest.mark.parametrize(
+    "source, params",
+    [
+        ("qreg q[1]; u1((pi)/2) q[0];", (math.pi / 2,)),
+        ("qreg q[1]; u3((pi)/2, 0, (1+1)) q[0];", (math.pi / 2, 0.0, 2.0)),
+        ("qreg q[1]; u2(-(pi*(1+1)), ((0.5))) q[0];", (-2 * math.pi, 0.5)),
+    ],
+)
+def test_parse_nested_parentheses_in_angles(source, params):
+    assert parse_program(source).gates[0].params == params
+
+
 def test_parse_broadcast_and_measure_arrow():
     program = parse_program(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
@@ -97,6 +109,10 @@ def test_parse_broadcast_and_measure_arrow():
         ("qreg q[1]; u1(1e999*0) q[0];", "not a finite number"),
         ("qreg q[1]; u1(1e999) q[0];", "not a finite number"),
         ("qreg q[1]; rz(" + "-" * 5000 + "1) q[0];", "nested too deeply"),
+        ("qreg q[1]; u1((pi/2) q[0];", "unbalanced parentheses"),
+        ("qreg q[2]; cx(pi) q[0],q[1];", "cx takes no parameters"),
+        ("qreg q[2]; measure(1) q[0];", "measure takes no parameters"),
+        ("qreg q[2]; barrier(2) q;", "barrier takes no parameters"),
     ],
 )
 def test_parse_errors(source, fragment):
@@ -106,7 +122,9 @@ def test_parse_errors(source, fragment):
 
 
 _ANGLE = st.lists(
-    st.sampled_from(["pi", "0", "2", "1e999", ".5", "+", "-", "*", "/", "(", ")", "x"]), min_size=1, max_size=6
+    st.sampled_from(["pi", "0", "2", "1e999", ".5", "+", "-", "*", "/", "(", ")", "x", "(pi)", "((2))", "(1,2)", ","]),
+    min_size=1,
+    max_size=6,
 ).map("".join)
 _OPERAND = st.sampled_from(["q", "q[0]", "q[1]", "q[7]", "r[0]", "q[", "0", ""])
 _GATE = st.sampled_from(["u1", "u2", "u3", "rx", "rz", "h", "cx", "measure", "barrier", "cz", "creg c[2]", "qreg p[2]"])

@@ -96,6 +96,24 @@ def test_exit_code_usage_error_bad_subcommand():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "w.txt", "--backend", "chip.backend", "--seed", "3"],
+        ["simulate", "c.qasm", "--backend", "/nonexistent"],
+        ["simulate", "c.qasm", "--omega", "0.5"],
+        ["simulate", "c.qasm", "--seed", "3"],
+        ["tree", "--backend", "chip.backend", "--cap", "14"],
+        ["schedule", "q.txt", "--backend", "chip.backend", "--cap", "14"],
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_exit_code_parse_error(tmp_path):
     bad = tmp_path / "bad.qasm"
     bad.write_text("qreg q[2]; bogus q[0];")

@@ -4,17 +4,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_backend, random_graph
+from conftest import floyd_warshall, make_backend, random_graph
 from qmultiprog import fixtures
 from qmultiprog.hardware import (
     Calibration,
     CouplingGraph,
-    UnreachableError,
     bfs_hops,
     load_backend,
     backend_to_doc,
     random_backend,
-    shortest_paths,
 )
 
 
@@ -32,9 +30,7 @@ def test_tokyo_fixture_loads(tokyo20):
 
 def test_two_qubit_chip_distance():
     backend = make_backend(2, [(0, 1)])
-    dist = shortest_paths(backend.graph)
-    assert dist.hops(0, 1) == 1
-    assert dist.hops(0, 0) == 0
+    assert bfs_hops(backend.graph, 0) == {0: 0, 1: 1}
 
 
 def _doc(n, edges, **overrides):
@@ -70,6 +66,7 @@ def test_load_backend_accepts_extra_fields():
         (lambda d: d["cnot_error"].update({"0-1": None}), "'cnot_error'"),
         (lambda d: d["cnot_error"].update({"0:1": 0.01}), "'cnot_error'"),
         (lambda d: d["cnot_error"].update({"0-2": 0.01}), "not an edge"),
+        (lambda d: d["cnot_error"].update({"1-0": 0.5}), "keys '0-1' and '1-0' for one edge"),
         (lambda d: d.update(readout_error=5), "'readout_error'"),
         (lambda d: d.update(oneq_error=[0.001] * 4), "'oneq_error'"),
         (lambda d: d.update(oneq_error=[0.001, "0.001", 0.001]), "'oneq_error'"),
@@ -135,42 +132,23 @@ def test_backend_doc_round_trip(london):
     assert again.calib.readout_error == london.calib.readout_error
 
 
-def floyd_warshall(graph, allowed=None):
-    """Independent all-pairs oracle."""
-    nodes = set(range(graph.n_qubits)) if allowed is None else set(allowed)
-    inf = float("inf")
-    dist = {(a, b): (0 if a == b else inf) for a in nodes for b in nodes}
-    for a, b in graph.edges:
-        if a in nodes and b in nodes:
-            dist[(a, b)] = dist[(b, a)] = 1
-    for k in nodes:
-        for i in nodes:
-            for j in nodes:
-                if dist[(i, k)] + dist[(k, j)] < dist[(i, j)]:
-                    dist[(i, j)] = dist[(i, k)] + dist[(k, j)]
-    return dist
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_bfs_matches_floyd_warshall(seed):
+    # every source's row, whole chip or confined to a subset
     rng = random.Random(seed)
     graph = random_graph(rng.randint(2, 12), seed)
     allowed = None
     if seed % 3 == 0 and graph.n_qubits > 3:
         allowed = set(rng.sample(range(graph.n_qubits), k=graph.n_qubits - 2))
-    got = shortest_paths(graph, allowed)
     oracle = floyd_warshall(graph, allowed)
     nodes = set(range(graph.n_qubits)) if allowed is None else allowed
     for a in range(graph.n_qubits):
+        row = bfs_hops(graph, a, allowed)
         for b in range(graph.n_qubits):
-            if a in nodes and b in nodes:
-                expected = oracle[(a, b)]
-                if expected == float("inf"):
-                    assert got.get(a, b) is None
-                else:
-                    assert got.hops(a, b) == expected
+            if a in nodes and b in nodes and oracle[(a, b)] != float("inf"):
+                assert row[b] == oracle[(a, b)]
             else:
-                assert got.get(a, b) is None
+                assert b not in row
 
 
 @given(
@@ -222,34 +200,31 @@ def test_adjacency_matches_edge_scan(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_every_edge_has_distance_one_and_restriction_monotone(seed):
     graph = random_graph(8, 100 + seed)
-    full = shortest_paths(graph)
+    full = {q: bfs_hops(graph, q) for q in range(8)}
     for a, b in graph.edges:
-        assert full.hops(a, b) == 1
+        assert full[a][b] == 1
     rng = random.Random(seed)
     allowed = set(rng.sample(range(8), k=6))
-    sub = shortest_paths(graph, allowed)
     for a in allowed:
-        for b in allowed:
-            d = sub.get(a, b)
-            if d is not None:
-                assert d >= full.hops(a, b)
+        for b, d in bfs_hops(graph, a, allowed).items():
+            assert d >= full[a][b]
 
 
 def test_unreachable_marker_is_checked():
+    # an unreachable qubit is missing from the row, so a lookup cannot
+    # quietly read a placeholder as a hop count
     graph = CouplingGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
-    sub = shortest_paths(graph, {0, 1, 3})
-    assert sub.get(0, 3) is None
-    with pytest.raises(UnreachableError):
-        sub.hops(0, 3)
+    row = bfs_hops(graph, 0, {0, 1, 3})
+    assert row == {0: 0, 1: 1}
+    with pytest.raises(KeyError):
+        row[3]
 
 
 def test_crossed_grid_restriction_matches_narrative():
     _, mapping, backend = fixtures.shortcut_swap_instance()
-    full = shortest_paths(backend.graph)
-    assert full.hops(0, 8) == 2  # through the diagonal hub
+    assert bfs_hops(backend.graph, 0)[8] == 2  # through the diagonal hub
     region = set(mapping.region(0))
-    restricted = shortest_paths(backend.graph, region)
-    assert restricted.hops(0, 8) == 4  # snake inside the region
+    assert bfs_hops(backend.graph, 0, region)[8] == 4  # snake inside the region
 
 
 def test_random_backend_deterministic(melbourne):

@@ -6,9 +6,9 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import grid_graph, grid_queue, make_backend, random_graph, random_program
+from conftest import floyd_warshall, grid_graph, grid_queue, make_backend, random_graph, random_program
 from qmultiprog import fixtures
-from qmultiprog.hardware import CouplingGraph, UnreachableError, random_backend, shortest_paths
+from qmultiprog.hardware import CouplingGraph, UnreachableError, random_backend
 from qmultiprog.partition import (
     UNMERGEABLE,
     HierarchyNode,
@@ -667,13 +667,13 @@ def _tree_merges(tree):
 
 
 def _matrix_pressure(mapping, backend):
-    """_allocation_pressure over a chip-sized distance matrix confined to the
+    """_allocation_pressure over Floyd-Warshall distances confined to the
     placed qubits."""
-    dist = shortest_paths(backend.graph, set(mapping.sigma.values()))
+    dist = floyd_warshall(backend.graph, set(mapping.sigma.values()))
     total = 0
     for (a, b), w in mapping.program.cnot_weights().items():
-        d = dist.get(mapping.sigma[a], mapping.sigma[b])
-        if d is None:
+        d = dist[mapping.sigma[a], mapping.sigma[b]]
+        if d == float("inf"):
             return None
         total += w * (d - 1)
     return total
@@ -681,8 +681,9 @@ def _matrix_pressure(mapping, backend):
 
 def _matrix_allocate(program, region, backend, fired):
     """allocate with a sorted scan of every chip edge for the region's links
-    and a chip-wide distance matrix for the nearest-free-qubit fallback;
-    appends to ``fired`` each time the fallback runs."""
+    and chip-wide Floyd-Warshall distances for the nearest-free-qubit
+    fallback, which raises UnreachableError if a free qubit has no path from
+    the anchor; appends to ``fired`` each time the fallback runs."""
     region = set(region)
     if len(region) < program.n_qubits:
         raise PartitionError("region too small")
@@ -726,8 +727,11 @@ def _matrix_allocate(program, region, backend, fired):
             else:
                 fired.append(anchor_p)
                 if full_dist is None:
-                    full_dist = shortest_paths(backend.graph)
-                target = min(sorted(region - used), key=lambda p: (full_dist.hops(anchor_p, p), p))
+                    full_dist = floyd_warshall(backend.graph)
+                free = sorted(region - used)
+                if any(full_dist[anchor_p, p] == float("inf") for p in free):
+                    raise UnreachableError(f"no path from qubit {anchor_p}")
+                target = min(free, key=lambda p: (full_dist[anchor_p, p], p))
             place(free_l, target)
             continue
         unmapped = [e for e in pending if e[0] not in sigma and e[1] not in sigma]

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import make_backend, random_program
 from qmultiprog import fixtures
 from qmultiprog.circuit import Gate, QuantumProgram, front_layer, parse_program, ready_gates
-from qmultiprog.hardware import UnreachableError, shortest_paths
+from qmultiprog.hardware import bfs_hops
 from qmultiprog.partition import build_hierarchy_tree, frp_partition, partition_qubits
 from qmultiprog.routing import (
     FREE,
@@ -18,7 +18,6 @@ from qmultiprog.routing import (
     _classify,
     baseline_route,
     decompose,
-    gain,
     mapping_from_partition,
     obtain_swaps,
     swap_score,
@@ -54,35 +53,6 @@ def test_global_mapping_rejects_overlap():
 # --- heuristics ----------------------------------------------------------------
 
 
-def test_gain_on_crossed_grid():
-    programs, mapping, backend = fixtures.shortcut_swap_instance()
-    full = shortest_paths(backend.graph)
-    own = shortest_paths(backend.graph, set(mapping.region(0)))
-    blocked = programs[0].gates[-1]
-    assert full.hops(0, 8) == 2
-    assert own.hops(0, 8) == 4
-    assert gain(blocked, mapping.sigmas[0], full, own) == 2
-
-
-def test_gain_zero_when_alone_or_adjacent():
-    backend = make_backend(4, [(0, 1), (1, 2), (2, 3)])
-    program = parse_program("qreg q[2]; cx q[0],q[1];", name="adj")
-    mapping = GlobalMapping([{0: 0, 1: 1}], n_phys=4)
-    full = shortest_paths(backend.graph)
-    own = shortest_paths(backend.graph, set(range(4)))  # alone: everything allowed
-    assert gain(program.gates[0], mapping.sigmas[0], full, own) == 0
-
-
-def test_gain_raises_on_unreachable():
-    backend = make_backend(4, [(0, 1), (1, 2), (2, 3)])
-    program = parse_program("qreg q[2]; cx q[0],q[1];", name="far")
-    mapping = GlobalMapping([{0: 0, 1: 3}], n_phys=4)
-    full = shortest_paths(backend.graph)
-    own = shortest_paths(backend.graph, {0, 3})  # disconnected restriction
-    with pytest.raises(UnreachableError):
-        gain(program.gates[0], mapping.sigmas[0], full, own)
-
-
 def test_obtain_swaps_crossed_grid_candidates():
     programs, mapping, backend = fixtures.shortcut_swap_instance()
     blocked = programs[0].gates[-1]
@@ -105,11 +75,12 @@ def test_obtain_swaps_path_chip():
 
 def test_score_prefers_shortcut_swap():
     programs, mapping, backend = fixtures.shortcut_swap_instance()
-    full = shortest_paths(backend.graph)
-    own = [
-        shortest_paths(backend.graph, set(mapping.region(i)) | set(mapping.free_qubits()))
-        for i in range(2)
-    ]
+    graph = backend.graph
+    full = {q: bfs_hops(graph, q) for q in range(graph.n_qubits)}
+    own = []
+    for i in range(2):
+        allowed = mapping.region(i) | mapping.free_qubits()
+        own.append({q: bfs_hops(graph, q, allowed) for q in allowed})
     blocked = programs[0].gates[-1]
     fronts = [[blocked], []]
     candidates = obtain_swaps([(0, blocked)], backend.graph, mapping)
@@ -254,6 +225,31 @@ def test_baseline_unroutable_region_reported():
     schedule = xswap_route([program], mapping, backend)
     assert schedule.swap_count > 0
     assert verify_schedule(schedule)[0]
+
+
+def test_xswap_routes_programs_on_separate_parts_of_a_disconnected_chip():
+    # load_backend rejects disconnected chips, so this one is built in code
+    backend = make_backend(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    programs = [parse_program("qreg q[2]; cx q[0],q[1];", name=n) for n in ("left", "right")]
+    sigmas = [{0: 0, 1: 2}, {0: 3, 1: 5}]
+    for program, sigma, swap in zip(programs, sigmas, [(0, 1), (3, 4)]):
+        alone = xswap_route([program], GlobalMapping([sigma], n_phys=6), backend)
+        assert [s.key() for s in alone.swaps()] == [swap]
+    schedule = xswap_route(programs, GlobalMapping(sigmas, n_phys=6), backend)
+    assert [s.key() for s in schedule.swaps()] == [(0, 1), (3, 4)]
+    assert decompose(schedule).stats["swaps"] == 2
+    assert verify_schedule(schedule)[0]
+
+
+def test_baseline_unreachable_noncritical_front_cnot_is_unroutable():
+    # cx q[0],q[2] is critical (a later gate needs it); cx q[1],q[3] is a
+    # front gate with no successor whose operands the region cannot connect
+    backend = make_backend(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    program = parse_program("qreg q[4]; cx q[0],q[2]; cx q[0],q[2]; cx q[1],q[3];", name="gap")
+    mapping = GlobalMapping([{0: 0, 1: 1, 2: 2, 3: 4}], n_phys=5)
+    with pytest.raises(UnroutableProgramError) as err:
+        baseline_route([program], mapping, backend)
+    assert str(err.value) == "program 'gap' is unroutable: region [0, 1, 2, 4] cannot connect qubits 1 and 4"
 
 
 # --- incremental frontier ------------------------------------------------------------
