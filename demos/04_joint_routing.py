@@ -7,7 +7,7 @@ neighbor's qubit instead of snaking through one's own region.
 """
 from qmultiprog import baseline_route, decompose, xswap_route
 from qmultiprog.fixtures import boundary_swap_instance, shortcut_swap_instance
-from qmultiprog.routing import SwapEvent
+from qmultiprog.routing import SwapOp
 
 
 def describe(label, schedule):
@@ -30,7 +30,7 @@ programs, mapping, backend = boundary_swap_instance()
 schedule = xswap_route(programs, mapping, backend)
 print("joint event stream (grid2x3):")
 for event in schedule.events:
-    if isinstance(event, SwapEvent):
-        print(f"  SWAP {event.swap.key()} [{event.swap.swap_class}]")
+    if isinstance(event, SwapOp):
+        print(f"  SWAP {event.key()} [{event.swap_class}]")
     else:
         print(f"  P{event.program} {event.kind:8s} phys {event.phys}")

@@ -396,7 +396,11 @@ def parse_program_file(path, name: str | None = None) -> QuantumProgram:
     from pathlib import Path
 
     p = Path(path)
-    return parse_program(p.read_text(), name=name if name is not None else p.stem)
+    try:
+        source = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise QasmError(f"not UTF-8 text: {exc.reason}", exc.object[: exc.start].count(b"\n") + 1) from exc
+    return parse_program(source, name=name if name is not None else p.stem)
 
 
 def serialize_program(program: QuantumProgram) -> str:

@@ -52,17 +52,6 @@ EXIT_EQUIV = 5
 POLICIES = ("baseline", "cdap-only", "xswap-only", "cdap-xswap", "independent")
 
 
-def _partition_for(policy: str, programs, backend: Backend, omega: float):
-    if policy in ("baseline", "xswap-only"):
-        return frp_partition(programs, backend)
-    tree = build_hierarchy_tree(backend, omega)
-    return partition_qubits(tree, programs, backend)
-
-
-def _router_for(policy: str):
-    return xswap_route if policy in ("xswap-only", "cdap-xswap") else baseline_route
-
-
 def compile_workload(
     programs: list[QuantumProgram],
     backend: Backend,
@@ -70,88 +59,76 @@ def compile_workload(
     omega: float = DEFAULT_OMEGA,
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> dict:
-    """Run one workload through partition, routing, decomposition and (when
-    small enough) the equivalence oracle. Returns report + artifacts."""
+    """Run one workload through partition, routing, decomposition and the
+    equivalence oracle. Returns report + artifacts.
+
+    Every policy compiles a list of runs on the same chip: a joint policy is
+    one run of all its programs, ``independent`` one cdap-xswap run per
+    program. The report combines the runs. The equivalence check is skipped
+    (``checked: false``) when the simulator refuses the register at ``cap``.
+    """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
+    if not programs:
+        raise PartitionError("no programs to partition")
     started = time.perf_counter()
-    if policy == "independent":
-        sub = [
-            compile_workload([p], backend, "cdap-xswap", omega=omega, cap=cap) for p in programs
-        ]
-        checked = all(s["report"]["equivalence"]["checked"] for s in sub)
-        report = {
-            "policy": policy,
-            "backend": backend.name,
-            "omega": omega,
-            "programs": [s["report"]["programs"][0] for s in sub],
-            "combined": {
-                "swaps": sum(s["report"]["combined"]["swaps"] for s in sub),
-                "added_cnots": sum(s["report"]["combined"]["added_cnots"] for s in sub),
-                "post_gates": sum(s["report"]["combined"]["post_gates"] for s in sub),
-                "depth": max(s["report"]["combined"]["depth"] for s in sub),
-            },
-            "equivalence": {
-                "checked": checked,
-                "passed": (
-                    all(bool(s["report"]["equivalence"]["passed"]) for s in sub) if checked else None
-                ),
-                "total_variation": max(
-                    (s["report"]["equivalence"]["total_variation"] or 0.0) for s in sub
-                )
-                if checked
-                else None,
-            },
-            "compile_seconds": time.perf_counter() - started,
-        }
-        return {"report": report, "compiled": [s["compiled"][0] for s in sub], "schedules": [s["schedules"][0] for s in sub]}
-
-    partition = _partition_for(policy, programs, backend, omega)
-    if partition.unassigned:
-        names = ", ".join(p.name for p in partition.unassigned)
-        raise PartitionError(f"no region found for: {names}")
-    mapping = mapping_from_partition(partition, programs, backend.n_qubits)
-    schedule = _router_for(policy)(programs, mapping, backend)
-    compiled = decompose(schedule)
-    per_program = []
-    for i, program in enumerate(programs):
-        region = sorted(schedule.initial.region(i))
-        stats = compiled.stats["per_program"][i]
-        per_program.append(
-            {
-                "name": program.name,
-                "n_qubits": program.n_qubits,
-                "region": region,
-                "initial_layout": {str(k): v for k, v in sorted(schedule.initial.sigmas[i].items())},
-                "final_layout": {str(k): v for k, v in sorted(schedule.final.sigmas[i].items())},
-                "swaps": stats["swaps"],
-                "added_cnots": stats["added_cnots"],
-                "original_gates": stats["original_gates"],
-                "post_gates": stats["post_gates"],
-                "epst": epst(program, region, backend),
-            }
-        )
-    equivalence = {"checked": False, "passed": None, "total_variation": None}
-    if backend.n_qubits <= cap:
+    runs = [[p] for p in programs] if policy == "independent" else [programs]
+    run_policy = "cdap-xswap" if policy == "independent" else policy
+    tree = None if run_policy in ("baseline", "xswap-only") else build_hierarchy_tree(backend, omega)
+    route = xswap_route if run_policy in ("xswap-only", "cdap-xswap") else baseline_route
+    per_program, compiled, schedules, verdicts = [], [], [], []
+    for run in runs:
+        partition = frp_partition(run, backend) if tree is None else partition_qubits(tree, run, backend)
+        if partition.unassigned:
+            names = ", ".join(p.name for p in partition.unassigned)
+            raise PartitionError(f"no region found for: {names}")
+        mapping = mapping_from_partition(partition, run, backend.n_qubits)
+        schedule = route(run, mapping, backend)
+        circuits = decompose(schedule)
+        for i, program in enumerate(run):
+            region = sorted(schedule.initial.region(i))
+            stats = circuits.stats["per_program"][i]
+            per_program.append(
+                {
+                    "name": program.name,
+                    "n_qubits": program.n_qubits,
+                    "region": region,
+                    "initial_layout": {str(k): v for k, v in sorted(schedule.initial.sigmas[i].items())},
+                    "final_layout": {str(k): v for k, v in sorted(schedule.final.sigmas[i].items())},
+                    "swaps": stats["swaps"],
+                    "added_cnots": stats["added_cnots"],
+                    "original_gates": stats["original_gates"],
+                    "post_gates": stats["post_gates"],
+                    "epst": epst(program, region, backend),
+                }
+            )
         layouts = [dict(s) for s in schedule.final.sigmas]
-        ok, tv = verify_equivalence(programs, compiled.combined, layouts, limit=cap)
-        equivalence = {"checked": True, "passed": ok, "total_variation": tv}
+        try:
+            verdicts.append(verify_equivalence(run, circuits.combined, layouts, limit=cap))
+        except QubitCapExceeded:
+            verdicts.append(None)
+        compiled.append(circuits)
+        schedules.append(schedule)
+    run_stats = [c.stats for c in compiled]
+    combined = {key: sum(s[key] for s in run_stats) for key in ("swaps", "added_cnots", "post_gates")}
+    classes = run_stats[0]["swap_classes"]
+    combined["swap_classes"] = {c: sum(s["swap_classes"][c] for s in run_stats) for c in classes}
+    combined["depth"] = max(s["depth"] for s in run_stats)
+    checked = None not in verdicts
     report = {
         "policy": policy,
         "backend": backend.name,
         "omega": omega,
         "programs": per_program,
-        "combined": {
-            "swaps": compiled.stats["swaps"],
-            "swap_classes": compiled.stats["swap_classes"],
-            "added_cnots": compiled.stats["added_cnots"],
-            "post_gates": compiled.stats["post_gates"],
-            "depth": compiled.stats["depth"],
+        "combined": combined,
+        "equivalence": {
+            "checked": checked,
+            "passed": all(ok for ok, _ in verdicts) if checked else None,
+            "total_variation": max(tv for _, tv in verdicts) if checked else None,
         },
-        "equivalence": equivalence,
         "compile_seconds": time.perf_counter() - started,
     }
-    return {"report": report, "compiled": [compiled.combined], "schedules": [schedule]}
+    return {"report": report, "compiled": [c.combined for c in compiled], "schedules": schedules}
 
 
 def _load_backend_arg(args) -> Backend:
@@ -298,7 +275,7 @@ def cmd_bench(args) -> int:
                         sum_gates=sum(p.gate_count for p in programs),
                         equivalent=result["report"]["equivalence"]["passed"],
                     )
-                except (PartitionError, UnroutableProgramError, QubitCapExceeded) as exc:
+                except (PartitionError, UnroutableProgramError) as exc:
                     cell.update(ok=False, error=str(exc))
                 cells.append(cell)
     by_policy: dict[str, dict] = {}
@@ -519,7 +496,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QasmError, json.JSONDecodeError) as exc:

@@ -318,12 +318,10 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
 
     pending = sorted(weights, key=lambda e: (-weights[e], e))
     while True:
-        half = [
-            e for e in pending
-            if (e[0] in sigma) != (e[1] in sigma)
-        ]
-        if half:
-            la, lb = min(half, key=lambda e: (-weights[e], e))
+        # ``pending`` is sorted by (-weight, edge), so the first match is the best.
+        half = next((e for e in pending if (e[0] in sigma) != (e[1] in sigma)), None)
+        if half is not None:
+            la, lb = half
             anchor, free_l = (la, lb) if la in sigma else (lb, la)
             anchor_p = sigma[anchor]
             adjacent = [
@@ -343,10 +341,10 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
                 target = min(free, key=lambda p: (hops[p], p))
             place(free_l, target)
             continue
-        unmapped_edges = [e for e in pending if e[0] not in sigma and e[1] not in sigma]
-        if not unmapped_edges:
+        unmapped = next((e for e in pending if e[0] not in sigma and e[1] not in sigma), None)
+        if unmapped is None:
             break
-        la, lb = min(unmapped_edges, key=lambda e: (-weights[e], e))
+        la, lb = unmapped
         free_edges = [e for e in region_edges if e[0] not in used and e[1] not in used]
         if not free_edges:
             break  # no internal link left; the readout fill below handles the rest

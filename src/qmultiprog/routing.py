@@ -137,22 +137,17 @@ class GateEvent:
 
 
 @dataclass(frozen=True)
-class SwapEvent:
-    swap: SwapOp
-
-
-@dataclass(frozen=True)
 class Schedule:
     """Ordered executed-gate/SWAP stream plus the evolving mapping endpoints."""
 
     programs: tuple[QuantumProgram, ...]
-    events: tuple
+    events: tuple[GateEvent | SwapOp, ...]
     initial: GlobalMapping
     final: GlobalMapping
     backend: Backend
 
     def swaps(self) -> list[SwapOp]:
-        return [e.swap for e in self.events if isinstance(e, SwapEvent)]
+        return [e for e in self.events if isinstance(e, SwapOp)]
 
     @property
     def swap_count(self) -> int:
@@ -170,14 +165,8 @@ class Schedule:
     def to_doc(self) -> dict:
         events = []
         for e in self.events:
-            if isinstance(e, SwapEvent):
-                events.append(
-                    {
-                        "swap": [e.swap.phys_a, e.swap.phys_b],
-                        "class": e.swap.swap_class,
-                        "owners": list(e.swap.owners),
-                    }
-                )
+            if isinstance(e, SwapOp):
+                events.append({"swap": [e.phys_a, e.phys_b], "class": e.swap_class, "owners": list(e.owners)})
             else:
                 events.append(
                     {
@@ -405,7 +394,7 @@ def _route(
             )
             best = _classify(mapping, *edge)
         mapping.apply_swap(best.phys_a, best.phys_b)
-        events.append(SwapEvent(best))
+        events.append(best)
         stalled += 1
     # Measurements are pinned to the end, remapped through the final layout.
     for program, gid, logical in pending_measures:
@@ -505,8 +494,8 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
         combined.append(Gate(kind, phys, tuple(params), id=len(combined)))
 
     for event in schedule.events:
-        if isinstance(event, SwapEvent):
-            a, b = event.swap.phys_a, event.swap.phys_b
+        if isinstance(event, SwapOp):
+            a, b = event.phys_a, event.phys_b
             if not graph.has_edge(a, b):
                 raise RoutingError(f"swap ({a},{b}) is not a coupling edge")
             for pair in ((a, b), (b, a), (a, b)):

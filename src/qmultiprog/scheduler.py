@@ -29,7 +29,7 @@ class Job:
     program: QuantumProgram
     ind_epst: float | None = None
     co_epst: float | None = None
-    status: str = "queued"  # queued | batched | independent | done
+    status: str = "queued"  # queued | batched | independent
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,10 @@ def epst(program: QuantumProgram, region, backend: Backend) -> float:
 
 def independent_epst(job: Job, tree: HierarchyTree, backend: Backend) -> float:
     """Best estimate the job's program can reach with the chip to itself."""
-    partition = partition_qubits(tree, [job.program], backend)
-    if partition.unassigned:
+    result = _co_epsts([job], tree, backend)
+    if result is None:
         raise SchedulingError(f"{job.program.name} cannot be placed even alone")
-    assignment = partition.assignments[0]
-    return epst(job.program, assignment.qubits, backend)
+    return result[1][job.id]
 
 
 def _co_epsts(jobs, tree: HierarchyTree, backend: Backend) -> tuple[Partition, dict[int, float]] | None:

@@ -1,10 +1,14 @@
+import hashlib
+import itertools
 import json
 
 import pytest
 
+from conftest import BUNDLED, grid_graph, make_backend
 from qmultiprog import cli, fixtures
-from qmultiprog.circuit import parse_program
+from qmultiprog.circuit import parse_program, serialize_program
 from qmultiprog.hardware import load_backend
+from qmultiprog.partition import PartitionError
 
 
 def bench_file(name):
@@ -86,8 +90,30 @@ def test_compile_doc_format_is_json(capsys):
     assert doc["backend"] == "london"
 
 
-def test_exit_code_usage_error_missing_file():
-    assert run(["compile", "/nonexistent/prog.qasm", "--backend", backend_file("london")]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "{missing}", "--backend", "{london}"],
+        ["compile", "{dir}", "--backend", "{london}"],
+        ["compile", "{bv_n3}", "--backend", "{dir}"],
+        ["simulate", "{dir}"],
+        ["bench", "{dir}", "--backend", "{london}"],
+        ["schedule", "{dir}", "--backend", "{london}"],
+        ["tree", "--backend", "{dir}"],
+    ],
+    ids=["missing-program", "dir-program", "dir-backend", "dir-circuit", "dir-bench-manifest",
+         "dir-queue-manifest", "dir-tree-backend"],
+)
+def test_exit_code_unreadable_input_is_usage_error(argv, tmp_path, capsys):
+    paths = {
+        "missing": str(tmp_path / "nonexistent.qasm"),
+        "dir": str(tmp_path),
+        "london": backend_file("london"),
+        "bv_n3": bench_file("bv_n3"),
+    }
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_exit_code_usage_error_bad_subcommand():
@@ -114,10 +140,14 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_exit_code_parse_error(tmp_path):
+@pytest.mark.parametrize(
+    "source", [b"qreg q[2]; bogus q[0];", b"qreg q[2];\nh q[0];\n\xff\xfe\n"], ids=["bad-gate", "not-utf8"]
+)
+def test_exit_code_parse_error(source, tmp_path):
     bad = tmp_path / "bad.qasm"
-    bad.write_text("qreg q[2]; bogus q[0];")
+    bad.write_bytes(source)
     assert run(["compile", str(bad), "--backend", backend_file("london")]) == 3
+    assert run(["simulate", str(bad)]) == 3
 
 
 def test_exit_code_backend_parse_error(tmp_path):
@@ -320,3 +350,81 @@ def test_backend_fixture_files_round_trip():
         doc = json.loads(fixtures.backend_path(name).read_text())
         backend = load_backend(doc)
         assert backend.name == name
+
+
+# --- compile_workload: one path for every policy -----------------------------
+
+def _pairs_digest(chip, policy):
+    """Digest of every bundled pair's report (without its timing) and compiled
+    circuits, or of the refusal, on one chip under one policy."""
+    backend = fixtures.load_fixture_backend(chip)
+    programs = {n: fixtures.load_benchmark(n) for n in BUNDLED}
+    record = []
+    for a, b in itertools.combinations(BUNDLED, 2):
+        try:
+            result = cli.compile_workload([programs[a], programs[b]], backend, policy)
+        except (PartitionError, cli.UnroutableProgramError) as exc:
+            record.append(f"{type(exc).__name__}: {exc}")
+            continue
+        report = dict(result["report"])
+        del report["compile_seconds"]
+        if policy == "independent":
+            # Pinned before independent reports carried the swap classes.
+            report["combined"] = {k: v for k, v in report["combined"].items() if k != "swap_classes"}
+        record.append(report)
+        record.append([serialize_program(c) for c in result["compiled"]])
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# One digest per policy, in cli.POLICIES order. On london every pair is too
+# wide to share the chip, so the four joint policies record the same refusals.
+GOLDEN_REPORTS = {
+    "london": ["5844e81a8ae9e962"] * 4 + ["2125b7bfad4eecd4"],
+    "grid2x3": ["4b67410301d83481", "59ca77e89d2b8b75", "af76c1bea38ef4c3", "a690b99a4acb1a0a", "4fde24a5024a4950"],
+    "cross9": ["2f26a5e6322d1a39", "cb32d90d06b96bad", "3e7a161c89bd5f52", "323302c87557ef91", "82cf55bbff887020"],
+}
+
+
+@pytest.mark.parametrize("chip", sorted(GOLDEN_REPORTS))
+def test_golden_compile_reports(chip):
+    assert [_pairs_digest(chip, policy) for policy in cli.POLICIES] == GOLDEN_REPORTS[chip]
+
+
+@pytest.mark.parametrize("chip", ["grid2x3", "cross9", "tokyo20"])
+def test_independent_report_combines_solo_runs(chip):
+    backend = fixtures.load_fixture_backend(chip)
+    programs = [fixtures.load_benchmark(n) for n in ("toffoli_3", "bv_n3")]
+    solo = [cli.compile_workload([p], backend, "cdap-xswap") for p in programs]
+    result = cli.compile_workload(programs, backend, "independent")
+    report, runs = result["report"], [s["report"] for s in solo]
+    assert report["policy"] == "independent"
+    assert report["programs"] == [r["programs"][0] for r in runs]
+    combined = report["combined"]
+    for key in ("swaps", "added_cnots", "post_gates"):
+        assert combined[key] == sum(r["combined"][key] for r in runs)
+    for cls, count in combined["swap_classes"].items():
+        assert count == sum(r["combined"]["swap_classes"][cls] for r in runs)
+    assert combined["depth"] == max(r["combined"]["depth"] for r in runs)
+    checks = [r["equivalence"] for r in runs]
+    assert report["equivalence"]["checked"] == all(c["checked"] for c in checks)
+    if report["equivalence"]["checked"]:
+        assert report["equivalence"]["passed"] is all(c["passed"] for c in checks)
+        assert report["equivalence"]["total_variation"] == max(c["total_variation"] for c in checks)
+    assert [serialize_program(c) for c in result["compiled"]] == [
+        serialize_program(s["compiled"][0]) for s in solo
+    ]
+    assert [s.to_json() for s in result["schedules"]] == [s["schedules"][0].to_json() for s in solo]
+
+
+@pytest.mark.parametrize("policy", cli.POLICIES)
+def test_empty_workload_is_partition_error(policy, london):
+    with pytest.raises(PartitionError, match="no programs"):
+        cli.compile_workload([], london, policy)
+
+
+@pytest.mark.parametrize("policy", ["cdap-xswap", "independent"])
+def test_register_over_the_simulator_cap_is_unchecked(policy):
+    backend = make_backend(25, grid_graph(5, 5).edges, name="grid5x5")
+    programs = [fixtures.load_benchmark(n) for n in ("bv_n3", "toffoli_3")]
+    report = cli.compile_workload(programs, backend, policy, cap=30)["report"]
+    assert report["equivalence"] == {"checked": False, "passed": None, "total_variation": None}
