@@ -177,19 +177,6 @@ def critical_gates(dag: Dag, front: set[int]) -> set[int]:
     return {gid for gid in front if dag.successors[gid]}
 
 
-def ready_gates(dag: Dag, executed: set[int]) -> list[int]:
-    """All pending gates (any kind) whose predecessors are executed, in id order.
-
-    This is the reference definition, rescanning every gate; the routers
-    maintain the same set incrementally as gates execute.
-    """
-    return [
-        g.id
-        for g in dag.program.gates
-        if g.id not in executed and dag.predecessors[g.id] <= executed
-    ]
-
-
 # --- OpenQASM 2 subset -------------------------------------------------------
 
 _QREG_RE = re.compile(r"qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")

@@ -183,6 +183,18 @@ def _compile_text(report: dict) -> str:
 def cmd_compile(args) -> int:
     backend = _load_backend_arg(args)
     programs = [parse_program_file(f) for f in args.programs]
+    if args.out is not None and args.policy == "independent":
+        # One circuit per run, named after its program: a shared name would overwrite.
+        first: dict[str, str] = {}
+        for path, prog in zip(args.programs, programs):
+            if prog.name in first:
+                print(
+                    f"error: {first[prog.name]} and {path} would both be written as "
+                    f"compiled_{prog.name}.qasm; rename one",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
+            first[prog.name] = path
     result = compile_workload(programs, backend, args.policy, omega=args.omega, cap=args.cap)
     report = result["report"]
     if len(result["compiled"]) == 1:

@@ -213,18 +213,6 @@ def load_backend_file(path) -> Backend:
     return load_backend(json.loads(Path(path).read_text()))
 
 
-def backend_to_doc(backend: Backend) -> dict:
-    return {
-        "name": backend.name,
-        "n_qubits": backend.n_qubits,
-        "edges": [list(e) for e in sorted(backend.graph.edges)],
-        "cnot_error": {f"{a}-{b}": backend.calib.cnot_error[(a, b)] for a, b in sorted(backend.graph.edges)},
-        "readout_error": [backend.calib.readout_error[q] for q in range(backend.n_qubits)],
-        "oneq_error": [backend.calib.oneq_error[q] for q in range(backend.n_qubits)],
-        "timestamp": backend.calib.timestamp,
-    }
-
-
 def random_backend(topology: CouplingGraph, base: Calibration, seed: int, name: str = "random") -> Backend:
     """Draw a synthetic calibration for ``topology``, uniformly per category
     within the min/max range observed in ``base``. Deterministic in ``seed``."""

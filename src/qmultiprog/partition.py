@@ -365,7 +365,7 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
     return InitialMapping(program=program, sigma=sigma)
 
 
-def partition_qubits(tree: HierarchyTree, programs, backend: Backend) -> Partition:
+def partition_qubits(tree: HierarchyTree, programs, backend: Backend, *, _trials: dict | None = None) -> Partition:
     """Assign disjoint chip regions to programs by climbing the dendrogram.
 
     For each program (densest first) every leaf climbs until a node with
@@ -379,10 +379,15 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend) -> Partiti
 
     The claims live in this call only; the tree is never modified, so one
     tree can be shared by any number of calls.
+
+    Each (program, alive set) trial is allocated and scored once. The scores
+    live in ``_trials``, keyed by ``id(program)``: the scheduler hands one
+    table to every partition of a call, so trials recur across its batches.
     """
+    programs = list(programs)
     if not programs:
         raise PartitionError("no programs to partition")
-    if len({id(p) for p in programs}) != len(list(programs)):
+    if len({id(p) for p in programs}) != len(programs):
         raise PartitionError(
             "each program must be a distinct object; parse the source again to co-run a circuit with itself"
         )
@@ -402,6 +407,8 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend) -> Partiti
             yield node
             node = up(node)
 
+    if _trials is None:
+        _trials = {}
     assignments: list[Assignment] = []
     unassigned: list[QuantumProgram] = []
     for program in program_order(programs):
@@ -415,23 +422,24 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend) -> Partiti
         # (pooled alive-set means would punish supersets for qubits left
         # unused): fewest forced SWAPs first, then best pooled fidelity.
         # Candidates that leave interacting qubits without an internal path
-        # are unusable and dropped.
+        # are unusable and dropped. A recurring alive set reuses its score;
+        # sharing the InitialMapping between partitions is safe because
+        # GlobalMapping copies each sigma.
         scored = []
         for node in candidates:
-            trial = allocate(program, alive(node), backend)
-            trial_used = set(trial.sigma.values())
-            pressure = _allocation_pressure(trial, backend)
-            if pressure is None:
-                continue
-            scored.append(
-                (
+            key = (id(program), alive(node))
+            if key not in _trials:
+                trial = allocate(program, alive(node), backend)
+                trial_used = set(trial.sigma.values())
+                pressure = _allocation_pressure(trial, backend)
+                _trials[key] = None if pressure is None else (
                     pressure,
                     -_region_avg_fidelity(trial_used, backend),
                     tuple(sorted(trial_used)),
                     trial,
-                    node,
                 )
-            )
+            if _trials[key] is not None:
+                scored.append((*_trials[key], node))
         if not scored:
             unassigned.append(program)
             continue
@@ -468,6 +476,7 @@ def frp_partition(programs, backend: Backend) -> Partition:
     (link count / summed CNOT error) utility as root, then repeatedly absorb
     the best-utility available neighbor until the region is program-sized.
     """
+    programs = list(programs)
     if not programs:
         raise PartitionError("no programs to partition")
     available = set(range(backend.n_qubits))

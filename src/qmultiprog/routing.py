@@ -284,8 +284,8 @@ class _ProgramState:
     """One program's routing progress, kept incrementally.
 
     ``waiting[gid]`` counts the gate's DAG predecessors not yet executed;
-    ``ready`` holds the pending gates with none left, i.e. exactly what
-    ``ready_gates(dag, executed)`` returns, without rescanning the program.
+    ``ready`` is the set of pending gates (any kind) with none left, updated
+    as gates execute rather than found by rescanning the program.
     """
 
     def __init__(self, index: int, program: QuantumProgram):

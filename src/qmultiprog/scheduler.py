@@ -64,18 +64,20 @@ def epst(program: QuantumProgram, region, backend: Backend) -> float:
     return f_2q ** program.n_cnot * f_1q ** program.n_1q * f_ro ** program.n_qubits
 
 
-def independent_epst(job: Job, tree: HierarchyTree, backend: Backend) -> float:
+def independent_epst(job: Job, tree: HierarchyTree, backend: Backend, *, _trials: dict | None = None) -> float:
     """Best estimate the job's program can reach with the chip to itself."""
-    result = _co_epsts([job], tree, backend)
+    result = _co_epsts([job], tree, backend, _trials=_trials)
     if result is None:
         raise SchedulingError(f"{job.program.name} cannot be placed even alone")
     return result[1][job.id]
 
 
-def _co_epsts(jobs, tree: HierarchyTree, backend: Backend) -> tuple[Partition, dict[int, float]] | None:
+def _co_epsts(
+    jobs, tree: HierarchyTree, backend: Backend, *, _trials: dict | None = None
+) -> tuple[Partition, dict[int, float]] | None:
     """The joint partition of all jobs and each job's estimate under it, or
     None if any job cannot be placed alongside the others."""
-    partition = partition_qubits(tree, [j.program for j in jobs], backend)
+    partition = partition_qubits(tree, [j.program for j in jobs], backend, _trials=_trials)
     if partition.unassigned:
         return None
     out: dict[int, float] = {}
@@ -113,18 +115,22 @@ def schedule_tasks(
     member's violation past ``epsilon`` is dropped. A job whose program object
     is already in the batch is skipped and waits for a later batch. Jobs whose
     programs fail partitioning run independently.
+
+    Each (program, region) trial is scored once per call and reused by every
+    later trial batch that offers the program the same region.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     if lookahead < 1 or max_colocate < 1:
         raise ValueError("lookahead and max_colocate must be at least 1")
     jobs: list[Job] = list(queue)
+    trials: dict = {}  # partition_qubits' scored trials; the jobs keep their programs alive
     batches: list[Batch] = []
     while jobs:
         head = jobs[0]
         try:
             if head.ind_epst is None:
-                head.ind_epst = independent_epst(head, tree, backend)
+                head.ind_epst = independent_epst(head, tree, backend, _trials=trials)
         except SchedulingError:
             head.status = "independent"
             head.co_epst = None
@@ -142,17 +148,17 @@ def schedule_tasks(
                 continue
             try:
                 if tentative.ind_epst is None:
-                    tentative.ind_epst = independent_epst(tentative, tree, backend)
+                    tentative.ind_epst = independent_epst(tentative, tree, backend, _trials=trials)
             except SchedulingError:
                 continue
             trial = members + [tentative]
-            result = _co_epsts(trial, tree, backend)
+            result = _co_epsts(trial, tree, backend, _trials=trials)
             if result is None:
                 continue
             if all(_acceptable(_violation(j.ind_epst, result[1][j.id]), epsilon) for j in trial):
                 members, accepted = trial, result
         # The last accepted trial already partitioned exactly these members.
-        final_partition, co = accepted or _co_epsts(members, tree, backend)
+        final_partition, co = accepted or _co_epsts(members, tree, backend, _trials=trials)
         record: dict[int, float | None] = {}
         for job in members:
             job.co_epst = co[job.id]

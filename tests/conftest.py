@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -82,6 +84,27 @@ BUNDLED = (
 )
 
 
+def ready_gates(dag, executed):
+    """Reference frontier: all pending gates (any kind) whose predecessors are
+    executed, in id order, rescanning every gate; the routers keep the same
+    set incrementally as gates execute."""
+    return [g.id for g in dag.program.gates if g.id not in executed and dag.predecessors[g.id] <= executed]
+
+
+def backend_to_doc(backend):
+    """The loader's document for a backend: ``load_backend(backend_to_doc(b))``
+    rebuilds ``b``."""
+    return {
+        "name": backend.name,
+        "n_qubits": backend.n_qubits,
+        "edges": [list(e) for e in sorted(backend.graph.edges)],
+        "cnot_error": {f"{a}-{b}": backend.calib.cnot_error[(a, b)] for a, b in sorted(backend.graph.edges)},
+        "readout_error": [backend.calib.readout_error[q] for q in range(backend.n_qubits)],
+        "oneq_error": [backend.calib.oneq_error[q] for q in range(backend.n_qubits)],
+        "timestamp": backend.calib.timestamp,
+    }
+
+
 def floyd_warshall(graph, allowed=None):
     """Independent all-pairs oracle."""
     nodes = set(range(graph.n_qubits)) if allowed is None else set(allowed)
@@ -103,6 +126,19 @@ def grid_graph(rows, cols):
     pairs = [(q, q + 1) for q in range(rows * cols) if q % cols != cols - 1]
     pairs += [(q, q + cols) for q in range((rows - 1) * cols)]
     return CouplingGraph.from_pairs(rows * cols, pairs)
+
+
+def partition_digest(partition):
+    """Short hash of a partition's regions, fidelities, placements and
+    unassigned programs, by program name."""
+    record = {
+        "assigned": [
+            [a.program.name, sorted(a.qubits), a.avg_fidelity, sorted(a.mapping.sigma.items())]
+            for a in partition.assignments
+        ],
+        "unassigned": [p.name for p in partition.unassigned],
+    }
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
 
 
 def grid_queue(seed):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_program
+from conftest import random_program, ready_gates
 from qmultiprog import fixtures
 from qmultiprog.circuit import (
     QasmError,
@@ -12,7 +12,6 @@ from qmultiprog.circuit import (
     critical_gates,
     front_layer,
     parse_program,
-    ready_gates,
     serialize_program,
 )
 

@@ -74,6 +74,31 @@ def test_compile_all_policies(policy, tmp_path):
     assert code == 0
 
 
+def test_independent_writes_one_circuit_per_program(tmp_path):
+    argv = ["compile", bench_file("bv_n3"), bench_file("toffoli_3"), "--backend", backend_file("cross9")]
+    assert run([*argv, "--policy", "independent", "--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.glob("compiled*.qasm"))
+    assert written == ["compiled_bv_n3.qasm", "compiled_toffoli_3.qasm"]
+
+
+def test_independent_refuses_programs_sharing_a_name(tmp_path, capsys):
+    source = fixtures.benchmark_path("bv_n3").read_text()
+    paths = []
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        paths.append(tmp_path / d / "prog.qasm")
+        paths[-1].write_text(source)
+    out = tmp_path / "out"
+    argv = ["compile", *map(str, paths), "--backend", backend_file("cross9"), "--out", str(out)]
+    assert run([*argv, "--policy", "independent"]) == 2
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and str(paths[1]) in err
+    assert not out.exists()  # refused before anything was compiled or written
+    # A joint policy writes one circuit, so the shared name is harmless there.
+    assert run([*argv, "--policy", "cdap-xswap"]) == 0
+    assert (out / "compiled.qasm").exists()
+
+
 def test_compile_doc_format_is_json(capsys):
     code = run(
         [

@@ -4,14 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import floyd_warshall, make_backend, random_graph
+from conftest import backend_to_doc, floyd_warshall, make_backend, random_graph
 from qmultiprog import fixtures
 from qmultiprog.hardware import (
     Calibration,
     CouplingGraph,
     bfs_hops,
     load_backend,
-    backend_to_doc,
     random_backend,
 )
 

@@ -6,7 +6,15 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import floyd_warshall, grid_graph, grid_queue, make_backend, random_graph, random_program
+from conftest import (
+    floyd_warshall,
+    grid_graph,
+    grid_queue,
+    make_backend,
+    partition_digest,
+    random_graph,
+    random_program,
+)
 from qmultiprog import fixtures
 from qmultiprog.hardware import CouplingGraph, UnreachableError, random_backend
 from qmultiprog.partition import (
@@ -348,6 +356,16 @@ def test_partition_rejects_duplicate_program_objects(london):
         partition_qubits(tree, [program, program], london)
 
 
+def test_partitioners_accept_a_generator(tokyo20):
+    # programs may arrive as a generator, which can be read only once
+    programs = [fixtures.load_benchmark(n) for n in ("bv_n3", "toffoli_3")]
+    tree = build_hierarchy_tree(tokyo20)
+    from_list = partition_qubits(tree, programs, tokyo20)
+    assert len(from_list.assignments) == 2
+    assert partition_qubits(tree, (p for p in programs), tokyo20) == from_list
+    assert frp_partition((p for p in programs), tokyo20) == frp_partition(programs, tokyo20)
+
+
 def test_partition_program_too_large_goes_unassigned(london):
     tree = build_hierarchy_tree(london)
     program = random_program("huge", 6, 5, 2, seed=4)
@@ -457,17 +475,6 @@ def test_partition_candidate_choice_matches_brute_force():
                 node = node.parent
 
 
-def _partition_digest(partition):
-    record = {
-        "assigned": [
-            [a.program.name, sorted(a.qubits), a.avg_fidelity, sorted(a.mapping.sigma.items())]
-            for a in partition.assignments
-        ],
-        "unassigned": [p.name for p in partition.unassigned],
-    }
-    return hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
-
-
 # Partitions of windows of a seeded bundled-circuit queue (one to four
 # programs, then the whole queue) on an 8x8 grid under two calibrations drawn
 # from melbourne's ranges, pinned from the implementation that built
@@ -484,7 +491,7 @@ def test_golden_grid_partitions(seed, melbourne):
     tree = build_hierarchy_tree(backend)
     queue = grid_queue(seed)
     windows = [queue[i : i + k] for k in (1, 2, 3, 4) for i in range(0, len(queue) - k + 1, k)]
-    digests = [_partition_digest(partition_qubits(tree, w, backend)) for w in windows + [queue]]
+    digests = [partition_digest(partition_qubits(tree, w, backend)) for w in windows + [queue]]
     assert hashlib.sha256(json.dumps(digests).encode()).hexdigest()[:16] == GOLDEN_GRID_PARTITIONS[seed]
 
 
@@ -514,7 +521,7 @@ def test_golden_cut_partitions(chip):
     tree = build_hierarchy_tree(backend)
     programs = {name: fixtures.load_benchmark(name) for name in fixtures.benchmark_names()}
     digests = [
-        _partition_digest(partition_qubits(tree, [programs[n] for n in combo], backend))
+        partition_digest(partition_qubits(tree, [programs[n] for n in combo], backend))
         for combo in itertools.combinations(sorted(programs), size)
     ]
     assert hashlib.sha256(json.dumps(digests).encode()).hexdigest()[:16] == golden

@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_backend, random_program
+from conftest import make_backend, random_program, ready_gates
 from qmultiprog import fixtures
-from qmultiprog.circuit import Gate, QuantumProgram, front_layer, parse_program, ready_gates
+from qmultiprog.circuit import Gate, QuantumProgram, front_layer, parse_program
 from qmultiprog.hardware import bfs_hops
 from qmultiprog.partition import build_hierarchy_tree, frp_partition, partition_qubits
 from qmultiprog.routing import (

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import grid_graph, grid_queue, make_backend, random_program
-from qmultiprog import fixtures
+from conftest import BUNDLED, grid_graph, grid_queue, make_backend, partition_digest, random_graph, random_program
+from qmultiprog import fixtures, partition, scheduler
 from qmultiprog.hardware import random_backend
 from qmultiprog.partition import build_hierarchy_tree, partition_qubits
 from qmultiprog.scheduler import (
@@ -312,3 +315,103 @@ def test_golden_grid_schedules(seed, melbourne):
         for b in batches
     ]
     assert hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16] == GOLDEN_GRID_SCHEDULES[seed]
+
+
+def _memo_free_schedule(queue, tree, backend, **kw):
+    """schedule_tasks with every partition computed from scratch."""
+    fresh = scheduler.partition_qubits
+
+    def unshared(tree, programs, backend, *, _trials=None):
+        return fresh(tree, programs, backend)
+
+    with mock.patch.object(scheduler, "partition_qubits", unshared):
+        return schedule_tasks(queue, tree, backend, **kw)
+
+
+def _pool_program(spec):
+    kind, arg = spec
+    if kind == "bundled":
+        return fixtures.load_benchmark(arg)
+    n, n_cnot, n_1q, seed = arg
+    return random_program(f"r{seed}", n, n_cnot, n_1q, seed=seed)
+
+
+_BASE_CALIB = fixtures.load_fixture_backend("melbourne").calib
+
+
+@st.composite
+def _chips(draw):
+    if draw(st.booleans()):
+        backend = fixtures.load_fixture_backend(draw(st.sampled_from(["tokyo20", "cross9", "grid2x3", "london"])))
+    else:
+        n = draw(st.integers(3, 16))
+        backend = random_backend(random_graph(n, draw(st.integers(0, 999))), _BASE_CALIB, seed=0)
+    if draw(st.booleans()):
+        backend = random_backend(backend.graph, _BASE_CALIB, seed=draw(st.integers(0, 999)))
+    return backend
+
+
+_POOL_SPECS = st.one_of(
+    st.tuples(st.just("bundled"), st.sampled_from(BUNDLED)),
+    st.tuples(
+        st.just("random"),
+        st.tuples(st.integers(2, 6), st.integers(0, 8), st.integers(0, 4), st.integers(0, 9)),
+    ),
+)
+
+
+@settings(max_examples=60)
+@given(
+    backend=_chips(),
+    specs=st.lists(_POOL_SPECS, min_size=2, max_size=5),
+    picks=st.lists(st.integers(0, 4), min_size=3, max_size=10),
+    epsilon=st.sampled_from([0.5, 1.0, 0.15, 0.0]),
+    lookahead=st.integers(1, 8),
+    max_colocate=st.integers(2, 4),
+)
+def test_shared_trials_match_fresh_partitions(backend, specs, picks, epsilon, lookahead, max_colocate):
+    # Each job builds its circuit again, so repeats in the queue are distinct
+    # objects with equal content, and random circuits of different shapes can
+    # share a name: a table keyed by content or name would mix them up.
+    programs = [_pool_program(specs[i % len(specs)]) for i in picks]
+    tree = build_hierarchy_tree(backend)
+    kw = dict(epsilon=epsilon, lookahead=lookahead, max_colocate=max_colocate)
+    batches = schedule_tasks([Job(i, p) for i, p in enumerate(programs)], tree, backend, **kw)
+    reference = _memo_free_schedule([Job(i, p) for i, p in enumerate(programs)], tree, backend, **kw)
+    assert [[(j.id, j.status) for j in b.jobs] for b in batches] == [
+        [(j.id, j.status) for j in b.jobs] for b in reference
+    ]
+    for batch in batches:
+        if batch.partition is None:
+            (job,) = batch.jobs
+            with pytest.raises(SchedulingError):
+                independent_epst(Job(job.id, job.program), tree, backend)
+            assert batch.decision_record == {job.id: None}
+            continue
+        members = [j.program for j in batch.jobs]
+        fresh = partition_qubits(tree, members, backend)
+        assert partition_digest(batch.partition) == partition_digest(fresh)
+        assert all(a.mapping.program is a.program for a in batch.partition.assignments)
+        for job in batch.jobs:
+            solo = partition_qubits(tree, [job.program], backend).assignments[0].qubits
+            ind = epst(job.program, solo, backend)
+            co = epst(job.program, fresh.mapping_for(job.program).region, backend)
+            assert (job.ind_epst, job.co_epst) == (ind, co)
+            assert batch.decision_record[job.id] == 1.0 - co / ind
+
+
+def test_schedule_allocates_each_program_region_pair_once(melbourne, monkeypatch):
+    backend = random_backend(grid_graph(8, 8), melbourne.calib, seed=5)
+    tree = build_hierarchy_tree(backend)
+    queue = [Job(id=i, program=p) for i, p in enumerate(grid_queue(5))]
+    calls = Counter()
+    original = partition.allocate
+
+    def counting(program, region, backend):
+        calls[id(program), frozenset(region)] += 1
+        return original(program, region, backend)
+
+    monkeypatch.setattr(partition, "allocate", counting)
+    batches = schedule_tasks(queue, tree, backend, epsilon=0.15, lookahead=8, max_colocate=4)
+    assert sum(len(b.jobs) for b in batches) == len(queue)
+    assert calls and max(calls.values()) == 1
