@@ -18,9 +18,12 @@ three things that differ:
   constraint across program boundaries score better; the baseline passes
   none.
 
-The dependency frontier is kept incrementally (as in SABRE): each program
-counts every gate's unexecuted predecessors and updates its set of ready
-gates as gates execute, so a step costs O(frontier), not O(gates).
+Each step redoes only what the last SWAP changed (as in SABRE). A program
+counts every gate's unexecuted predecessors and updates its ready set as
+gates execute; CNOTs found non-adjacent stay blocked until a SWAP moves one
+of their operands, so the compliant pass re-tests only those. The blocked
+sets are then the front layer, whose terms (hop row, hop count, shortcut
+bonus per CNOT) are looked up once per step and shared by every candidate.
 """
 from __future__ import annotations
 
@@ -159,9 +162,6 @@ class Schedule:
             counts[s.swap_class] += 1
         return counts
 
-    def attributed_swaps(self, program: int) -> int:
-        return sum(1 for s in self.swaps() if s.attributed == program)
-
     def to_doc(self) -> dict:
         events = []
         for e in self.events:
@@ -204,13 +204,14 @@ def obtain_swaps(to_resolve, graph, mapping: GlobalMapping, allowed=None) -> lis
     both endpoints in that set qualify."""
     edges: set[tuple[int, int]] = set()
     for program, g in to_resolve:
+        sigma = mapping.sigmas[program]
         for lq in g.qubits:
-            p = mapping.phys(program, lq)
+            p = sigma[lq]
             if allowed is not None and p not in allowed:
                 continue
             for nb in graph.neighbors(p):
                 if allowed is None or nb in allowed:
-                    edges.add((min(p, nb), max(p, nb)))
+                    edges.add((p, nb) if p < nb else (nb, p))
     return sorted(edges)
 
 
@@ -228,52 +229,32 @@ def _classify(mapping: GlobalMapping, a: int, b: int) -> SwapOp:
     return SwapOp(min(a, b), max(a, b), cls, owners, owners[0])
 
 
-def swap_score(
-    edge: tuple[int, int],
-    fronts,
-    mapping: GlobalMapping,
-    hops: dict[int, dict[int, int]],
-    own_hops=None,
-    gain_cap: int = 0,
-) -> float:
+def swap_score(edge: tuple[int, int], terms, hops: dict[int, dict[int, int]]) -> float:
     """Score a candidate SWAP on ``edge``; lower is better.
 
-    The base term sums, over every front-layer CNOT, its operand hop count
-    after hypothetically applying the SWAP. When ``own_hops`` is given, a
-    bonus is subtracted for each front gate whose chip-wide shortest path the
-    SWAP lies on, proportional to the SWAPs that gate saves by crossing
-    program boundaries (normalized per front layer): its hop count inside
-    its own region plus the free qubits minus its chip-wide one, or
-    ``gain_cap`` when that region cannot connect it. Subtracting makes the
-    minimization prefer exactly the shortcut SWAPs.
+    ``terms`` holds one ``(pa, pb, hops[pa], d, bonus)`` tuple per front-layer
+    CNOT (see ``_ProgramState.front_terms``). The base term sums every front
+    gate's operand hop count after hypothetically applying the SWAP. A gate's
+    bonus, when it has one, is subtracted if the SWAP lies on its chip-wide
+    shortest path, so the minimization prefers exactly the shortcut SWAPs.
     """
     a, b = edge
     row_a, row_b = hops[a], hops[b]
     score = 0.0
-    for i, front in enumerate(fronts):
-        if not front:
-            continue
-        per_layer = 1.0 / len(front)
-        sigma = mapping.sigmas[i]
-        for g in front:
-            pa, pb = sigma[g.qubits[0]], sigma[g.qubits[1]]
-            qa = b if pa == a else a if pa == b else pa
-            qb = b if pb == a else a if pb == b else pb
-            score += hops[qa][qb]
-            if own_hops is None:
-                continue
-            row = hops[pa]
-            d = row[pb]
-            # A missing pair defaults to d, which makes its sum exceed d:
-            # an unreachable endpoint is off the path.
-            on_path = (
-                row.get(a, d) + 1 + row_b.get(pb, d) == d
-                or row.get(b, d) + 1 + row_a.get(pb, d) == d
-            )
-            if on_path:
-                restricted = own_hops[i][pa].get(pb)
-                saved = gain_cap if restricted is None else restricted - d
-                score -= per_layer * saved
+    for pa, pb, row, d, bonus in terms:
+        # The operands' hop count after the SWAP (hop counts are symmetric).
+        if pa == a:
+            score += d if pb == b else row_b[pb]
+        elif pa == b:
+            score += d if pb == a else row_a[pb]
+        else:
+            score += row[b] if pb == a else row[a] if pb == b else d
+        # A missing pair defaults to d, which makes its sum exceed d:
+        # an unreachable endpoint is off the path.
+        if bonus is not None and (
+            row.get(a, d) + 1 + row_b.get(pb, d) == d or row.get(b, d) + 1 + row_a.get(pb, d) == d
+        ):
+            score -= bonus
     return score
 
 
@@ -285,7 +266,9 @@ class _ProgramState:
 
     ``waiting[gid]`` counts the gate's DAG predecessors not yet executed;
     ``ready`` is the set of pending gates (any kind) with none left, updated
-    as gates execute rather than found by rescanning the program.
+    as gates execute rather than found by rescanning the program. ``blocked``
+    holds the ready CNOTs found non-adjacent under the current mapping; only
+    a SWAP on one of their operands can unblock them.
     """
 
     def __init__(self, index: int, program: QuantumProgram):
@@ -295,6 +278,7 @@ class _ProgramState:
         self.executed: set[int] = set()
         self.waiting = {gid: len(preds) for gid, preds in self.dag.predecessors.items()}
         self.ready = {gid for gid, n in self.waiting.items() if n == 0}
+        self.blocked: set[int] = set()
 
     def execute(self, gid: int):
         self.executed.add(gid)
@@ -304,22 +288,62 @@ class _ProgramState:
             if not self.waiting[succ]:
                 self.ready.add(succ)
 
+    def unblock(self, mapping: GlobalMapping, a: int, b: int):
+        """Forget the blocked gates with an operand on physical qubit a or b."""
+        sigma, gates = mapping.sigmas[self.index], self.program.gates
+        self.blocked = {gid for gid in self.blocked if not {sigma[q] for q in gates[gid].qubits} & {a, b}}
+
+    def front_terms(self, mapping: GlobalMapping, hops, own=None, gain_cap: int = 0, allowed=None) -> list[tuple]:
+        """``swap_score``'s terms for the front layer (``blocked`` after a
+        compliant pass), one ``(pa, pb, hops[pa], d, bonus)`` per CNOT in gate
+        order. The bonus is the SWAPs the gate saves by crossing program
+        boundaries, per front gate: its hop count in ``own[index]`` (its region
+        plus the free qubits) minus ``d``, or ``gain_cap`` when that region
+        cannot connect it. It is None without ``own`` and when the gate saves
+        nothing, as subtracting 0.0 changes no score. Raises
+        UnroutableProgramError when ``hops`` cannot connect the operands."""
+        front = sorted(self.blocked)
+        per_layer = 1.0 / len(front) if front else 0.0
+        sigma = mapping.sigmas[self.index]
+        terms = []
+        for gid in front:
+            qa, qb = self.program.gates[gid].qubits
+            pa, pb = sigma[qa], sigma[qb]
+            row = hops[pa]
+            if pb not in row:
+                where = "the chip" if allowed is None else f"region {sorted(allowed)}"
+                raise UnroutableProgramError(self.program.name, f"{where} cannot connect qubits {pa} and {pb}")
+            d = row[pb]
+            saved = 0
+            if own is not None:
+                restricted = own[self.index][pa].get(pb)
+                saved = gain_cap if restricted is None else restricted - d
+            terms.append((pa, pb, row, d, per_layer * saved if saved else None))
+        return terms
+
     def done(self) -> bool:
         return len(self.executed) == len(self.program.gates)
 
 
 def _execute_compliant(states, mapping: GlobalMapping, graph, events, pending_measures) -> bool:
-    """Greedily execute every gate that needs no SWAP; returns True if any ran."""
+    """Greedily execute every gate that needs no SWAP; returns True if any ran.
+    The mapping is fixed for the whole call, so a blocked gate is not tested
+    again; afterwards ``blocked`` is exactly ``front_layer(dag, executed)``."""
     progress = False
     moved = True
     while moved:
         moved = False
         for st in states:
+            todo = st.ready - st.blocked
+            if not todo:
+                continue
+            sigma, gates = mapping.sigmas[st.index], st.program.gates
             # A snapshot: gates readied during this pass wait for the next one.
-            for gid in sorted(st.ready):
-                g = st.program.gates[gid]
-                phys = tuple(mapping.phys(st.index, q) for q in g.qubits)
-                if g.is_cnot and not graph.has_edge(*phys):
+            for gid in sorted(todo):
+                g = gates[gid]
+                phys = tuple([sigma[q] for q in g.qubits])
+                if g.kind == CNOT and not graph.has_edge(*phys):
+                    st.blocked.add(gid)
                     continue
                 st.execute(gid)
                 moved = progress = True
@@ -346,10 +370,10 @@ def _route(
 
     ``hops`` holds a ``bfs_hops`` row for every qubit a program may occupy.
     Candidates come from ``obtain_swaps(..., allowed)`` and are scored by
-    ``swap_score`` over ``hops``; ``own_hops``, when given, returns the
-    per-program confined rows for the current mapping and turns on the
-    shortcut bonus. A front CNOT whose operands ``hops`` cannot connect
-    raises UnroutableProgramError. After ``stall_limit`` (default
+    ``swap_score`` over the step's front terms; ``own_hops``, when given,
+    returns the per-program confined rows for the current mapping and turns
+    on the shortcut bonus. A front CNOT whose operands ``hops`` cannot
+    connect raises UnroutableProgramError. After ``stall_limit`` (default
     3 * n_qubits) consecutive SWAPs that execute no gate, the oldest blocked
     gate steps along a shortest path in ``hops`` instead.
     """
@@ -358,27 +382,20 @@ def _route(
     states = [_ProgramState(i, p) for i, p in programs]
     events: list = []
     pending_measures: list[tuple[int, int, int]] = []
-    fronts: list[list[Gate]] = [[] for _ in mapping.sigmas]
     stalled = 0
+    own = None
+    regions_moved = own_hops is not None
     while True:
         if _execute_compliant(states, mapping, graph, events, pending_measures):
             stalled = 0
         if all(st.done() for st in states):
             break
-        to_resolve = []
+        if regions_moved:  # an intra-program SWAP keeps every region and the free qubits
+            own = own_hops()
+        terms, to_resolve = [], []
         for st in states:
-            # The CNOTs still ready after the compliant pass are exactly
-            # front_layer(dag, executed): every ready non-CNOT has executed.
-            front = {gid for gid in st.ready if st.program.gates[gid].is_cnot}
-            fronts[st.index] = [st.program.gates[gid] for gid in sorted(front)]
-            for g in fronts[st.index]:
-                pa, pb = mapping.phys(st.index, g.qubits[0]), mapping.phys(st.index, g.qubits[1])
-                if pb not in hops[pa]:
-                    where = "the chip" if allowed is None else f"region {sorted(allowed)}"
-                    raise UnroutableProgramError(
-                        st.program.name, f"{where} cannot connect qubits {pa} and {pb}"
-                    )
-            for gid in sorted(critical_gates(st.dag, front) or front):
+            terms += st.front_terms(mapping, hops, own, gain_cap, allowed)
+            for gid in sorted(critical_gates(st.dag, st.blocked) or st.blocked):
                 to_resolve.append((st.index, st.program.gates[gid]))
         if stalled >= stall_limit:
             program, g = to_resolve[0]
@@ -387,15 +404,17 @@ def _route(
             step = min((x for x in graph.neighbors(pa) if x in row), key=lambda x: (row[x], x))
             best = _classify(mapping, pa, step)
         else:
-            own = None if own_hops is None else own_hops()
             edge = min(
                 obtain_swaps(to_resolve, graph, mapping, allowed),
-                key=lambda e: (swap_score(e, fronts, mapping, hops, own, gain_cap), e),
+                key=lambda e: (swap_score(e, terms, hops), e),
             )
             best = _classify(mapping, *edge)
+        for st in states:
+            st.unblock(mapping, best.phys_a, best.phys_b)
         mapping.apply_swap(best.phys_a, best.phys_b)
         events.append(best)
         stalled += 1
+        regions_moved = own_hops is not None and best.swap_class != "intra"
     # Measurements are pinned to the end, remapped through the final layout.
     for program, gid, logical in pending_measures:
         events.append(GateEvent(program, gid, MEASURE, (mapping.phys(program, logical),)))
@@ -481,80 +500,61 @@ class CompiledCircuits:
 def decompose(schedule: Schedule) -> CompiledCircuits:
     """Expand every SWAP into three CNOTs and emit the physical circuit.
 
-    Replays the schedule to verify that executed CNOTs and SWAPs act on
-    adjacent qubits and that the accumulated permutation matches the final
-    mapping; a violated schedule raises RoutingError.
+    One replay checks that executed CNOTs and SWAPs act on adjacent qubits,
+    that operands agree with the replayed mapping and that the permutation
+    matches the final mapping (else RoutingError), and counts SWAPs and depth.
     """
     graph = schedule.backend.graph
-    n_phys = schedule.initial.n_phys
     replayed = schedule.initial.clone()
+    sigmas = replayed.sigmas
     combined: list[Gate] = []
-
-    def emit(kind: str, phys: tuple[int, ...], params=()):
-        combined.append(Gate(kind, phys, tuple(params), id=len(combined)))
-
+    swap_classes = {"intra": 0, "inter": 0, "free": 0}
+    attributed = [0] * len(schedule.programs)
+    level: dict[int, int] = {}  # depth of each physical qubit so far
     for event in schedule.events:
         if isinstance(event, SwapOp):
             a, b = event.phys_a, event.phys_b
             if not graph.has_edge(a, b):
                 raise RoutingError(f"swap ({a},{b}) is not a coupling edge")
-            for pair in ((a, b), (b, a), (a, b)):
-                emit(CNOT, pair)
+            n = len(combined)
+            combined += (Gate(CNOT, (a, b), (), n), Gate(CNOT, (b, a), (), n + 1), Gate(CNOT, (a, b), (), n + 2))
+            level[a] = level[b] = max(level.get(a, 0), level.get(b, 0)) + 3
+            swap_classes[event.swap_class] += 1
+            attributed[event.attributed] += 1
             replayed.apply_swap(a, b)
-        else:
-            if event.kind == CNOT:
-                pa, pb = event.phys
-                if not graph.has_edge(pa, pb):
-                    raise RoutingError(f"executed CNOT on non-adjacent qubits ({pa},{pb})")
-            expected = tuple(replayed.phys(event.program, q)
-                             for q in schedule.programs[event.program].gates[event.gate_id].qubits)
-            if expected != event.phys:
-                raise RoutingError(
-                    f"event operands {event.phys} disagree with replayed mapping {expected}"
-                )
-            emit(event.kind, event.phys, event.params)
-    for i, sigma in enumerate(replayed.sigmas):
+            continue
+        kind, phys = event.kind, event.phys
+        if kind == CNOT and not graph.has_edge(*phys):
+            raise RoutingError(f"executed CNOT on non-adjacent qubits ({phys[0]},{phys[1]})")
+        sigma = sigmas[event.program]
+        expected = tuple([sigma[q] for q in schedule.programs[event.program].gates[event.gate_id].qubits])
+        if expected != phys:
+            raise RoutingError(f"event operands {phys} disagree with replayed mapping {expected}")
+        combined.append(Gate(kind, phys, tuple(event.params), len(combined)))
+        # A barrier lifts its qubits to their common level and adds none.
+        depth = max([level.get(q, 0) for q in phys], default=0) + (kind != BARRIER)
+        for q in phys:
+            level[q] = depth
+    for i, sigma in enumerate(sigmas):
         if sigma != schedule.final.sigmas[i]:
             raise RoutingError(f"final mapping of program {i} does not match the replay")
 
-    swaps = schedule.swaps()
-    per_stats = []
-    for i, program in enumerate(schedule.programs):
-        attributed = schedule.attributed_swaps(i)
-        per_stats.append(
-            {
-                "name": program.name,
-                "swaps": attributed,
-                "added_cnots": 3 * attributed,
-                "original_gates": program.gate_count,
-                "post_gates": program.gate_count + 3 * attributed,
-            }
-        )
-    total_original = sum(p.gate_count for p in schedule.programs)
+    per_stats = [
+        {"name": p.name, "swaps": k, "added_cnots": 3 * k,
+         "original_gates": p.gate_count, "post_gates": p.gate_count + 3 * k}
+        for p, k in zip(schedule.programs, attributed)
+    ]
+    n_swaps = sum(swap_classes.values())
     stats = {
         "per_program": per_stats,
-        "swap_classes": schedule.swaps_by_class(),
-        "swaps": len(swaps),
-        "added_cnots": 3 * len(swaps),
-        "post_gates": total_original + 3 * len(swaps),
-        "depth": _depth(combined),
+        "swap_classes": swap_classes,
+        "swaps": n_swaps,
+        "added_cnots": 3 * n_swaps,
+        "post_gates": sum(p.gate_count for p in schedule.programs) + 3 * n_swaps,
+        "depth": max(level.values(), default=0),
     }
-    combined_program = QuantumProgram(name="combined", n_qubits=n_phys, gates=tuple(combined))
+    combined_program = QuantumProgram(name="combined", n_qubits=replayed.n_phys, gates=tuple(combined))
     return CompiledCircuits(combined=combined_program, stats=stats)
-
-
-def _depth(gates) -> int:
-    level: dict[int, int] = {}
-    for g in gates:
-        if g.kind == BARRIER:
-            sync = max((level.get(q, 0) for q in g.qubits), default=0)
-            for q in g.qubits:
-                level[q] = sync
-            continue
-        d = max(level.get(q, 0) for q in g.qubits) + 1
-        for q in g.qubits:
-            level[q] = d
-    return max(level.values(), default=0)
 
 
 def verify_equivalence(

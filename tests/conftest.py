@@ -148,3 +148,53 @@ def grid_queue(seed):
     names = list(BUNDLED) + rng.sample(BUNDLED, 2)
     rng.shuffle(names)
     return [fixtures.load_benchmark(n) for n in names]
+
+
+def reference_swap_score(edge, fronts, mapping, hops, own_hops=None, gain_cap=0):
+    """Reference SWAP score, rescanning every front gate for each candidate:
+    ``fronts[i]`` lists program i's front-layer CNOTs in gate order and
+    ``own_hops[i]`` its rows confined to its region plus the free qubits. The
+    routers build each gate's terms once per step and must score every
+    candidate exactly (bit for bit) as this does."""
+    a, b = edge
+    row_a, row_b = hops[a], hops[b]
+    score = 0.0
+    for i, front in enumerate(fronts):
+        if not front:
+            continue
+        per_layer = 1.0 / len(front)
+        sigma = mapping.sigmas[i]
+        for g in front:
+            pa, pb = sigma[g.qubits[0]], sigma[g.qubits[1]]
+            qa = b if pa == a else a if pa == b else pa
+            qb = b if pb == a else a if pb == b else pb
+            score += hops[qa][qb]
+            if own_hops is None:
+                continue
+            row = hops[pa]
+            d = row[pb]
+            on_path = (
+                row.get(a, d) + 1 + row_b.get(pb, d) == d
+                or row.get(b, d) + 1 + row_a.get(pb, d) == d
+            )
+            if on_path:
+                restricted = own_hops[i][pa].get(pb)
+                saved = gain_cap if restricted is None else restricted - d
+                score -= per_layer * saved
+    return score
+
+
+def reference_depth(gates):
+    """Reference depth: a second pass over a gate list, one level per qubit;
+    a barrier lifts its qubits to their common level and adds none."""
+    level = {}
+    for g in gates:
+        if g.kind == "barrier":
+            sync = max((level.get(q, 0) for q in g.qubits), default=0)
+            for q in g.qubits:
+                level[q] = sync
+            continue
+        d = max(level.get(q, 0) for q in g.qubits) + 1
+        for q in g.qubits:
+            level[q] = d
+    return max(level.values(), default=0)
