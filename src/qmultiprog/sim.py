@@ -4,6 +4,15 @@ compiled circuits and as a desk-scale stand-in for hardware success rates.
 Convention: amplitudes are little-endian, qubit 0 is the least significant
 bit of the basis-state index. Bitstring keys render qubit n-1 leftmost.
 
+Kernel: a gate acts in place on slice views of a tensor with one axis of
+length 2 per qubit, following a plan made once per matrix. The plan lists
+the diagonal entries that only scale a slice and, for every other output
+slice, its source slices and their coefficients; every mixed slice is
+computed before any slice is written. The fixed gates, cx and their
+conjugates are planned at import; a parametrized gate is planned when it
+is applied or when its noisy op is built. ``simulate_statevector`` evolves
+one buffer in place; ``apply_gate`` is the one-gate wrapper that copies.
+
 Noisy model: every gate fully depolarizes its operands with its calibration
 error rate, and readout flips each bit with the qubit's readout error.
 ``noisy_success_probability`` simulates only the active qubits (those a
@@ -35,7 +44,7 @@ HARD_QUBIT_CAP = 20
 PRUNE_BELOW = 1e-15
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-_FIXED_1Q = {
+_FIXED = {
     "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -44,6 +53,8 @@ _FIXED_1Q = {
     "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
     "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
     "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
+    # basis order |control target> with target the low bit
+    CNOT: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
 
 
@@ -54,8 +65,8 @@ class QubitCapExceeded(ValueError):
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Unitary of a supported gate (2x2 for one-qubit kinds, 4x4 for cx)."""
     kind, p = gate.kind, gate.params
-    if kind in _FIXED_1Q:
-        return _FIXED_1Q[kind]
+    if kind in _FIXED:
+        return _FIXED[kind]
     if kind == "u1":
         return np.array([[1, 0], [0, np.exp(1j * p[0])]], dtype=complex)
     if kind == "u2":
@@ -78,38 +89,114 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         return np.array([[c, -s], [s, c]], dtype=complex)
     if kind == "rz":
         return np.array([[np.exp(-1j * p[0] / 2), 0], [0, np.exp(1j * p[0] / 2)]], dtype=complex)
-    if kind == CNOT:
-        # basis order |control target> with target the low bit
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
     raise ValueError(f"no unitary for gate kind {kind!r}")
+
+
+# --- the kernel: each matrix is planned once ----------------------------------
+#
+# A plan is (scales, mixed). ``scales`` holds (slice, coefficient) for each
+# row whose only nonzero entry is a diagonal one other than 1; a row that is
+# the identity's is left out. ``mixed`` holds (slice, sources) for every other
+# row, with sources the (slice, coefficient) pairs of its nonzero entries in
+# column order. Coefficients are the matrix entries themselves. Zero entries
+# are left out, so a diagonal gate only scales slices and a CNOT only swaps
+# two of them.
+
+_Terms = tuple[tuple[int, complex], ...]
+_Plan = tuple[_Terms, tuple[tuple[int, _Terms], ...]]
+
+
+def _plan(matrix: np.ndarray) -> _Plan:
+    scales, mixed = [], []
+    for b, row in enumerate(matrix.tolist()):
+        src = tuple((a, c) for a, c in enumerate(row) if c != 0)
+        if len(src) == 1 and src[0][0] == b:
+            if src[0][1] != 1:
+                scales.append(src[0])
+            continue
+        mixed.append((b, src))
+    return tuple(scales), tuple(mixed)
+
+
+_FIXED_PLANS = {kind: _plan(m) for kind, m in _FIXED.items()}
+_FIXED_CONJ_PLANS = {kind: _plan(m.conj()) for kind, m in _FIXED.items()}
+
+
+def _gate_plan(gate: Gate) -> _Plan:
+    plan = _FIXED_PLANS.get(gate.kind)
+    return _plan(gate_matrix(gate)) if plan is None else plan
+
+
+# Index tuples of the slice views, per (tensor rank, axes), filled on first
+# use. Its size is bounded by the register sizes and operands simulated,
+# never by gate parameters.
+_BLOCK_INDEX: dict[tuple[int, tuple[int, ...]], tuple[tuple, ...]] = {}
+
+
+def _block_index(ndim: int, axes: tuple[int, ...]) -> tuple[tuple, ...]:
+    """One index per basis index of ``axes``, fixing those axes of a rank
+    ``ndim`` tensor; axes[0] is the basis index's most significant bit. The
+    trailing Ellipsis keeps a view even when every axis is fixed."""
+    index = _BLOCK_INDEX.get((ndim, axes))
+    if index is None:
+        k = len(axes)
+        rows = []
+        for b in range(2**k):
+            idx: list = [slice(None)] * ndim
+            for i, ax in enumerate(axes):
+                idx[ax] = (b >> (k - 1 - i)) & 1
+            rows.append((*idx, ...))
+        index = _BLOCK_INDEX[(ndim, axes)] = tuple(rows)
+    return index
+
+
+def _contract(tensor: np.ndarray, plan: _Plan, axes: tuple[int, ...]) -> None:
+    """In place: apply a planned matrix to the given axes of ``tensor``
+    (axes[0] is the matrix index's most significant bit). Every mixed slice
+    is computed from the old slices before any slice is written."""
+    views = [tensor[i] for i in _block_index(tensor.ndim, axes)]
+    scales, mixed = plan
+    new = []
+    for _, src in mixed:
+        a, c = src[0]
+        out = views[a].copy() if c == 1 else views[a] * c
+        for a, c in src[1:]:
+            out += views[a] * c
+        new.append(out)
+    for b, c in scales:
+        views[b] *= c
+    for (b, _), out in zip(mixed, new):
+        views[b][...] = out
 
 
 def apply_gate(state: np.ndarray, gate: Gate, operands: tuple[int, ...] | None = None) -> np.ndarray:
     """Apply one unitary gate to a statevector, returning the new state; the
-    input is left untouched."""
+    input is left untouched. ``operands`` replaces the gate's own qubits and
+    must name as many distinct qubits of the state."""
     if not gate.is_unitary:
         raise ValueError(f"gate kind {gate.kind!r} has no unitary action")
     n = int(round(math.log2(state.size)))
-    qubits = gate.qubits if operands is None else operands
-    if any(q >= n for q in qubits):
-        raise ValueError(f"operand {qubits} out of range for {n}-qubit state")
+    qubits = gate.qubits if operands is None else tuple(operands)
+    if len(qubits) != len(gate.qubits) or len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
+        raise ValueError(f"operands {qubits} do not fit a {gate.kind} gate on a {n}-qubit state")
     out = state.astype(complex)
-    # axis of qubit q is n-1-q (little-endian); a CNOT matrix's basis is
-    # |control target>, so the control comes first
-    _contract(out.reshape([2] * n), gate_matrix(gate), [n - 1 - q for q in qubits])
+    _contract(out.reshape([2] * n), _gate_plan(gate), tuple(n - 1 - q for q in qubits))
     return out
 
 
 def simulate_statevector(program: QuantumProgram) -> np.ndarray:
-    """Run all unitary gates from |0...0>; measures and barriers are skipped."""
-    state = np.zeros(2 ** program.n_qubits, dtype=complex)
+    """Run all unitary gates from |0...0> on one buffer; measures and
+    barriers are skipped."""
+    n = program.n_qubits
+    state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
+    tensor = state.reshape([2] * n)
     for g in program.gates:
         if g.kind in (MEASURE, BARRIER):
             continue
-        state = apply_gate(state, g)
+        # axis of qubit q is n-1-q (little-endian); a CNOT matrix's basis is
+        # |control target>, so the control comes first
+        _contract(tensor, _gate_plan(g), tuple(n - 1 - q for q in g.qubits))
     return state
 
 
@@ -150,11 +237,12 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 # --- noisy execution model -------------------------------------------------------
 #
 # Both estimators share one op list, built once per call: for every unitary
-# gate its matrix, its operands renumbered onto the simulated register and
-# its calibration error rate (looked up on the physical operands). The
-# success estimator simulates only the active qubits: those a unitary gate
-# touches plus those its layouts name, renumbered in ascending order. Every
-# other qubit stays |0> and no kept marginal depends on it.
+# gate the plans of its matrix and of its conjugate, its operands renumbered
+# onto the simulated register and its calibration error rate (looked up on
+# the physical operands). The success estimator simulates only the active
+# qubits: those a unitary gate touches plus those its layouts name,
+# renumbered in ascending order. Every other qubit stays |0> and no kept
+# marginal depends on it.
 
 # Byte budget for the sampled estimator's working set. Shots are evolved in
 # chunks of rows small enough that the chunk and the kernel's copies of it fit.
@@ -164,9 +252,9 @@ TRAJECTORY_BYTES = 32 << 20
 # copies (16).
 _WORKING_BYTES = 64
 
-_PAULIS = (None, _FIXED_1Q["x"], _FIXED_1Q["y"], _FIXED_1Q["z"])
+_PAULI_PLANS = (None, _FIXED_PLANS["x"], _FIXED_PLANS["y"], _FIXED_PLANS["z"])
 
-_Op = tuple[np.ndarray, tuple[int, ...], float]
+_Op = tuple[_Plan, _Plan, tuple[int, ...], float]
 
 
 def _gate_error(gate: Gate, operands: tuple[int, ...], backend: Backend) -> float:
@@ -177,58 +265,28 @@ def _gate_error(gate: Gate, operands: tuple[int, ...], backend: Backend) -> floa
 
 
 def _noisy_ops(program: QuantumProgram, backend: Backend, local) -> list[_Op]:
-    """(matrix, local operands, error rate) per unitary gate; ``local`` maps a
-    physical qubit to its index in the simulated register."""
-    return [
-        (gate_matrix(g), tuple(local[q] for q in g.qubits), _gate_error(g, g.qubits, backend))
-        for g in program.gates
-        if g.kind not in (MEASURE, BARRIER)
-    ]
-
-
-def _blocks(tensor: np.ndarray, axes: list[int]) -> list[np.ndarray]:
-    """Views of ``tensor`` with ``axes`` fixed, one per basis index of those
-    axes; axes[0] is the index's most significant bit. The trailing Ellipsis
-    keeps a view even when every axis is fixed."""
-    k = len(axes)
-    views = []
-    for b in range(2**k):
-        idx: list = [slice(None)] * tensor.ndim
-        for i, ax in enumerate(axes):
-            idx[ax] = (b >> (k - 1 - i)) & 1
-        views.append(tensor[(*idx, ...)])
-    return views
-
-
-def _contract(tensor: np.ndarray, matrix: np.ndarray, axes: list[int]) -> None:
-    """In place: apply ``matrix`` to the given axes of ``tensor`` (axes[0] is
-    the matrix index's most significant bit). Zero entries are skipped, so a
-    diagonal gate only scales slices and a CNOT only swaps two of them."""
-    views = _blocks(tensor, axes)
-    scales, mixed = [], []
-    for b, row in enumerate(matrix):
-        src = np.flatnonzero(row)
-        if src.size == 1 and src[0] == b:
-            if row[b] != 1:
-                scales.append(b)
+    """(plan, conjugate plan, local operands, error rate) per unitary gate;
+    ``local`` maps a physical qubit to its index in the simulated register."""
+    ops = []
+    for g in program.gates:
+        if g.kind in (MEASURE, BARRIER):
             continue
-        # the new slice b, computed from the old slices before any is written
-        out = views[src[0]].copy() if row[src[0]] == 1 else views[src[0]] * row[src[0]]
-        for a in src[1:]:
-            out += views[a] * row[a]
-        mixed.append((b, out))
-    for b in scales:
-        views[b] *= matrix[b, b]
-    for b, out in mixed:
-        views[b][...] = out
+        plan = _FIXED_PLANS.get(g.kind)
+        if plan is None:
+            matrix = gate_matrix(g)
+            plan, conj = _plan(matrix), _plan(matrix.conj())
+        else:
+            conj = _FIXED_CONJ_PLANS[g.kind]
+        ops.append((plan, conj, tuple(local[q] for q in g.qubits), _gate_error(g, g.qubits, backend)))
+    return ops
 
 
-def _depolarize(tensor: np.ndarray, rows: list[int], cols: list[int], rate: float) -> None:
+def _depolarize(tensor: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...], rate: float) -> None:
     """In place: one failure event with probability ``rate`` fully
     depolarizes every involved qubit at once (not an independent coin per
     qubit): rho -> (1 - r) rho + r Tr_Q(rho) (x) I / 2^k."""
     k = len(rows)
-    diagonal = _blocks(tensor, rows + cols)[:: 2**k + 1]
+    diagonal = [tensor[i] for i in _block_index(tensor.ndim, rows + cols)[:: 2**k + 1]]
     traced = diagonal[0].copy()
     for block in diagonal[1:]:
         traced += block
@@ -253,11 +311,11 @@ def _exact_distribution(ops: list[_Op], active: list[int], backend: Backend) -> 
     rho = np.zeros((2**m, 2**m), dtype=complex)
     rho[0, 0] = 1.0  # |0..0><0..0|
     tensor = rho.reshape([2] * (2 * m))
-    for matrix, qubits, rate in ops:
-        rows = [m - 1 - q for q in qubits]
-        cols = [2 * m - 1 - q for q in qubits]
-        _contract(tensor, matrix, rows)
-        _contract(tensor, matrix.conj(), cols)
+    for plan, conj, qubits, rate in ops:
+        rows = tuple(m - 1 - q for q in qubits)
+        cols = tuple(2 * m - 1 - q for q in qubits)
+        _contract(tensor, plan, rows)
+        _contract(tensor, conj, cols)
         if rate:
             _depolarize(tensor, rows, cols, rate)
     diag = rho.diagonal().real.copy()
@@ -292,7 +350,7 @@ def _draw_shots(ops: list[_Op], readout: list[tuple[float, int]], shots: int, rn
     (shot, local qubit, pauli) arrays, the outcome uniforms and the readout
     flip mask of each shot (``readout`` pairs a rate with its local bit)."""
     rand, pick = rng.random, rng.randrange
-    noisy = [(i, qubits, rate) for i, (_, qubits, rate) in enumerate(ops) if rate > 0.0]
+    noisy = [(i, qubits, rate) for i, (_, _, qubits, rate) in enumerate(ops) if rate > 0.0]
     events: dict[int, list[tuple[int, int, int]]] = {}
     uniforms, flips = [], []
     for shot in range(shots):
@@ -318,8 +376,8 @@ def _sampled_outcomes(ops: list[_Op], m: int, errors, uniforms: np.ndarray, lo: 
     state = np.zeros((hi - lo, 2**m), dtype=complex)
     state[:, 0] = 1.0
     tensor = state.reshape((hi - lo,) + (2,) * m)  # axis of local qubit q: m - q
-    for i, (matrix, qubits, _) in enumerate(ops):
-        _contract(tensor, matrix, [m - q for q in qubits])
+    for i, (plan, _, qubits, _) in enumerate(ops):
+        _contract(tensor, plan, tuple(m - q for q in qubits))
         if i not in errors:
             continue
         shot, qubit, pauli = errors[i]
@@ -329,7 +387,7 @@ def _sampled_outcomes(ops: list[_Op], m: int, errors, uniforms: np.ndarray, lo: 
                 rows = shot[in_chunk & (qubit == q) & (pauli == p)] - lo
                 if rows.size:
                     hit = tensor[rows]
-                    _contract(hit, _PAULIS[p], [m - q])
+                    _contract(hit, _PAULI_PLANS[p], (m - q,))
                     tensor[rows] = hit
     probs = np.abs(state)
     del state, tensor

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -198,3 +199,41 @@ def reference_depth(gates):
         for q in g.qubits:
             level[q] = d
     return max(level.values(), default=0)
+
+
+def reference_blocks(tensor, axes):
+    """Reference slice views: ``tensor`` with ``axes`` fixed, one view per
+    basis index of those axes (axes[0] is the index's most significant bit),
+    index tuples rebuilt on every call."""
+    k = len(axes)
+    views = []
+    for b in range(2**k):
+        idx = [slice(None)] * tensor.ndim
+        for i, ax in enumerate(axes):
+            idx[ax] = (b >> (k - 1 - i)) & 1
+        views.append(tensor[(*idx, ...)])
+    return views
+
+
+def reference_contract(tensor, matrix, axes):
+    """Reference kernel: in place, apply ``matrix`` to the given axes of
+    ``tensor``, rescanning the matrix rows for nonzero entries on every call.
+    The simulator plans each matrix once and must give bit-identical results:
+    the same coefficients in the same order, every mixed slice computed from
+    the old slices before any slice is written."""
+    views = reference_blocks(tensor, axes)
+    scales, mixed = [], []
+    for b, row in enumerate(matrix):
+        src = np.flatnonzero(row)
+        if src.size == 1 and src[0] == b:
+            if row[b] != 1:
+                scales.append(b)
+            continue
+        out = views[src[0]].copy() if row[src[0]] == 1 else views[src[0]] * row[src[0]]
+        for a in src[1:]:
+            out += views[a] * row[a]
+        mixed.append((b, out))
+    for b in scales:
+        views[b] *= matrix[b, b]
+    for b, out in mixed:
+        views[b][...] = out

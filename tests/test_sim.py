@@ -1,15 +1,16 @@
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_backend, random_program
+from conftest import make_backend, random_program, reference_blocks, reference_contract
 from qmultiprog import sim
 from qmultiprog import fixtures
-from qmultiprog.circuit import Gate, QuantumProgram, parse_program
+from qmultiprog.circuit import ONE_QUBIT_GATES, PARAM_COUNTS, Gate, QuantumProgram, parse_program
 from qmultiprog.sim import (
     QubitCapExceeded,
     apply_gate,
@@ -63,6 +64,25 @@ def test_hadamard_involution():
 def test_measure_has_no_unitary():
     with pytest.raises(ValueError):
         apply_gate(state(1), Gate("measure", (0,), (), 0))
+
+
+@pytest.mark.parametrize(
+    "kind, operands",
+    [
+        ("cx", (0, 0)),  # a repeated operand
+        ("cx", (1, -1)),  # a negative one
+        ("x", (-1,)),
+        ("cx", (0,)),  # too few
+        ("x", (0, 1)),  # too many
+        ("h", (2,)),  # past the register
+    ],
+)
+def test_apply_gate_rejects_bad_operands(kind, operands):
+    gate = Gate(kind, (0, 1) if kind == "cx" else (0,), (), 0)
+    psi = state(2)
+    with pytest.raises(ValueError, match=re.escape(str(operands))):
+        apply_gate(psi, gate, operands)
+    assert psi[0] == 1.0  # the input is left untouched
 
 
 def test_norm_preserved_over_many_random_gates():
@@ -543,3 +563,167 @@ def test_noisy_output_distribution_caps_the_full_register():
     backend = make_backend(13, [(q, q + 1) for q in range(12)])
     with pytest.raises(QubitCapExceeded):
         noisy_output_distribution(program, backend)
+
+
+# --- the planned kernel against the row-scanning reference --------------------
+
+_KINDS = sorted(ONE_QUBIT_GATES) + ["cx"]
+# exact zeros and multiples of pi give the diagonal and sparse cases
+_ANGLES = st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, 2 * math.pi]) | st.floats(-10, 10)
+
+
+@st.composite
+def _unitary_programs(draw, min_qubits, max_qubits, max_gates):
+    """A random program over every unitary kind, with random angles."""
+    n = draw(st.integers(min_qubits, max_qubits))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(_KINDS if n > 1 else _KINDS[:-1]), max_size=max_gates)):
+        if kind == "cx":
+            qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        else:
+            qubits = (draw(st.integers(0, n - 1)),)
+        params = tuple(draw(_ANGLES) for _ in range(PARAM_COUNTS.get(kind, 0)))
+        gates.append(Gate(kind, qubits, params, len(gates)))
+    return QuantumProgram("random", n, tuple(gates))
+
+
+def _reference_statevector(program):
+    n = program.n_qubits
+    psi = state(n)
+    for g in program.gates:
+        reference_contract(psi.reshape([2] * n), gate_matrix(g), [n - 1 - q for q in g.qubits])
+    return psi
+
+
+@settings(max_examples=60)
+@given(program=_unitary_programs(1, 10, 40))
+def test_statevector_is_bit_identical_to_reference_kernel(program):
+    assert np.array_equal(simulate_statevector(program), _reference_statevector(program))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_planned_contract_is_bit_identical_on_any_matrix(data):
+    # A unitary row that only scales its slice has no other nonzero entry in
+    # its column, so gate matrices cannot show the order of the writes;
+    # sparse random matrices with ones and zeros can.
+    k = data.draw(st.integers(1, 2))
+    shape = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=5))
+    axes = tuple(data.draw(st.permutations(range(len(shape))))[:k])
+    for ax in axes:
+        shape[ax] = 2
+    entry = st.sampled_from([0.0, 1.0, -1j]) | st.complex_numbers(max_magnitude=3, allow_nan=False)
+    matrix = np.array(data.draw(st.lists(entry, min_size=4**k, max_size=4**k)), dtype=complex).reshape(2**k, 2**k)
+    assume(matrix.any(axis=1).all())  # a zero row is no linear map either kernel takes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = tensor.copy()
+    reference_contract(want, matrix, list(axes))
+    sim._contract(tensor, sim._plan(matrix), axes)
+    assert np.array_equal(tensor, want)
+
+
+def _reference_depolarize(tensor, rows, cols, rate):
+    k = len(rows)
+    diagonal = reference_blocks(tensor, rows + cols)[:: 2**k + 1]
+    traced = diagonal[0].copy()
+    for block in diagonal[1:]:
+        traced += block
+    traced *= rate / 2**k
+    tensor *= 1.0 - rate
+    for block in diagonal:
+        block += traced
+
+
+def _reference_exact(program, backend):
+    m = program.n_qubits
+    rho = np.zeros((2**m, 2**m), dtype=complex)
+    rho[0, 0] = 1.0
+    tensor = rho.reshape([2] * (2 * m))
+    for g in program.gates:
+        matrix, rate = gate_matrix(g), sim._gate_error(g, g.qubits, backend)
+        rows = [m - 1 - q for q in g.qubits]
+        cols = [2 * m - 1 - q for q in g.qubits]
+        reference_contract(tensor, matrix, rows)
+        reference_contract(tensor, matrix.conj(), cols)
+        if rate:
+            _reference_depolarize(tensor, rows, cols, rate)
+    diag = rho.diagonal().real.copy()
+    for q in range(m):
+        diag = sim._readout_flip(diag, q, backend.calib.readout_error[q], m)
+    return diag
+
+
+def _reference_sampled(program, errors, uniforms, lo, hi):
+    m = program.n_qubits
+    psi = np.zeros((hi - lo, 2**m), dtype=complex)
+    psi[:, 0] = 1.0
+    tensor = psi.reshape((hi - lo,) + (2,) * m)
+    paulis = (None, gate_matrix(Gate("x", (0,))), gate_matrix(Gate("y", (0,))), gate_matrix(Gate("z", (0,))))
+    for i, g in enumerate(program.gates):
+        reference_contract(tensor, gate_matrix(g), [m - q for q in g.qubits])
+        if i not in errors:
+            continue
+        shot, qubit, pauli = errors[i]
+        in_chunk = (shot >= lo) & (shot < hi)
+        for q in g.qubits:
+            for p in (1, 2, 3):
+                rows = shot[in_chunk & (qubit == q) & (pauli == p)] - lo
+                if rows.size:
+                    hit = tensor[rows]
+                    reference_contract(hit, paulis[p], [m - q])
+                    tensor[rows] = hit
+    probs = np.abs(psi) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    cumulative = np.cumsum(probs, axis=1)
+    drawn = np.count_nonzero(cumulative <= uniforms[lo:hi, None], axis=1)
+    return np.minimum(drawn, 2**m - 1)
+
+
+@settings(max_examples=40)
+@given(program=_unitary_programs(1, 4, 14), seed=st.integers(0, 2**32 - 1))
+def test_noisy_kernels_are_bit_identical_to_reference_kernel(program, seed):
+    n = program.n_qubits
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    backend = make_backend(
+        n,
+        pairs,
+        cnot={e: rng.uniform(0, 0.4) for e in pairs},
+        readout={q: rng.uniform(0, 0.2) for q in range(n)},
+        oneq={q: rng.choice([0.0, rng.uniform(0, 0.4)]) for q in range(n)},
+    )
+    ops = sim._noisy_ops(program, backend, range(n))
+    assert np.array_equal(sim._exact_distribution(ops, list(range(n)), backend), _reference_exact(program, backend))
+    shots = 64
+    readout = [(backend.calib.readout_error[q], 1 << q) for q in range(n)]
+    errors, uniforms, _ = sim._draw_shots(ops, readout, shots, random.Random(seed))
+    for lo, hi in ((0, shots), (5, 29)):
+        got = sim._sampled_outcomes(ops, n, errors, uniforms, lo, hi)
+        assert np.array_equal(got, _reference_sampled(program, errors, uniforms, lo, hi))
+
+
+def test_plan_and_index_tables_do_not_grow_with_angles():
+    n = 3
+    backend = make_backend(n, [(0, 1), (1, 2), (0, 2)], cnot=0.1, oneq=0.05)
+    rng = random.Random(3)
+
+    def run(gates):
+        program = QuantumProgram("angles", n, tuple(Gate(g.kind, g.qubits, g.params, i) for i, g in enumerate(gates)))
+        simulate_statevector(program)
+        ideal = np.zeros(2**n)
+        ideal[0] = 1.0
+        layout = {q: q for q in range(n)}
+        for mode in ("exact", "sampled"):
+            noisy_success_probability(program, [layout], backend, [ideal], mode=mode, shots=16)
+
+    # every operand and axis tuple of the register once
+    warm = [Gate("u3", (q,), (0.1, 0.2, 0.3)) for q in range(n)]
+    warm += [Gate("cx", (a, b)) for a in range(n) for b in range(n) if a != b]
+    warm += [Gate(p, (q,)) for p in ("x", "y", "z") for q in range(n)]
+    run(warm)
+    tables = {name: value for name, value in vars(sim).items() if isinstance(value, (dict, tuple))}
+    sizes = {name: len(value) for name, value in tables.items()}
+    run([Gate("u3", (i % n,), tuple(rng.uniform(-7, 7) for _ in range(3))) for i in range(1000)])
+    assert {name: len(value) for name, value in tables.items()} == sizes
+    assert sizes["_BLOCK_INDEX"] > 0
