@@ -12,7 +12,8 @@ print(f"{program.name}: {program.n_qubits} qubits, {program.n_cnot} CNOTs, "
       f"{program.gate_count} gates, CNOT density {program.cnot_density:.2f}")
 
 dag = build_dag(program)
-print(f"dependency edges: {len(dag.edges)} (at most two per gate)")
+edges = sum(len(preds) for preds in dag.predecessors.values())
+print(f"dependency edges: {edges} (at most two per gate)")
 
 executed = set()
 layer = 0

@@ -76,7 +76,6 @@ from .sim import (
     apply_gate,
     gate_matrix,
     modal_outcome,
-    noisy_output_distribution,
     noisy_success_probability,
     output_distribution,
     simulate_statevector,

@@ -120,17 +120,12 @@ class QuantumProgram:
 
 @dataclass(frozen=True)
 class Dag:
-    """Data-dependency DAG: edge u -> v iff u is v's nearest predecessor on a
-    shared qubit. Barriers are isolated nodes (they impose no dependencies)."""
+    """Data-dependency DAG: u in ``predecessors[v]`` and v in ``successors[u]``
+    iff u is v's nearest predecessor on a shared qubit; barriers are isolated."""
 
     program: QuantumProgram
-    edges: frozenset[tuple[int, int]]
     predecessors: dict[int, frozenset[int]]
     successors: dict[int, frozenset[int]]
-
-    @property
-    def nodes(self) -> range:
-        return range(len(self.program.gates))
 
 
 def build_dag(program: QuantumProgram) -> Dag:
@@ -138,7 +133,6 @@ def build_dag(program: QuantumProgram) -> Dag:
     last_on_qubit: dict[int, int] = {}
     preds: dict[int, set[int]] = {g.id: set() for g in program.gates}
     succs: dict[int, set[int]] = {g.id: set() for g in program.gates}
-    edges: set[tuple[int, int]] = set()
     for g in program.gates:
         if g.kind == BARRIER:
             continue
@@ -146,13 +140,11 @@ def build_dag(program: QuantumProgram) -> Dag:
             if q in last_on_qubit:
                 u = last_on_qubit[q]
                 if u != g.id:
-                    edges.add((u, g.id))
                     preds[g.id].add(u)
                     succs[u].add(g.id)
             last_on_qubit[q] = g.id
     return Dag(
         program=program,
-        edges=frozenset(edges),
         predecessors={k: frozenset(v) for k, v in preds.items()},
         successors={k: frozenset(v) for k, v in succs.items()},
     )
@@ -326,6 +318,8 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
                 if qreg_name is not None:
                     raise QasmError("exactly one qreg is supported", lineno)
                 qreg_name, n_qubits = m.group(1), int(m.group(2))
+                if not n_qubits:
+                    raise QasmError(f"qreg {qreg_name} has no qubits", lineno)
                 continue
             if _CREG_RE.match(stmt):
                 continue

@@ -131,15 +131,23 @@ def compile_workload(
     return {"report": report, "compiled": [c.combined for c in compiled], "schedules": schedules}
 
 
-def _load_backend_arg(args) -> Backend:
+def _backend_file(args) -> Backend:
+    """The --backend file; a missing option is a usage error."""
     if not args.backend:
         print("error: --backend is required", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    backend = load_backend_file(args.backend)
-    seed = args.seed
-    if seed is not None:
-        backend = random_backend(backend.graph, backend.calib, seed, name=f"{backend.name}#seed{seed}")
-    return backend
+    return load_backend_file(args.backend)
+
+
+def _redraw(backend: Backend, seed: int | None) -> Backend:
+    """The backend with its calibration redrawn from ``seed``; itself for None."""
+    if seed is None:
+        return backend
+    return random_backend(backend.graph, backend.calib, seed, name=f"{backend.name}#seed{seed}")
+
+
+def _load_backend_arg(args) -> Backend:
+    return _redraw(_backend_file(args), args.seed)
 
 
 def _emit(doc: dict, args, text_renderer=None):
@@ -254,10 +262,7 @@ def _bench_text(doc: dict) -> str:
 
 
 def cmd_bench(args) -> int:
-    if not args.backend:
-        print("error: --backend is required", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    base = load_backend_file(args.backend)
+    base = _backend_file(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     for p in policies:
         if p not in POLICIES:
@@ -271,11 +276,7 @@ def cmd_bench(args) -> int:
         programs = [parse_program_file(f) for f in files]
         label = "+".join(p.name for p in programs)
         for seed in seeds:
-            backend = (
-                random_backend(base.graph, base.calib, seed, name=f"{base.name}#seed{seed}")
-                if seed is not None
-                else base
-            )
+            backend = _redraw(base, seed)
             for policy in policies:
                 cell = {"workload": label, "policy": policy, "seed": seed}
                 try:
@@ -341,6 +342,9 @@ def cmd_schedule(args) -> int:
     backend = _load_backend_arg(args)
     rows = _read_manifest(args.manifest)
     files = [f for row in rows for f in row]
+    if not files:
+        print(f"error: manifest {args.manifest} lists no programs", file=sys.stderr)
+        return EXIT_USAGE
     queue = [Job(id=i, program=parse_program_file(f)) for i, f in enumerate(files)]
     tree = build_hierarchy_tree(backend, args.omega)
     batches = schedule_tasks(

@@ -24,6 +24,8 @@ gates execute; CNOTs found non-adjacent stay blocked until a SWAP moves one
 of their operands, so the compliant pass re-tests only those. The blocked
 sets are then the front layer, whose terms (hop row, hop count, shortcut
 bonus per CNOT) are looked up once per step and shared by every candidate.
+SWAPs are counted only in ``decompose``, which charges each to its
+lowest-indexed owner.
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ from .hardware import Backend, bfs_hops
 from . import sim
 
 FREE = -1
+TOLERANCE = 1e-9  # total variation up to which verify_equivalence accepts
 
 
 class RoutingError(RuntimeError):
@@ -117,14 +120,12 @@ class GlobalMapping:
 @dataclass(frozen=True)
 class SwapOp:
     """A SWAP on a coupling edge, classified by who owned its endpoints when
-    it was inserted. ``attributed`` names the single program charged for it
-    in per-program accounting (the lowest-indexed owner)."""
+    it was inserted; ``owners`` lists those programs in ascending order."""
 
     phys_a: int
     phys_b: int
     swap_class: str  # "intra" | "inter" | "free"
     owners: tuple[int, ...]
-    attributed: int
 
     def key(self) -> tuple[int, int]:
         return (self.phys_a, self.phys_b)
@@ -155,12 +156,6 @@ class Schedule:
     @property
     def swap_count(self) -> int:
         return len(self.swaps())
-
-    def swaps_by_class(self) -> dict[str, int]:
-        counts = {"intra": 0, "inter": 0, "free": 0}
-        for s in self.swaps():
-            counts[s.swap_class] += 1
-        return counts
 
     def to_doc(self) -> dict:
         events = []
@@ -226,7 +221,7 @@ def _classify(mapping: GlobalMapping, a: int, b: int) -> SwapOp:
         cls = "intra"
     else:
         cls = "inter"
-    return SwapOp(min(a, b), max(a, b), cls, owners, owners[0])
+    return SwapOp(min(a, b), max(a, b), cls, owners)
 
 
 def swap_score(edge: tuple[int, int], terms, hops: dict[int, dict[int, int]]) -> float:
@@ -293,14 +288,14 @@ class _ProgramState:
         sigma, gates = mapping.sigmas[self.index], self.program.gates
         self.blocked = {gid for gid in self.blocked if not {sigma[q] for q in gates[gid].qubits} & {a, b}}
 
-    def front_terms(self, mapping: GlobalMapping, hops, own=None, gain_cap: int = 0, allowed=None) -> list[tuple]:
+    def front_terms(self, mapping: GlobalMapping, hops, own=None, allowed=None) -> list[tuple]:
         """``swap_score``'s terms for the front layer (``blocked`` after a
         compliant pass), one ``(pa, pb, hops[pa], d, bonus)`` per CNOT in gate
         order. The bonus is the SWAPs the gate saves by crossing program
         boundaries, per front gate: its hop count in ``own[index]`` (its region
-        plus the free qubits) minus ``d``, or ``gain_cap`` when that region
-        cannot connect it. It is None without ``own`` and when the gate saves
-        nothing, as subtracting 0.0 changes no score. Raises
+        plus the free qubits) minus ``d``, or the chip's qubit count when that
+        region cannot connect it. It is None without ``own`` and when the gate
+        saves nothing, as subtracting 0.0 changes no score. Raises
         UnroutableProgramError when ``hops`` cannot connect the operands."""
         front = sorted(self.blocked)
         per_layer = 1.0 / len(front) if front else 0.0
@@ -317,7 +312,7 @@ class _ProgramState:
             saved = 0
             if own is not None:
                 restricted = own[self.index][pa].get(pb)
-                saved = gain_cap if restricted is None else restricted - d
+                saved = mapping.n_phys if restricted is None else restricted - d
             terms.append((pa, pb, row, d, per_layer * saved if saved else None))
         return terms
 
@@ -363,7 +358,6 @@ def _route(
     stall_limit: int | None,
     allowed: frozenset[int] | None = None,
     own_hops=None,
-    gain_cap: int = 0,
 ) -> list:
     """The loop both routers share. Routes ``programs``, a list of (index in
     ``mapping``, program) pairs, and returns their events.
@@ -394,7 +388,7 @@ def _route(
             own = own_hops()
         terms, to_resolve = [], []
         for st in states:
-            terms += st.front_terms(mapping, hops, own, gain_cap, allowed)
+            terms += st.front_terms(mapping, hops, own, allowed)
             for gid in sorted(critical_gates(st.dag, st.blocked) or st.blocked):
                 to_resolve.append((st.index, st.program.gates[gid]))
         if stalled >= stall_limit:
@@ -453,7 +447,6 @@ def xswap_route(
         {q: bfs_hops(graph, q) for q in range(graph.n_qubits)},
         stall_limit,
         own_hops=own_hops,
-        gain_cap=graph.n_qubits,
     )
     return Schedule(tuple(programs), tuple(events), initial.clone(), mapping, backend)
 
@@ -509,7 +502,7 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
     sigmas = replayed.sigmas
     combined: list[Gate] = []
     swap_classes = {"intra": 0, "inter": 0, "free": 0}
-    attributed = [0] * len(schedule.programs)
+    charged = [0] * len(schedule.programs)  # SWAPs per lowest-indexed owner
     level: dict[int, int] = {}  # depth of each physical qubit so far
     for event in schedule.events:
         if isinstance(event, SwapOp):
@@ -520,7 +513,7 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
             combined += (Gate(CNOT, (a, b), (), n), Gate(CNOT, (b, a), (), n + 1), Gate(CNOT, (a, b), (), n + 2))
             level[a] = level[b] = max(level.get(a, 0), level.get(b, 0)) + 3
             swap_classes[event.swap_class] += 1
-            attributed[event.attributed] += 1
+            charged[event.owners[0]] += 1
             replayed.apply_swap(a, b)
             continue
         kind, phys = event.kind, event.phys
@@ -542,7 +535,7 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
     per_stats = [
         {"name": p.name, "swaps": k, "added_cnots": 3 * k,
          "original_gates": p.gate_count, "post_gates": p.gate_count + 3 * k}
-        for p, k in zip(schedule.programs, attributed)
+        for p, k in zip(schedule.programs, charged)
     ]
     n_swaps = sum(swap_classes.values())
     stats = {
@@ -558,23 +551,15 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
 
 
 def verify_equivalence(
-    programs,
-    compiled: QuantumProgram,
-    final_layouts,
-    limit: int = sim.DEFAULT_QUBIT_CAP,
-    tolerance: float = 1e-9,
+    programs, compiled: QuantumProgram, final_layouts, limit: int = sim.DEFAULT_QUBIT_CAP
 ) -> tuple[bool, float]:
     """Check the compiled physical circuit against exact simulation.
 
     Simulates the compiled circuit from |0..0>, marginalizes it onto every
     program's final layout, and compares with the tensor product of the
-    programs' standalone output distributions. Returns (equivalent, total
-    variation distance). Raises QubitCapExceeded above ``limit``.
+    programs' standalone output distributions. Returns (total variation <=
+    ``TOLERANCE``, total variation). Raises QubitCapExceeded above ``limit``.
     """
-    if compiled.n_qubits > limit:
-        raise sim.QubitCapExceeded(
-            f"{compiled.n_qubits} physical qubits exceed the verification cap {limit}"
-        )
     phys_probs = sim.distribution_vector(compiled, cap=limit)
     keep: list[int] = []
     ideal = np.array([1.0])
@@ -583,7 +568,7 @@ def verify_equivalence(
         ideal = np.kron(sim.distribution_vector(program, cap=limit), ideal)
     marginal = sim.marginal_distribution(phys_probs, compiled.n_qubits, keep)
     tv = sim.total_variation(marginal, ideal)
-    return tv <= tolerance, tv
+    return tv <= TOLERANCE, tv
 
 
 def verify_schedule(schedule: Schedule, limit: int = sim.DEFAULT_QUBIT_CAP) -> tuple[bool, float]:

@@ -27,7 +27,10 @@ unitary gate touches or a layout names), in one of two modes:
   ``randrange(4)`` per operand; the outcome draw; one readout draw per
   qubit), so the estimate depends only on the seed. All shots then evolve
   as one (shots x 2^m) array, in chunks that keep the working set under
-  ``TRAJECTORY_BYTES``.
+  ``TRAJECTORY_BYTES``; their outcomes are counted over the register.
+
+Both read a program's success as the register distribution's marginal on
+its layout at its ideal mode, divided by ``shots`` for the (exact) counts.
 """
 from __future__ import annotations
 
@@ -324,16 +327,6 @@ def _exact_distribution(ops: list[_Op], active: list[int], backend: Backend) -> 
     return diag
 
 
-def noisy_output_distribution(program: QuantumProgram, backend: Backend, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    """Exact outcome distribution under the stochastic failure model: every
-    gate independently depolarizes its operands with its calibration error
-    rate, and readout flips each bit with the qubit's readout error."""
-    n = program.n_qubits
-    if n > min(cap, HARD_QUBIT_CAP):
-        raise QubitCapExceeded(f"{n} qubits exceed the simulation cap")
-    return _exact_distribution(_noisy_ops(program, backend, range(n)), list(range(n)), backend)
-
-
 def modal_outcome(dist: np.ndarray, tol: float = 1e-12) -> int | None:
     """Index of the unique most likely outcome, or None when the mode is
     ambiguous (several outcomes tie within ``tol``)."""
@@ -439,23 +432,17 @@ def noisy_success_probability(
     ops = _noisy_ops(compiled, backend, local)
     keeps = [[local[layout[q]] for q in sorted(layout)] for layout in layouts]
     if mode == "exact":
-        dist = _exact_distribution(ops, active, backend)
-        return [
-            None if modal is None else float(marginal_distribution(dist, m, keep)[modal])
-            for keep, modal in zip(keeps, modes)
-        ]
-    readout = [(backend.calib.readout_error[q], 1 << local[q] if q in local else 0) for q in range(n)]
-    errors, uniforms, flips = _draw_shots(ops, readout, shots, random.Random(seed))
-    chunk = max(1, TRAJECTORY_BYTES // (_WORKING_BYTES * 2**m))
-    hits = [0] * len(keeps)
-    for lo in range(0, shots, chunk):
-        hi = min(lo + chunk, shots)
-        outcome = _sampled_outcomes(ops, m, errors, uniforms, lo, hi) ^ flips[lo:hi]
-        for i, (keep, modal) in enumerate(zip(keeps, modes)):
-            if modal is None:
-                continue
-            bits = np.zeros_like(outcome)
-            for j, q in enumerate(keep):
-                bits |= ((outcome >> q) & 1) << j
-            hits[i] += int(np.count_nonzero(bits == modal))
-    return [None if modal is None else h / shots for h, modal in zip(hits, modes)]
+        dist, total = _exact_distribution(ops, active, backend), 1
+    else:
+        readout = [(backend.calib.readout_error[q], 1 << local[q] if q in local else 0) for q in range(n)]
+        errors, uniforms, flips = _draw_shots(ops, readout, shots, random.Random(seed))
+        chunk = max(1, TRAJECTORY_BYTES // (_WORKING_BYTES * 2**m))
+        dist, total = np.zeros(2**m, dtype=np.int64), shots
+        for lo in range(0, shots, chunk):
+            hi = min(lo + chunk, shots)
+            outcome = _sampled_outcomes(ops, m, errors, uniforms, lo, hi) ^ flips[lo:hi]
+            dist += np.bincount(outcome, minlength=2**m)
+    return [
+        None if modal is None else float(marginal_distribution(dist, m, keep)[modal]) / total
+        for keep, modal in zip(keeps, modes)
+    ]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qmultiprog import fixtures
+from qmultiprog import fixtures, sim
 from qmultiprog.circuit import Gate, QuantumProgram
 from qmultiprog.hardware import Backend, Calibration, CouplingGraph
 
@@ -90,6 +90,27 @@ def ready_gates(dag, executed):
     executed, in id order, rescanning every gate; the routers keep the same
     set incrementally as gates execute."""
     return [g.id for g in dag.program.gates if g.id not in executed and dag.predecessors[g.id] <= executed]
+
+
+def dag_edges(dag):
+    """The DAG's dependency edges (u, v), read off its predecessor sets."""
+    return {(u, v) for v, preds in dag.predecessors.items() for u in preds}
+
+
+def noisy_output_distribution(program, backend):
+    """Exact outcome distribution of the whole register under the failure
+    model, from the package's density kernel with every qubit simulated."""
+    n = program.n_qubits
+    return sim._exact_distribution(sim._noisy_ops(program, backend, range(n)), list(range(n)), backend)
+
+
+def reference_hits(outcomes, keep, modal):
+    """Reference readout of sampled shots: how many register outcomes spell
+    ``modal`` on ``keep`` (bit j from qubit keep[j]), extracted bit by bit."""
+    bits = np.zeros_like(outcomes)
+    for j, q in enumerate(keep):
+        bits |= ((outcomes >> q) & 1) << j
+    return int(np.count_nonzero(bits == modal))
 
 
 def backend_to_doc(backend):

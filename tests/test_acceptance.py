@@ -39,9 +39,9 @@ def test_criterion_01_two_program_swap_counts():
     split = baseline_route(programs, mapping, backend)
     ok = (
         joint.swap_count == 1
-        and joint.swaps_by_class()["inter"] == 1
+        and decompose(joint).stats["swap_classes"]["inter"] == 1
         and split.swap_count == 2
-        and split.swaps_by_class()["intra"] == 2
+        and decompose(split).stats["swap_classes"]["intra"] == 2
         and decompose(joint).stats["added_cnots"] == 3
         and decompose(split).stats["added_cnots"] == 6
         and time.perf_counter() - started < 1.0

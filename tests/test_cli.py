@@ -166,7 +166,9 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "source", [b"qreg q[2]; bogus q[0];", b"qreg q[2];\nh q[0];\n\xff\xfe\n"], ids=["bad-gate", "not-utf8"]
+    "source",
+    [b"qreg q[2]; bogus q[0];", b"qreg q[2];\nh q[0];\n\xff\xfe\n", b"qreg q[0];\n"],
+    ids=["bad-gate", "not-utf8", "zero-qreg"],
 )
 def test_exit_code_parse_error(source, tmp_path):
     bad = tmp_path / "bad.qasm"
@@ -318,6 +320,18 @@ def test_schedule_subcommand(tmp_path, capsys):
     assert len(doc["batches"]) == 2
     saved = json.loads((tmp_path / "schedule.json").read_text())
     assert saved == doc
+
+
+def test_schedule_refuses_an_empty_queue_naming_the_manifest(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("built the dendrogram for an empty queue")
+
+    monkeypatch.setattr(cli, "build_hierarchy_tree", fail)
+    manifest = tmp_path / "queue.txt"
+    manifest.write_text("# nothing queued yet\n\n")
+    assert run(["schedule", str(manifest), "--backend", backend_file("london")]) == 2
+    err = capsys.readouterr().err
+    assert f"manifest {manifest} lists no programs" in err
 
 
 def test_tree_subcommand_dump_and_dot(tmp_path, capsys):

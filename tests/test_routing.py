@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    dag_edges,
     make_backend,
     random_graph,
     random_program,
@@ -97,7 +98,7 @@ def test_score_prefers_shortcut_swap():
     fronts = [[blocked], []]
     state = _ProgramState(0, programs[0])
     state.blocked = {blocked.id}
-    terms = state.front_terms(mapping, full, own, gain_cap=backend.n_qubits)
+    terms = state.front_terms(mapping, full, own)
     candidates = obtain_swaps([(0, blocked)], backend.graph, mapping)
     scores = {e: swap_score(e, terms, full) for e in candidates}
     assert scores == {
@@ -118,9 +119,9 @@ def test_boundary_swap_instance_regression():
     joint = xswap_route(programs, mapping, backend)
     split = baseline_route(programs, mapping, backend)
     assert joint.swap_count == 1
-    assert joint.swaps_by_class() == {"intra": 0, "inter": 1, "free": 0}
+    assert decompose(joint).stats["swap_classes"] == {"intra": 0, "inter": 1, "free": 0}
     assert split.swap_count == 2
-    assert split.swaps_by_class() == {"intra": 2, "inter": 0, "free": 0}
+    assert decompose(split).stats["swap_classes"] == {"intra": 2, "inter": 0, "free": 0}
     assert decompose(joint).stats["added_cnots"] == 3
     assert decompose(split).stats["added_cnots"] == 6
 
@@ -173,7 +174,7 @@ def test_per_program_event_order_is_topological(router):
                      if hasattr(e, "gate_id") and e.program == i]
             position = {gid: k for k, gid in enumerate(order)}
             dag = build_dag(program)
-            for u, v in dag.edges:
+            for u, v in dag_edges(dag):
                 assert position[u] < position[v]
 
 
@@ -372,7 +373,7 @@ def _walk_and_score(programs, mapping, graph, bonus, steps, pick):
         terms, fronts = [], []
         for s in states:
             fronts.append([s.program.gates[gid] for gid in sorted(front_layer(s.dag, s.executed))])
-            terms += s.front_terms(mapping, hops, own, graph.n_qubits)
+            terms += s.front_terms(mapping, hops, own)
         for e in edges:
             assert swap_score(e, terms, hops) == reference_swap_score(e, fronts, mapping, hops, own, graph.n_qubits)
         a, b = pick(edges)
@@ -604,6 +605,21 @@ def test_golden_schedules_keep_blocked_set_and_depth(name):
     programs, mapping, backend = _golden_instance(name)
     for stall in (None, 0):
         _check_routed(programs, mapping, backend, stall)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
+def test_golden_swap_counts_match_a_recount_of_the_schedule(name):
+    # decompose is the one place SWAPs are counted; recount them from the events.
+    programs, mapping, backend = _golden_instance(name)
+    for router in (xswap_route, baseline_route):
+        for stall in (None, 0):
+            schedule = router(programs, mapping, backend, stall_limit=stall)
+            stats = decompose(schedule).stats
+            swaps = schedule.swaps()
+            charged = [sum(s.owners[0] == i for s in swaps) for i in range(len(programs))]
+            assert [p["swaps"] for p in stats["per_program"]] == charged
+            recount = {c: sum(s.swap_class == c for s in swaps) for c in ("intra", "inter", "free")}
+            assert stats["swap_classes"] == recount
 
 
 def test_golden_unroutable_message():

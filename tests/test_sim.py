@@ -2,12 +2,20 @@ import math
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_backend, random_program, reference_blocks, reference_contract
+from conftest import (
+    make_backend,
+    noisy_output_distribution,
+    random_program,
+    reference_blocks,
+    reference_contract,
+    reference_hits,
+)
 from qmultiprog import sim
 from qmultiprog import fixtures
 from qmultiprog.circuit import ONE_QUBIT_GATES, PARAM_COUNTS, Gate, QuantumProgram, parse_program
@@ -18,7 +26,6 @@ from qmultiprog.sim import (
     gate_matrix,
     marginal_distribution,
     modal_outcome,
-    noisy_output_distribution,
     noisy_success_probability,
     output_distribution,
     simulate_statevector,
@@ -467,6 +474,39 @@ def test_batched_sampler_chunks_match_per_shot_loop(monkeypatch):
     assert got == [h / shots for h in hits]
 
 
+@given(data=st.data())
+def test_counted_readout_equals_per_bit_hits(data):
+    # The sampled estimate counts outcomes over the register and reads each
+    # program's hits from their marginal; this must give the very float the
+    # per-bit extraction of every shot does.
+    m = data.draw(st.integers(1, 8))
+    outcomes = np.array(data.draw(st.lists(st.integers(0, 2**m - 1), min_size=1, max_size=300)))
+    shots = len(outcomes)
+    keep_lists = st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)
+    keeps = data.draw(st.lists(keep_lists, min_size=1, max_size=3))
+    modals = [data.draw(st.integers(0, 2 ** len(keep) - 1)) for keep in keeps]
+    ideals = [np.eye(2 ** len(keep))[modal] for keep, modal in zip(keeps, modals)]
+    layouts = [dict(enumerate(keep)) for keep in keeps]
+    # A gate on every qubit makes the active register the whole chip.
+    compiled = QuantumProgram("all", m, tuple(Gate("h", (q,), (), q) for q in range(m)))
+    backend = make_backend(m, [(q, q + 1) for q in range(m - 1)])
+    chunk = data.draw(st.integers(1, shots))
+
+    def no_errors(ops, readout, n_shots, rng):
+        return {}, np.zeros(n_shots), np.zeros(n_shots, dtype=np.int64)
+
+    def drawn(ops, m, errors, uniforms, lo, hi):
+        return outcomes[lo:hi]
+
+    with (
+        mock.patch.object(sim, "_draw_shots", no_errors),
+        mock.patch.object(sim, "_sampled_outcomes", drawn),
+        mock.patch.object(sim, "TRAJECTORY_BYTES", chunk * sim._WORKING_BYTES * 2**m),
+    ):
+        got = noisy_success_probability(compiled, layouts, backend, ideals, mode="sampled", shots=shots)
+    assert got == [reference_hits(outcomes, keep, modal) / shots for keep, modal in zip(keeps, modals)]
+
+
 def test_sampled_working_set_stays_under_budget():
     # a few gates; the layout names all 12 qubits, so all 12 are simulated
     n = 12
@@ -556,13 +596,6 @@ def test_active_register_over_the_cap_raises_before_simulating(mode, monkeypatch
     compiled, layouts, tokyo20, ideals = _tokyo_pair_compile()
     with pytest.raises(QubitCapExceeded, match="6 active qubits"):
         noisy_success_probability(compiled, layouts, tokyo20, ideals, mode=mode, cap=5)
-
-
-def test_noisy_output_distribution_caps_the_full_register():
-    program = parse_program("qreg q[13]; h q[0];")
-    backend = make_backend(13, [(q, q + 1) for q in range(12)])
-    with pytest.raises(QubitCapExceeded):
-        noisy_output_distribution(program, backend)
 
 
 # --- the planned kernel against the row-scanning reference --------------------
