@@ -131,21 +131,21 @@ class Dag:
 def build_dag(program: QuantumProgram) -> Dag:
     """Build the nearest-predecessor-per-shared-qubit dependency DAG."""
     last_on_qubit: dict[int, int] = {}
-    preds: dict[int, set[int]] = {g.id: set() for g in program.gates}
+    preds: dict[int, frozenset[int]] = {}
     succs: dict[int, set[int]] = {g.id: set() for g in program.gates}
     for g in program.gates:
-        if g.kind == BARRIER:
-            continue
-        for q in g.qubits:
-            if q in last_on_qubit:
-                u = last_on_qubit[q]
-                if u != g.id:
-                    preds[g.id].add(u)
+        mine: set[int] = set()
+        if g.kind != BARRIER:  # barriers stay isolated; only they can name a qubit twice
+            for q in g.qubits:
+                if q in last_on_qubit:
+                    u = last_on_qubit[q]
+                    mine.add(u)
                     succs[u].add(g.id)
-            last_on_qubit[q] = g.id
+                last_on_qubit[q] = g.id
+        preds[g.id] = frozenset(mine)
     return Dag(
         program=program,
-        predecessors={k: frozenset(v) for k, v in preds.items()},
+        predecessors=preds,
         successors={k: frozenset(v) for k, v in succs.items()},
     )
 

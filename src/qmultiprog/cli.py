@@ -85,20 +85,15 @@ def compile_workload(
         mapping = mapping_from_partition(partition, run, backend.n_qubits)
         schedule = route(run, mapping, backend)
         circuits = decompose(schedule)
-        for i, program in enumerate(run):
+        for i, (program, stats) in enumerate(zip(run, circuits.stats["per_program"])):
             region = sorted(schedule.initial.region(i))
-            stats = circuits.stats["per_program"][i]
             per_program.append(
                 {
-                    "name": program.name,
+                    **stats,
                     "n_qubits": program.n_qubits,
                     "region": region,
                     "initial_layout": {str(k): v for k, v in sorted(schedule.initial.sigmas[i].items())},
                     "final_layout": {str(k): v for k, v in sorted(schedule.final.sigmas[i].items())},
-                    "swaps": stats["swaps"],
-                    "added_cnots": stats["added_cnots"],
-                    "original_gates": stats["original_gates"],
-                    "post_gates": stats["post_gates"],
                     "epst": epst(program, region, backend),
                 }
             )
@@ -291,28 +286,25 @@ def cmd_bench(args) -> int:
                 except (PartitionError, UnroutableProgramError) as exc:
                     cell.update(ok=False, error=str(exc))
                 cells.append(cell)
+    ok = [c for c in cells if c["ok"]]
     by_policy: dict[str, dict] = {}
     for policy in policies:
-        good = [c for c in cells if c["policy"] == policy and c["ok"]]
+        good = [c for c in ok if c["policy"] == policy]
         if good:
             by_policy[policy] = {
                 "mean_swaps": sum(c["swaps"] for c in good) / len(good),
                 "mean_post_gates": sum(c["post_gates"] for c in good) / len(good),
                 "cells": len(good),
             }
-    # Successful cells by (workload, seed) and policy, in cell order.
-    ok_cells: dict[tuple, dict[str, list[dict]]] = {}
-    for c in cells:
-        if c["ok"]:
-            ok_cells.setdefault((c["workload"], c["seed"]), {}).setdefault(c["policy"], []).append(c)
     deltas = {}
     for i, a in enumerate(policies):
         for b in policies[i + 1 :]:
             common = [
                 (ca, cb)
-                for ca in cells
-                if ca["ok"] and ca["policy"] == a
-                for cb in ok_cells[ca["workload"], ca["seed"]].get(b, ())
+                for ca in ok
+                if ca["policy"] == a
+                for cb in ok
+                if cb["policy"] == b and (cb["workload"], cb["seed"]) == (ca["workload"], ca["seed"])
             ]
             if common:
                 deltas[f"{a}-vs-{b}"] = {
@@ -427,6 +419,9 @@ def _tree_text(doc: dict) -> str:
 
 
 def cmd_tree(args) -> int:
+    if args.dot and args.out is None:
+        print("error: --dot writes tree.dot into the --out directory; give --out too", file=sys.stderr)
+        return EXIT_USAGE
     backend = _load_backend_arg(args)
     tree = build_hierarchy_tree(backend, args.omega)
     doc = _tree_doc(tree)
@@ -450,9 +445,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def qubit_count(text: str) -> int:
+    """The ``--cap`` type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 _OPTIONS = {
     "--backend": dict(help="backend description file"),
-    "--omega": dict(type=float, default=DEFAULT_OMEGA, help="partition reward weight"),
+    "--omega": dict(type=float, default=DEFAULT_OMEGA, help="partition reward weight (finite, non-negative)"),
     "--seed": dict(
         type=int,
         default=None,
@@ -460,7 +463,7 @@ _OPTIONS = {
     ),
     "--out": dict(default=None, help="directory for artifacts"),
     "--format": dict(choices=("doc", "text"), default="text"),
-    "--cap": dict(type=int, default=DEFAULT_QUBIT_CAP, help="simulation qubit cap"),
+    "--cap": dict(type=qubit_count, default=DEFAULT_QUBIT_CAP, help="simulation qubit cap (at least 1)"),
 }
 
 
@@ -496,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedule)
 
     p = subs.add_parser("tree", allow_abbrev=False, help="dump the partition dendrogram of a backend")
-    p.add_argument("--dot", action="store_true", help="also write Graphviz text")
+    p.add_argument("--dot", action="store_true", help="also write Graphviz text to --out")
     _add_options(p, "--backend", "--omega", "--seed", "--out", "--format")
     p.set_defaults(func=cmd_tree)
 

@@ -17,6 +17,7 @@ the comparison baseline.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .circuit import QuantumProgram
@@ -142,8 +143,8 @@ def build_hierarchy_tree(backend: Backend, omega: float = DEFAULT_OMEGA) -> Hier
     pair keeps the reward it had, which is the reward a rescan would give,
     since neither of its communities changed.
     """
-    if omega < 0:
-        raise ValueError("omega must be non-negative")
+    if not (math.isfinite(omega) and omega >= 0):
+        raise ValueError(f"omega must be finite and non-negative, got {omega}")
     leaves = {q: HierarchyNode([q]) for q in range(backend.n_qubits)}
     # Communities are keyed by their minimum qubit; rewards[(ka, kb)] with
     # ka < kb holds every pair of communities that share a link.
@@ -290,7 +291,6 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
     region_edges = [(a, b) for a in sorted(region) for b in backend.graph.neighbors(a) if a < b and b in region]
 
     sigma: dict[int, int] = {}
-    used: set[int] = set()
 
     def phys_edge_anchor_score(p: int) -> float:
         return sum(
@@ -299,12 +299,8 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
             if p in (a, b)
         )
 
-    def place(logical: int, phys: int):
-        sigma[logical] = phys
-        used.add(phys)
-
     def free_region() -> list[int]:
-        return sorted(region - used)
+        return sorted(region.difference(sigma.values()))
 
     def coverage(logical: int, p: int) -> float:
         """Weighted fidelity of links from p to the already-mapped partners of
@@ -339,29 +335,24 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
                 if cut_off is not None:
                     raise UnreachableError(f"no path between qubits {anchor_p} and {cut_off}")
                 target = min(free, key=lambda p: (hops[p], p))
-            place(free_l, target)
+            sigma[free_l] = target
             continue
         unmapped = next((e for e in pending if e[0] not in sigma and e[1] not in sigma), None)
         if unmapped is None:
             break
-        la, lb = unmapped
-        free_edges = [e for e in region_edges if e[0] not in used and e[1] not in used]
+        taken = set(sigma.values())
+        free_edges = [e for e in region_edges if e[0] not in taken and e[1] not in taken]
         if not free_edges:
             break  # no internal link left; the readout fill below handles the rest
         pa, pb = max(free_edges, key=lambda e: (backend.calib.cnot_fidelity(*e), (-e[0], -e[1])))
-        if logical_weight[la] < logical_weight[lb] or (
-            logical_weight[la] == logical_weight[lb] and la > lb
-        ):
-            la, lb = lb, la  # heavier (or lower-index) logical first
+        la, lb = sorted(unmapped, key=lambda q: (-logical_weight[q], q))  # heavier (or lower-index) first
         if phys_edge_anchor_score(pa) < phys_edge_anchor_score(pb):
             pa, pb = pb, pa  # better-connected physical spot first
-        place(la, pa)
-        place(lb, pb)
+        sigma[la], sigma[lb] = pa, pb
 
     for logical in range(program.n_qubits):
         if logical not in sigma:
-            target = max(free_region(), key=lambda p: (backend.calib.readout_fidelity(p), -p))
-            place(logical, target)
+            sigma[logical] = max(free_region(), key=lambda p: (backend.calib.readout_fidelity(p), -p))
     return InitialMapping(program=program, sigma=sigma)
 
 
@@ -430,12 +421,11 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend, *, _trials
             key = (id(program), alive(node))
             if key not in _trials:
                 trial = allocate(program, alive(node), backend)
-                trial_used = set(trial.sigma.values())
                 pressure = _allocation_pressure(trial, backend)
                 _trials[key] = None if pressure is None else (
                     pressure,
-                    -_region_avg_fidelity(trial_used, backend),
-                    tuple(sorted(trial_used)),
+                    -_region_avg_fidelity(trial.region, backend),
+                    tuple(sorted(trial.region)),
                     trial,
                 )
             if _trials[key] is not None:
@@ -443,9 +433,8 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend, *, _trials
         if not scored:
             unassigned.append(program)
             continue
-        scored.sort(key=lambda t: t[:3])
-        _, neg_fid, _, mapping, winner = scored[0]
-        used = frozenset(mapping.sigma.values())
+        _, neg_fid, _, mapping, winner = min(scored, key=lambda t: t[:3])
+        used = mapping.region
         for q in used:
             for node in climb(tree.leaves[q]):
                 free[node] = alive(node) - {q}

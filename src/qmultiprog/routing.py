@@ -6,13 +6,12 @@ Both routers run one loop (``_route``): execute every hardware-compliant
 gate, then insert the best-scoring SWAP among candidates touching the
 blocked critical gates, until nothing is left; after a stall the oldest
 blocked gate walks along a shortest path instead. Each router passes the
-three things that differ:
+two things that differ:
 
-- candidate edges: the joint router takes any coupling edge incident to a
-  blocked operand, the baseline only edges inside the program's own region;
 - hop rows: ``hops[x]`` is ``hardware.bfs_hops`` from qubit ``x``, chip-wide
-  for the joint router and confined to the region for the baseline; a qubit
-  missing from a row is unreachable from ``x``;
+  rows for every qubit in the joint router, region-confined rows for the
+  region's qubits in the baseline (a qubit missing from a row is unreachable
+  from ``x``); candidates are the edges whose endpoints both have a row;
 - shortcut bonus: the joint router passes per-step rows confined to each
   program's region plus the free qubits, so that SWAPs shortcutting a
   constraint across program boundaries score better; the baseline passes
@@ -195,8 +194,8 @@ def obtain_swaps(to_resolve, graph, mapping: GlobalMapping, allowed=None) -> lis
     """Candidate SWAPs as sorted (low, high) edges: every coupling edge
     incident to a physical qubit that hosts an operand of a gate to resolve,
     regardless of who owns the other endpoint (this is what admits
-    cross-program and free-qubit SWAPs). With ``allowed``, only edges with
-    both endpoints in that set qualify."""
+    cross-program and free-qubit SWAPs). With ``allowed`` (the routers pass
+    their hop rows), only edges with both endpoints in it qualify."""
     edges: set[tuple[int, int]] = set()
     for program, g in to_resolve:
         sigma = mapping.sigmas[program]
@@ -288,7 +287,7 @@ class _ProgramState:
         sigma, gates = mapping.sigmas[self.index], self.program.gates
         self.blocked = {gid for gid in self.blocked if not {sigma[q] for q in gates[gid].qubits} & {a, b}}
 
-    def front_terms(self, mapping: GlobalMapping, hops, own=None, allowed=None) -> list[tuple]:
+    def front_terms(self, mapping: GlobalMapping, hops, own=None) -> list[tuple]:
         """``swap_score``'s terms for the front layer (``blocked`` after a
         compliant pass), one ``(pa, pb, hops[pa], d, bonus)`` per CNOT in gate
         order. The bonus is the SWAPs the gate saves by crossing program
@@ -306,7 +305,7 @@ class _ProgramState:
             pa, pb = sigma[qa], sigma[qb]
             row = hops[pa]
             if pb not in row:
-                where = "the chip" if allowed is None else f"region {sorted(allowed)}"
+                where = "the chip" if len(hops) == mapping.n_phys else f"region {sorted(hops)}"
                 raise UnroutableProgramError(self.program.name, f"{where} cannot connect qubits {pa} and {pb}")
             d = row[pb]
             saved = 0
@@ -356,14 +355,13 @@ def _route(
     graph,
     hops: dict[int, dict[int, int]],
     stall_limit: int | None,
-    allowed: frozenset[int] | None = None,
     own_hops=None,
 ) -> list:
     """The loop both routers share. Routes ``programs``, a list of (index in
     ``mapping``, program) pairs, and returns their events.
 
     ``hops`` holds a ``bfs_hops`` row for every qubit a program may occupy.
-    Candidates come from ``obtain_swaps(..., allowed)`` and are scored by
+    Candidates come from ``obtain_swaps(..., hops)`` and are scored by
     ``swap_score`` over the step's front terms; ``own_hops``, when given,
     returns the per-program confined rows for the current mapping and turns
     on the shortcut bonus. A front CNOT whose operands ``hops`` cannot
@@ -388,7 +386,7 @@ def _route(
             own = own_hops()
         terms, to_resolve = [], []
         for st in states:
-            terms += st.front_terms(mapping, hops, own, allowed)
+            terms += st.front_terms(mapping, hops, own)
             for gid in sorted(critical_gates(st.dag, st.blocked) or st.blocked):
                 to_resolve.append((st.index, st.program.gates[gid]))
         if stalled >= stall_limit:
@@ -399,7 +397,7 @@ def _route(
             best = _classify(mapping, pa, step)
         else:
             edge = min(
-                obtain_swaps(to_resolve, graph, mapping, allowed),
+                obtain_swaps(to_resolve, graph, mapping, hops),
                 key=lambda e: (swap_score(e, terms, hops), e),
             )
             best = _classify(mapping, *edge)
@@ -457,10 +455,10 @@ def baseline_route(
     """Route each program independently inside its own region, then merge the
     per-program event streams round-robin.
 
-    Candidates are restricted to coupling edges with both endpoints in the
-    program's region and hop counts to the region-induced subgraph, mirroring
-    per-program heuristic routing. Raises UnroutableProgramError when a
-    region cannot connect a CNOT's operands.
+    Each program gets hop rows for its region's qubits only, confined to the
+    region-induced subgraph; they restrict candidates to coupling edges inside
+    the region, mirroring per-program heuristic routing. Raises
+    UnroutableProgramError when a region cannot connect a CNOT's operands.
     """
     graph = backend.graph
     mapping = initial.clone()
@@ -468,7 +466,7 @@ def baseline_route(
     for i, program in enumerate(programs):
         region = mapping.region(i)
         region_hops = {q: bfs_hops(graph, q, region) for q in region}
-        streams.append(_route([(i, program)], mapping, graph, region_hops, stall_limit, allowed=region))
+        streams.append(_route([(i, program)], mapping, graph, region_hops, stall_limit))
     merged: list = []
     cursors = [0] * len(streams)
     while any(c < len(s) for c, s in zip(cursors, streams)):

@@ -76,18 +76,12 @@ def _co_epsts(
     jobs, tree: HierarchyTree, backend: Backend, *, _trials: dict | None = None
 ) -> tuple[Partition, dict[int, float]] | None:
     """The joint partition of all jobs and each job's estimate under it, or
-    None if any job cannot be placed alongside the others."""
+    None if any job cannot be placed alongside the others. A placed job's
+    region fits it and is linked if it has CNOTs, so ``epst`` cannot fail."""
     partition = partition_qubits(tree, [j.program for j in jobs], backend, _trials=_trials)
     if partition.unassigned:
         return None
-    out: dict[int, float] = {}
-    for job in jobs:
-        region = next(a.qubits for a in partition.assignments if a.program is job.program)
-        try:
-            out[job.id] = epst(job.program, region, backend)
-        except SchedulingError:
-            return None
-    return partition, out
+    return partition, {j.id: epst(j.program, partition.mapping_for(j.program).region, backend) for j in jobs}
 
 
 def _violation(ind: float, co: float) -> float:

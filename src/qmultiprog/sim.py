@@ -215,11 +215,13 @@ def output_distribution(program: QuantumProgram, cap: int = DEFAULT_QUBIT_CAP) -
     return {bitstring(i, n): float(p) for i, p in enumerate(probs) if p >= PRUNE_BELOW}
 
 
+def _check_cap(m: int, cap: int, what: str) -> None:
+    if m > min(cap, HARD_QUBIT_CAP):
+        raise QubitCapExceeded(f"{m} {what} exceed the simulation cap of {min(cap, HARD_QUBIT_CAP)}")
+
+
 def distribution_vector(program: QuantumProgram, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    if program.n_qubits > min(cap, HARD_QUBIT_CAP):
-        raise QubitCapExceeded(
-            f"{program.n_qubits} qubits exceed the simulation cap of {min(cap, HARD_QUBIT_CAP)}"
-        )
+    _check_cap(program.n_qubits, cap, "qubits")
     return np.abs(simulate_statevector(program)) ** 2
 
 
@@ -423,8 +425,7 @@ def noisy_success_probability(
     if active and active[-1] >= n:
         raise ValueError(f"layout qubit {active[-1]} is outside the {n}-qubit circuit")
     m = len(active)
-    if m > min(cap, HARD_QUBIT_CAP):
-        raise QubitCapExceeded(f"{m} active qubits exceed the simulation cap of {min(cap, HARD_QUBIT_CAP)}")
+    _check_cap(m, cap, "active qubits")
     modes = [modal_outcome(d) for d in ideal_distributions]
     if all(modal is None for modal in modes):
         return [None for _ in zip(layouts, modes)]

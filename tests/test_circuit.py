@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import dag_edges, random_program, ready_gates
 from qmultiprog import fixtures
 from qmultiprog.circuit import (
+    Gate,
     QasmError,
+    QuantumProgram,
     build_dag,
     critical_gates,
     front_layer,
@@ -194,11 +196,32 @@ def test_dag_matches_brute_force_on_toffoli():
     assert ready_gates(dag, set())[0] == 0
 
 
+def with_measures_and_barriers(program, seed):
+    """The program with barriers and measures spliced in at random places:
+    one barrier names a qubit twice, and every qubit is measured at the end."""
+    rng = random.Random(seed)
+    n = program.n_qubits
+    ops = [(g.kind, g.qubits) for g in program.gates]
+    for _ in range(3):
+        ops.insert(rng.randrange(len(ops) + 1), ("barrier", tuple(rng.sample(range(n), rng.randint(1, n)))))
+    q = rng.randrange(n)
+    ops.insert(rng.randrange(len(ops) + 1), ("barrier", (q, rng.randrange(n), q)))
+    ops.insert(rng.randrange(len(ops) + 1), ("measure", (rng.randrange(n),)))
+    ops += [("measure", (q,)) for q in range(n)]
+    gates = tuple(Gate(kind, qubits, (), i) for i, (kind, qubits) in enumerate(ops))
+    return QuantumProgram(program.name, n, gates)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_dag_matches_brute_force_random(seed):
-    program = random_program(f"r{seed}", 4, 12, 10, seed=seed)
-    dag = build_dag(program)
-    assert dag_edges(dag) == brute_force_edges(program)
+    plain = random_program(f"r{seed}", 4, 12, 10, seed=seed)
+    for program in (plain, with_measures_and_barriers(plain, seed)):
+        dag = build_dag(program)
+        assert dag_edges(dag) == brute_force_edges(program)
+        assert {(u, v) for u, succs in dag.successors.items() for v in succs} == dag_edges(dag)
+        for g in program.gates:
+            if g.kind == "barrier":
+                assert not dag.predecessors[g.id] and not dag.successors[g.id]
 
 
 def test_dag_single_gate():

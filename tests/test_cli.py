@@ -358,6 +358,48 @@ def test_tree_subcommand_dump_and_dot(tmp_path, capsys):
     assert (tmp_path / "tree.json").exists()
 
 
+def test_tree_dot_without_out_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["tree", "--backend", backend_file("london"), "--dot"]) == 2
+    err = capsys.readouterr().err
+    assert "--dot" in err and "--out" in err
+    assert not list(tmp_path.iterdir())
+
+
+def exit_code(argv):
+    """The exit code of a CLI run, whether argparse or the command ends it."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", ["tree", "compile", "schedule"])
+def test_non_finite_omega_is_usage_error(command, tmp_path, capsys):
+    queue = tmp_path / "queue.txt"
+    queue.write_text(bench_file("bv_n3") + "\n")
+    inputs = {"tree": [], "compile": [bench_file("bv_n3")], "schedule": [str(queue)]}[command]
+    argv = [command, *inputs, "--backend", backend_file("london"), "--omega", "nan"]
+    assert exit_code(argv) == 2
+    assert "omega must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["compile", "bench", "simulate"])
+def test_cap_below_one_is_usage_error(command, cap, tmp_path, capsys):
+    manifest = tmp_path / "workloads.txt"
+    manifest.write_text(bench_file("bv_n3") + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "compile": ["compile", bench_file("bv_n3"), "--backend", backend_file("london")],
+        "bench": ["bench", str(manifest), "--backend", backend_file("london")],
+        "simulate": ["simulate", bench_file("bv_n3")],
+    }[command]
+    assert exit_code([*argv, "--cap", cap, "--out", str(out)]) == 2
+    assert "--cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     code = run(
         [

@@ -853,3 +853,9 @@ def test_allocate_matches_matrix_reference_when_fallback_fires(n, seed, extra, k
             allocate(program, region, backend)
     else:
         assert allocate(program, region, backend).sigma == expected
+
+
+@pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_omega_must_be_finite_and_non_negative(omega, london):
+    with pytest.raises(ValueError, match="non-negative"):
+        build_hierarchy_tree(london, omega=omega)

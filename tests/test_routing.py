@@ -258,6 +258,16 @@ def test_xswap_routes_programs_on_separate_parts_of_a_disconnected_chip():
     assert verify_schedule(schedule)[0]
 
 
+def test_xswap_unroutable_across_a_disconnected_chip_names_the_chip():
+    # Every qubit has a chip-wide hop row, so the message names the chip.
+    backend = make_backend(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    program = parse_program("qreg q[2]; cx q[0],q[1];", name="split")
+    mapping = GlobalMapping([{0: 1, 1: 4}], n_phys=6)
+    with pytest.raises(UnroutableProgramError) as err:
+        xswap_route([program], mapping, backend)
+    assert str(err.value) == "program 'split' is unroutable: the chip cannot connect qubits 1 and 4"
+
+
 def test_baseline_unreachable_noncritical_front_cnot_is_unroutable():
     # cx q[0],q[2] is critical (a later gate needs it); cx q[1],q[3] is a
     # front gate with no successor whose operands the region cannot connect

@@ -400,6 +400,19 @@ def test_shared_trials_match_fresh_partitions(backend, specs, picks, epsilon, lo
             assert batch.decision_record[job.id] == 1.0 - co / ind
 
 
+@settings(max_examples=60)
+@given(backend=_chips(), specs=st.lists(_POOL_SPECS, min_size=1, max_size=4))
+def test_epst_never_raises_on_a_placed_program(backend, specs):
+    # The scheduler estimates every placed program without a guard: a kept
+    # placement has exactly n_qubits qubits, linked inside whenever the
+    # program has CNOTs.
+    tree = build_hierarchy_tree(backend)
+    partition = partition_qubits(tree, [_pool_program(spec) for spec in specs], backend)
+    for a in partition.assignments:
+        assert len(a.qubits) == a.program.n_qubits
+        assert 0.0 <= epst(a.program, a.qubits, backend) <= 1.0
+
+
 def test_schedule_allocates_each_program_region_pair_once(melbourne, monkeypatch):
     backend = random_backend(grid_graph(8, 8), melbourne.calib, seed=5)
     tree = build_hierarchy_tree(backend)
