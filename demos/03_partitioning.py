@@ -34,7 +34,7 @@ programs = [load_benchmark("decod24-v2_43"), load_benchmark("4mod5-v1_22")]
 partition = partition_qubits(tree, programs, tokyo)
 print("\nregions on tokyo20:")
 for assignment in partition.assignments:
-    sigma = dict(sorted(assignment.mapping.sigma.items()))
+    sigma = dict(sorted(assignment.sigma.items()))
     print(f"  {assignment.program.name:16s} -> {sorted(assignment.qubits)} "
           f"(avg fidelity {assignment.avg_fidelity:.4f})")
     print(f"      placement {sigma}")

@@ -21,6 +21,7 @@ from .partition import (
     DEFAULT_OMEGA,
     PartitionError,
     build_hierarchy_tree,
+    check_omega,
     frp_partition,
     partition_qubits,
 )
@@ -69,6 +70,7 @@ def compile_workload(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
+    check_omega(omega)
     if not programs:
         raise PartitionError("no programs to partition")
     started = time.perf_counter()
@@ -145,11 +147,16 @@ def _load_backend_arg(args) -> Backend:
     return _redraw(_backend_file(args), args.seed)
 
 
+def _json(doc: dict) -> str:
+    """A report as strict JSON: a NaN or infinity is refused, not written."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _emit(doc: dict, args, text_renderer=None):
     if args.format == "text" and text_renderer is not None:
         print(text_renderer(doc))
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json(doc))
 
 
 def _write(out_dir: str | None, name: str, content: str) -> None:
@@ -215,8 +222,8 @@ def cmd_compile(args) -> int:
             for p in report["programs"]
         ]
     }
-    _write(args.out, "layout.json", json.dumps(layout_doc, indent=2, sort_keys=True))
-    _write(args.out, "report.json", json.dumps(report, indent=2, sort_keys=True))
+    _write(args.out, "layout.json", _json(layout_doc))
+    _write(args.out, "report.json", _json(report))
     _emit(report, args, _compile_text)
     if report["equivalence"]["checked"] and not report["equivalence"]["passed"]:
         return EXIT_EQUIV
@@ -313,7 +320,7 @@ def cmd_bench(args) -> int:
                     / len(common),
                 }
     doc = {"backend": base.name, "cells": cells, "by_policy": by_policy, "policy_deltas": deltas}
-    _write(args.out, "bench.json", json.dumps(doc, indent=2, sort_keys=True))
+    _write(args.out, "bench.json", _json(doc))
     _write(args.out, "bench.txt", _bench_text(doc))
     _emit(doc, args, _bench_text)
     return EXIT_OK
@@ -370,7 +377,7 @@ def cmd_schedule(args) -> int:
             for b in batches
         ],
     }
-    _write(args.out, "schedule.json", json.dumps(doc, indent=2, sort_keys=True))
+    _write(args.out, "schedule.json", _json(doc))
     _emit(doc, args, _schedule_text)
     return EXIT_OK
 
@@ -425,7 +432,7 @@ def cmd_tree(args) -> int:
     backend = _load_backend_arg(args)
     tree = build_hierarchy_tree(backend, args.omega)
     doc = _tree_doc(tree)
-    _write(args.out, "tree.json", json.dumps(doc, indent=2, sort_keys=True))
+    _write(args.out, "tree.json", _json(doc))
     if args.dot:
         _write(args.out, "tree.dot", _tree_dot(doc))
     _emit(doc, args, _tree_text)
@@ -436,7 +443,7 @@ def cmd_simulate(args) -> int:
     program = parse_program_file(args.circuit)
     dist = output_distribution(program, cap=args.cap)
     doc = {"circuit": program.name, "n_qubits": program.n_qubits, "distribution": dist}
-    _write(args.out, "distribution.json", json.dumps(doc, indent=2, sort_keys=True))
+    _write(args.out, "distribution.json", _json(doc))
     _emit(
         doc,
         args,

@@ -129,6 +129,12 @@ def merge_reward(a: HierarchyNode, b: HierarchyNode, backend: Backend, omega: fl
     return delta_q + omega * link_fid * readout_fid
 
 
+def check_omega(omega: float) -> None:
+    """Refuse a reward weight that is NaN, infinite or negative."""
+    if not (math.isfinite(omega) and omega >= 0):
+        raise ValueError(f"omega must be finite and non-negative, got {omega}")
+
+
 def build_hierarchy_tree(backend: Backend, omega: float = DEFAULT_OMEGA) -> HierarchyTree:
     """Agglomerate single-qubit communities by repeatedly merging the pair
     with the highest reward until one community remains.
@@ -143,8 +149,7 @@ def build_hierarchy_tree(backend: Backend, omega: float = DEFAULT_OMEGA) -> Hier
     pair keeps the reward it had, which is the reward a rescan would give,
     since neither of its communities changed.
     """
-    if not (math.isfinite(omega) and omega >= 0):
-        raise ValueError(f"omega must be finite and non-negative, got {omega}")
+    check_omega(omega)
     leaves = {q: HierarchyNode([q]) for q in range(backend.n_qubits)}
     # Communities are keyed by their minimum qubit; rewards[(ka, kb)] with
     # ka < kb holds every pair of communities that share a link.
@@ -188,11 +193,13 @@ def average_redundancy(tree: HierarchyTree) -> float:
 
 
 @dataclass(frozen=True)
-class InitialMapping:
-    """Injective placement of one program's logical qubits onto the chip."""
+class Assignment:
+    """One program's placement: an injective map of its logical qubits onto
+    the chip, and the pooled fidelity of the qubits it occupies."""
 
     program: QuantumProgram
     sigma: dict[int, int]
+    avg_fidelity: float
 
     def __post_init__(self):
         image = set(self.sigma.values())
@@ -200,16 +207,8 @@ class InitialMapping:
             raise ValueError("mapping must place every logical qubit injectively")
 
     @property
-    def region(self) -> frozenset[int]:
+    def qubits(self) -> frozenset[int]:
         return frozenset(self.sigma.values())
-
-
-@dataclass(frozen=True)
-class Assignment:
-    program: QuantumProgram
-    qubits: frozenset[int]
-    avg_fidelity: float
-    mapping: InitialMapping
 
 
 @dataclass(frozen=True)
@@ -220,10 +219,10 @@ class Partition:
     assignments: tuple[Assignment, ...]
     unassigned: tuple[QuantumProgram, ...] = ()
 
-    def mapping_for(self, program: QuantumProgram) -> InitialMapping:
+    def assignment_for(self, program: QuantumProgram) -> Assignment:
         for a in self.assignments:
             if a.program is program:
-                return a.mapping
+                return a
         raise KeyError(program.name)
 
 
@@ -239,17 +238,16 @@ def _region_avg_fidelity(qubits: set[int], backend: Backend) -> float:
     return sum(values) / len(values)
 
 
-def _allocation_pressure(mapping: "InitialMapping", backend: Backend) -> int | None:
+def _allocation_pressure(program: QuantumProgram, sigma: dict[int, int], backend: Backend) -> int | None:
     """CNOT-weighted excess hop count of a placement, measured inside the
     region it occupies (the router confined to that region pays for every
     extra hop). None when some interacting pair has no internal path at all,
     which makes the placement unusable. Hops come from one search confined
     to the placed qubits per distinct source qubit."""
-    sigma = mapping.sigma
     used = set(sigma.values())
     rows: dict[int, dict[int, int]] = {}
     total = 0
-    for (a, b), w in mapping.program.cnot_weights().items():
+    for (a, b), w in program.cnot_weights().items():
         src = sigma[a]
         if src not in rows:
             rows[src] = bfs_hops(backend.graph, src, used)
@@ -266,8 +264,9 @@ def program_order(programs) -> list[QuantumProgram]:
     return sorted(programs, key=lambda p: (-p.cnot_density, -p.n_qubits, p.name))
 
 
-def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> InitialMapping:
-    """Greatest-weighted-edge-first placement of a program inside a region.
+def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> dict[int, int]:
+    """Greatest-weighted-edge-first placement of a program inside a region,
+    as the map from each logical qubit to its physical qubit.
 
     The heaviest interacting logical pair is seeded onto the region's most
     reliable internal link; remaining logical qubits grow outward from mapped
@@ -353,7 +352,7 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> Ini
     for logical in range(program.n_qubits):
         if logical not in sigma:
             sigma[logical] = max(free_region(), key=lambda p: (backend.calib.readout_fidelity(p), -p))
-    return InitialMapping(program=program, sigma=sigma)
+    return sigma
 
 
 def partition_qubits(tree: HierarchyTree, programs, backend: Backend, *, _trials: dict | None = None) -> Partition:
@@ -414,28 +413,29 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend, *, _trials
         # unused): fewest forced SWAPs first, then best pooled fidelity.
         # Candidates that leave interacting qubits without an internal path
         # are unusable and dropped. A recurring alive set reuses its score;
-        # sharing the InitialMapping between partitions is safe because
-        # GlobalMapping copies each sigma.
+        # sharing the sigma between partitions is safe because GlobalMapping
+        # copies it.
         scored = []
         for node in candidates:
             key = (id(program), alive(node))
             if key not in _trials:
-                trial = allocate(program, alive(node), backend)
-                pressure = _allocation_pressure(trial, backend)
+                sigma = allocate(program, alive(node), backend)
+                pressure = _allocation_pressure(program, sigma, backend)
+                placed = frozenset(sigma.values())
                 _trials[key] = None if pressure is None else (
                     pressure,
-                    -_region_avg_fidelity(trial.region, backend),
-                    tuple(sorted(trial.region)),
-                    trial,
+                    -_region_avg_fidelity(placed, backend),
+                    tuple(sorted(placed)),
+                    sigma,
                 )
             if _trials[key] is not None:
                 scored.append((*_trials[key], node))
         if not scored:
             unassigned.append(program)
             continue
-        _, neg_fid, _, mapping, winner = min(scored, key=lambda t: t[:3])
-        used = mapping.region
-        for q in used:
+        _, neg_fid, _, sigma, winner = min(scored, key=lambda t: t[:3])
+        assignment = Assignment(program=program, sigma=sigma, avg_fidelity=-neg_fid)
+        for q in assignment.qubits:
             for node in climb(tree.leaves[q]):
                 free[node] = alive(node) - {q}
         parent = up(winner)
@@ -450,9 +450,7 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend, *, _trials
                 for node in climb(up(sibling)):
                     free[node] = alive(node) - sib_alive
                 cut.add(sibling)
-        assignments.append(
-            Assignment(program=program, qubits=used, avg_fidelity=-neg_fid, mapping=mapping)
-        )
+        assignments.append(assignment)
     return Partition(assignments=tuple(assignments), unassigned=tuple(unassigned))
 
 
@@ -495,14 +493,9 @@ def frp_partition(programs, backend: Backend) -> Partition:
         if len(region) < program.n_qubits:
             unassigned.append(program)
             continue
-        mapping = allocate(program, region, backend)
+        sigma = allocate(program, region, backend)
         available -= region
         assignments.append(
-            Assignment(
-                program=program,
-                qubits=frozenset(region),
-                avg_fidelity=_region_avg_fidelity(region, backend),
-                mapping=mapping,
-            )
+            Assignment(program=program, sigma=sigma, avg_fidelity=_region_avg_fidelity(region, backend))
         )
     return Partition(assignments=tuple(assignments), unassigned=tuple(unassigned))

@@ -184,7 +184,7 @@ class Schedule:
 
 def mapping_from_partition(partition, programs, n_phys: int) -> GlobalMapping:
     """Arrange a partition's placements in the callers' program order."""
-    return GlobalMapping([partition.mapping_for(p).sigma for p in programs], n_phys)
+    return GlobalMapping([partition.assignment_for(p).sigma for p in programs], n_phys)
 
 
 # --- heuristics ----------------------------------------------------------------

@@ -81,7 +81,7 @@ def _co_epsts(
     partition = partition_qubits(tree, [j.program for j in jobs], backend, _trials=_trials)
     if partition.unassigned:
         return None
-    return partition, {j.id: epst(j.program, partition.mapping_for(j.program).region, backend) for j in jobs}
+    return partition, {j.id: epst(j.program, partition.assignment_for(j.program).qubits, backend) for j in jobs}
 
 
 def _violation(ind: float, co: float) -> float:
@@ -107,8 +107,9 @@ def schedule_tasks(
     tentatively adding each job and recomputing every member's co-located
     estimate under a joint partition; a tentative addition that pushes any
     member's violation past ``epsilon`` is dropped. A job whose program object
-    is already in the batch is skipped and waits for a later batch. Jobs whose
-    programs fail partitioning run independently.
+    is already in the batch is skipped and waits for a later batch. Every job
+    is estimated alone once, before batching; a job that cannot be placed
+    alone is never a candidate and runs alone when it reaches the head.
 
     Each (program, region) trial is scored once per call and reused by every
     later trial batch that offers the program the same region.
@@ -119,13 +120,16 @@ def schedule_tasks(
         raise ValueError("lookahead and max_colocate must be at least 1")
     jobs: list[Job] = list(queue)
     trials: dict = {}  # partition_qubits' scored trials; the jobs keep their programs alive
+    for job in jobs:
+        if job.ind_epst is None:
+            try:
+                job.ind_epst = independent_epst(job, tree, backend, _trials=trials)
+            except SchedulingError:
+                pass  # keeps ind_epst None
     batches: list[Batch] = []
     while jobs:
         head = jobs[0]
-        try:
-            if head.ind_epst is None:
-                head.ind_epst = independent_epst(head, tree, backend, _trials=trials)
-        except SchedulingError:
+        if head.ind_epst is None:
             head.status = "independent"
             head.co_epst = None
             batches.append(Batch(jobs=(head,), partition=None, decision_record={head.id: None}))
@@ -133,17 +137,12 @@ def schedule_tasks(
             continue
         members = [head]
         accepted = None
-        idx = 1
-        while idx < len(jobs) and idx < lookahead and len(members) < max_colocate:
-            tentative = jobs[idx]
-            idx += 1
-            if any(m.program is tentative.program for m in members):
-                # A partition places each program object once; wait for a later batch.
-                continue
-            try:
-                if tentative.ind_epst is None:
-                    tentative.ind_epst = independent_epst(tentative, tree, backend, _trials=trials)
-            except SchedulingError:
+        for tentative in jobs[1:lookahead]:
+            if len(members) == max_colocate:
+                break
+            if tentative.ind_epst is None or any(m.program is tentative.program for m in members):
+                # Not placeable alone, or its program object is already in the
+                # batch (a partition places each object once): it waits.
                 continue
             trial = members + [tentative]
             result = _co_epsts(trial, tree, backend, _trials=trials)

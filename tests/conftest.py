@@ -155,7 +155,7 @@ def partition_digest(partition):
     unassigned programs, by program name."""
     record = {
         "assigned": [
-            [a.program.name, sorted(a.qubits), a.avg_fidelity, sorted(a.mapping.sigma.items())]
+            [a.program.name, sorted(a.qubits), a.avg_fidelity, sorted(a.sigma.items())]
             for a in partition.assignments
         ],
         "unassigned": [p.name for p in partition.unassigned],

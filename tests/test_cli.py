@@ -374,14 +374,23 @@ def exit_code(argv):
         return exc.code
 
 
-@pytest.mark.parametrize("command", ["tree", "compile", "schedule"])
+@pytest.mark.parametrize("command", ["tree", "compile", "schedule", "compile-baseline", "bench-baseline"])
 def test_non_finite_omega_is_usage_error(command, tmp_path, capsys):
+    # every policy refuses it, also those that build no dendrogram
     queue = tmp_path / "queue.txt"
     queue.write_text(bench_file("bv_n3") + "\n")
-    inputs = {"tree": [], "compile": [bench_file("bv_n3")], "schedule": [str(queue)]}[command]
-    argv = [command, *inputs, "--backend", backend_file("london"), "--omega", "nan"]
-    assert exit_code(argv) == 2
+    argv = {
+        "tree": ["tree"],
+        "compile": ["compile", bench_file("bv_n3")],
+        "schedule": ["schedule", str(queue)],
+        "compile-baseline": ["compile", bench_file("bv_n3"), "--policy", "baseline"],
+        "bench-baseline": ["bench", str(queue), "--policies", "baseline"],
+    }[command]
+    omega = "inf" if command == "bench-baseline" else "nan"
+    out = tmp_path / "out"
+    assert exit_code([*argv, "--backend", backend_file("london"), "--omega", omega, "--out", str(out)]) == 2
     assert "omega must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -19,8 +19,8 @@ from qmultiprog import fixtures
 from qmultiprog.hardware import CouplingGraph, UnreachableError, random_backend
 from qmultiprog.partition import (
     UNMERGEABLE,
+    Assignment,
     HierarchyNode,
-    InitialMapping,
     allocate,
     average_redundancy,
     build_hierarchy_tree,
@@ -344,9 +344,9 @@ def test_partition_four_qubit_program_on_london(london):
     single = random_program("one", 1, 0, 2, seed=3)
     both = partition_qubits(tree, [program, single], london)
     assert not both.unassigned
-    assert both.mapping_for(program) == assignment.mapping
+    assert both.assignment_for(program) == assignment
     (leftover,) = {0, 1, 2, 3, 4} - assignment.qubits
-    assert both.mapping_for(single).sigma == {0: leftover}
+    assert both.assignment_for(single).sigma == {0: leftover}
 
 
 def test_partition_rejects_duplicate_program_objects(london):
@@ -457,16 +457,16 @@ def test_partition_candidate_choice_matches_brute_force():
     for program in program_order(programs):
         best = None
         for node in reachable_candidates(tree, alive, program.n_qubits):
-            trial = allocate(program, alive[node], backend)
-            pressure = _allocation_pressure(trial, backend)
+            sigma = allocate(program, alive[node], backend)
+            pressure = _allocation_pressure(program, sigma, backend)
             if pressure is None:
                 continue
-            used = tuple(sorted(trial.sigma.values()))
+            used = tuple(sorted(sigma.values()))
             key = (pressure, -_region_avg_fidelity(set(used), backend), used)
             if best is None or key < best[0]:
-                best = (key, trial)
+                best = (key, sigma)
         assignment = next(a for a in partition.assignments if a.program is program)
-        assert frozenset(best[1].sigma.values()) == assignment.qubits
+        assert frozenset(best[1].values()) == assignment.qubits
         assert assignment.avg_fidelity == pytest.approx(-best[0][1])
         for q in assignment.qubits:
             node = tree.leaves[q]
@@ -547,8 +547,8 @@ def test_partition_leaves_tree_unchanged():
 def test_allocate_single_cnot_orientation_tie():
     backend = make_backend(2, [(0, 1)])
     program = random_program("tiny", 2, 1, 0, seed=0)
-    mapping = allocate(program, {0, 1}, backend)
-    assert mapping.sigma[0] == 0 and mapping.sigma[1] == 1
+    sigma = allocate(program, {0, 1}, backend)
+    assert sigma[0] == 0 and sigma[1] == 1
 
 
 def test_allocate_heaviest_pair_on_most_reliable_edge():
@@ -557,16 +557,14 @@ def test_allocate_heaviest_pair_on_most_reliable_edge():
         cnot={(0, 1): 0.05, (1, 2): 0.004, (2, 3): 0.03},
     )
     program = random_program("pair", 2, 4, 2, seed=8)
-    mapping = allocate(program, {0, 1, 2, 3}, backend)
-    assert set(mapping.sigma.values()) == {1, 2}
+    sigma = allocate(program, {0, 1, 2, 3}, backend)
+    assert set(sigma.values()) == {1, 2}
 
 
 def test_allocate_deterministic(tokyo20):
     program = random_program("det", 4, 9, 5, seed=9)
     region = set(range(10))
-    a = allocate(program, region, tokyo20)
-    b = allocate(program, region, tokyo20)
-    assert a.sigma == b.sigma
+    assert allocate(program, region, tokyo20) == allocate(program, region, tokyo20)
 
 
 def test_allocate_isolated_qubits_fill_by_readout():
@@ -575,9 +573,9 @@ def test_allocate_isolated_qubits_fill_by_readout():
         readout={0: 0.09, 1: 0.01, 2: 0.02, 3: 0.002},
     )
     program = random_program("lonely", 2, 0, 3, seed=10)  # no CNOTs at all
-    mapping = allocate(program, {0, 1, 2, 3}, backend)
-    assert set(mapping.sigma.values()) == {3, 1}  # two best readout qubits
-    assert mapping.sigma[0] == 3  # logical 0 gets the very best
+    sigma = allocate(program, {0, 1, 2, 3}, backend)
+    assert set(sigma.values()) == {3, 1}  # two best readout qubits
+    assert sigma[0] == 3  # logical 0 gets the very best
 
 
 def test_allocate_region_too_small():
@@ -595,8 +593,8 @@ def test_allocate_coverage_prefers_triangle():
     for (a, b) in [(0, 1), (0, 2), (1, 2), (0, 1)]:
         program_gates.append(Gate("cx", (a, b), (), id=len(program_gates)))
     program = QuantumProgram("tri", 3, tuple(program_gates))
-    mapping = allocate(program, {0, 1, 2, 3}, backend)
-    assert set(mapping.sigma.values()) == {0, 1, 2}
+    sigma = allocate(program, {0, 1, 2, 3}, backend)
+    assert set(sigma.values()) == {0, 1, 2}
 
 
 # --- greedy baseline partition -----------------------------------------------------
@@ -614,7 +612,7 @@ def test_frp_regions_connected_and_disjoint(tokyo20):
         # region growth is neighbor-by-neighbor, so the region is connected
         from qmultiprog.partition import _allocation_pressure as pressure
 
-        assert pressure(a.mapping, tokyo20) is not None
+        assert pressure(a.program, a.sigma, tokyo20) is not None
 
 
 def test_frp_prefers_well_connected_reliable_root():
@@ -673,13 +671,13 @@ def _tree_merges(tree):
     ]
 
 
-def _matrix_pressure(mapping, backend):
+def _matrix_pressure(program, sigma, backend):
     """_allocation_pressure over Floyd-Warshall distances confined to the
     placed qubits."""
-    dist = floyd_warshall(backend.graph, set(mapping.sigma.values()))
+    dist = floyd_warshall(backend.graph, set(sigma.values()))
     total = 0
-    for (a, b), w in mapping.program.cnot_weights().items():
-        d = dist[mapping.sigma[a], mapping.sigma[b]]
+    for (a, b), w in program.cnot_weights().items():
+        d = dist[sigma[a], sigma[b]]
         if d == float("inf"):
             return None
         total += w * (d - 1)
@@ -814,17 +812,17 @@ def test_allocation_pressure_matches_matrix_reference(n, seed, extra, k, n_cnot)
     k = min(k, n)
     program = random_program("placed", k, n_cnot, 2, seed)
     placed = random.Random(seed).sample(range(n), k)
-    mapping = InitialMapping(program, dict(enumerate(placed)))
-    assert _allocation_pressure(mapping, backend) == _matrix_pressure(mapping, backend)
+    sigma = dict(enumerate(placed))
+    assert _allocation_pressure(program, sigma, backend) == _matrix_pressure(program, sigma, backend)
 
 
 def test_allocation_pressure_none_on_split_placement():
     backend = make_backend(4, [(0, 1), (1, 2), (2, 3)])
     program = random_program("split", 2, 3, 0, seed=1)
-    mapping = InitialMapping(program, {0: 0, 1: 3})
-    assert _allocation_pressure(mapping, backend) is None is _matrix_pressure(mapping, backend)
-    joined = InitialMapping(program, {0: 0, 1: 1})
-    assert _allocation_pressure(joined, backend) == 0 == _matrix_pressure(joined, backend)
+    split = {0: 0, 1: 3}
+    assert _allocation_pressure(program, split, backend) is None is _matrix_pressure(program, split, backend)
+    joined = {0: 0, 1: 1}
+    assert _allocation_pressure(program, joined, backend) == 0 == _matrix_pressure(program, joined, backend)
 
 
 @given(
@@ -852,10 +850,21 @@ def test_allocate_matches_matrix_reference_when_fallback_fires(n, seed, extra, k
         with pytest.raises(UnreachableError):
             allocate(program, region, backend)
     else:
-        assert allocate(program, region, backend).sigma == expected
+        assert allocate(program, region, backend) == expected
 
 
 @pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf"), -1.0])
 def test_omega_must_be_finite_and_non_negative(omega, london):
     with pytest.raises(ValueError, match="non-negative"):
         build_hierarchy_tree(london, omega=omega)
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [{0: 0, 1: 0, 2: 1}, {0: 0, 1: 1}, {0: 0, 1: 1, 2: 2, 3: 3}],
+    ids=["not-injective", "misses-a-qubit", "extra-qubit"],
+)
+def test_assignment_refuses_a_sigma_that_is_not_a_placement(sigma):
+    program = random_program("three", 3, 2, 1, seed=5)
+    with pytest.raises(ValueError, match="injectively"):
+        Assignment(program=program, sigma=sigma, avg_fidelity=0.9)

@@ -166,6 +166,30 @@ def test_unassignable_job_runs_independent():
     assert batches[1].decision_record == {1: None}
 
 
+def test_each_job_is_estimated_alone_once(monkeypatch):
+    # too_big cannot be placed alone: it is a candidate in the first batch,
+    # then the head of the second, and still estimated only once
+    backend = make_backend(2, [(0, 1)])
+    tree = build_hierarchy_tree(backend)
+    queue = [
+        Job(id=0, program=random_program("fits", 2, 2, 1, seed=8)),
+        Job(id=1, program=random_program("too_big", 3, 2, 1, seed=9)),
+        Job(id=2, program=random_program("fits_too", 2, 1, 1, seed=10)),
+    ]
+    calls = Counter()
+    original = scheduler.independent_epst
+
+    def counting(job, tree, backend, **kw):
+        calls[job.id] += 1
+        return original(job, tree, backend, **kw)
+
+    monkeypatch.setattr(scheduler, "independent_epst", counting)
+    batches = schedule_tasks(queue, tree, backend, epsilon=1.0)
+    assert [[j.id for j in b.jobs] for b in batches] == [[0], [1], [2]]
+    assert queue[1].ind_epst is None and batches[1].partition is None
+    assert calls == {0: 1, 1: 1, 2: 1}
+
+
 def test_trf_arithmetic():
     def batch_of(k, start):
         return Batch(
@@ -310,7 +334,7 @@ def test_golden_grid_schedules(seed, melbourne):
             "decisions": sorted(b.decision_record.items()),
             "regions": None
             if b.partition is None
-            else [[a.program.name, sorted(a.mapping.sigma.items())] for a in b.partition.assignments],
+            else [[a.program.name, sorted(a.sigma.items())] for a in b.partition.assignments],
         }
         for b in batches
     ]
@@ -391,11 +415,10 @@ def test_shared_trials_match_fresh_partitions(backend, specs, picks, epsilon, lo
         members = [j.program for j in batch.jobs]
         fresh = partition_qubits(tree, members, backend)
         assert partition_digest(batch.partition) == partition_digest(fresh)
-        assert all(a.mapping.program is a.program for a in batch.partition.assignments)
         for job in batch.jobs:
             solo = partition_qubits(tree, [job.program], backend).assignments[0].qubits
             ind = epst(job.program, solo, backend)
-            co = epst(job.program, fresh.mapping_for(job.program).region, backend)
+            co = epst(job.program, fresh.assignment_for(job.program).qubits, backend)
             assert (job.ind_epst, job.co_epst) == (ind, co)
             assert batch.decision_record[job.id] == 1.0 - co / ind
 
