@@ -23,6 +23,7 @@ from .partition import (
     build_hierarchy_tree,
     check_omega,
     frp_partition,
+    hierarchy_tree,
     partition_qubits,
 )
 from .routing import (
@@ -76,7 +77,7 @@ def compile_workload(
     started = time.perf_counter()
     runs = [[p] for p in programs] if policy == "independent" else [programs]
     run_policy = "cdap-xswap" if policy == "independent" else policy
-    tree = None if run_policy in ("baseline", "xswap-only") else build_hierarchy_tree(backend, omega)
+    tree = None if run_policy in ("baseline", "xswap-only") else hierarchy_tree(backend, omega)
     route = xswap_route if run_policy in ("xswap-only", "cdap-xswap") else baseline_route
     per_program, compiled, schedules, verdicts = [], [], [], []
     for run in runs:

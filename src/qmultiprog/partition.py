@@ -174,6 +174,19 @@ def build_hierarchy_tree(backend: Backend, omega: float = DEFAULT_OMEGA) -> Hier
     return HierarchyTree(root=root, leaves=leaves, omega=omega)
 
 
+def hierarchy_tree(backend: Backend, omega: float = DEFAULT_OMEGA) -> HierarchyTree:
+    """The dendrogram of ``backend`` at ``omega``, kept on the backend (an
+    attribute, not a dataclass field, so == and hash ignore it). A backend
+    keeps one tree, that of the last omega asked for; another omega builds
+    its tree with ``build_hierarchy_tree`` and replaces it. Sharing is safe:
+    nothing writes to a tree after its build."""
+    tree = getattr(backend, "_hierarchy_tree", None)
+    if tree is None or tree.omega != omega:
+        tree = build_hierarchy_tree(backend, omega)
+        object.__setattr__(backend, "_hierarchy_tree", tree)
+    return tree
+
+
 def max_redundant_qubits(node: HierarchyNode) -> int:
     """Worst-case unused qubits when a program lands on this community:
     its size minus one more than its larger child."""

@@ -553,18 +553,23 @@ def verify_equivalence(
 ) -> tuple[bool, float]:
     """Check the compiled physical circuit against exact simulation.
 
-    Simulates the compiled circuit from |0..0>, marginalizes it onto every
-    program's final layout, and compares with the tensor product of the
-    programs' standalone output distributions. Returns (total variation <=
-    ``TOLERANCE``, total variation). Raises QubitCapExceeded above ``limit``.
+    Simulates the compiled circuit's active register (``sim.active_register``)
+    from |0..0>, marginalizes it onto every program's final layout, and
+    compares with the tensor product of the programs' standalone output
+    distributions. Returns (total variation <= ``TOLERANCE``, total
+    variation). Raises QubitCapExceeded when the programs' own qubits, a
+    lower bound checked before any gate is scanned, or the active register
+    exceed ``limit``.
     """
-    phys_probs = sim.distribution_vector(compiled, cap=limit)
+    sim.check_cap(sum(p.n_qubits for p in programs), limit, "program qubits")
+    local = sim.active_register(compiled, final_layouts, limit)
+    phys_probs = np.abs(sim.simulate_statevector(compiled, local)) ** 2
     keep: list[int] = []
     ideal = np.array([1.0])
     for program, layout in zip(programs, final_layouts):
-        keep.extend(layout[q] for q in sorted(layout))
+        keep.extend(local[layout[q]] for q in sorted(layout))
         ideal = np.kron(sim.distribution_vector(program, cap=limit), ideal)
-    marginal = sim.marginal_distribution(phys_probs, compiled.n_qubits, keep)
+    marginal = sim.marginal_distribution(phys_probs, len(local), keep)
     tv = sim.total_variation(marginal, ideal)
     return tv <= TOLERANCE, tv
 

@@ -108,8 +108,10 @@ def schedule_tasks(
     estimate under a joint partition; a tentative addition that pushes any
     member's violation past ``epsilon`` is dropped. A job whose program object
     is already in the batch is skipped and waits for a later batch. Every job
-    is estimated alone once, before batching; a job that cannot be placed
-    alone is never a candidate and runs alone when it reaches the head.
+    is estimated alone before batching, once per distinct program value (a
+    program compares by value, so a circuit parsed twice is estimated once);
+    a job that cannot be placed alone is never a candidate and runs alone
+    when it reaches the head.
 
     Each (program, region) trial is scored once per call and reused by every
     later trial batch that offers the program the same region.
@@ -120,12 +122,15 @@ def schedule_tasks(
         raise ValueError("lookahead and max_colocate must be at least 1")
     jobs: list[Job] = list(queue)
     trials: dict = {}  # partition_qubits' scored trials; the jobs keep their programs alive
+    solo: dict[QuantumProgram, float | None] = {}  # by value: equal programs place alike
     for job in jobs:
         if job.ind_epst is None:
-            try:
-                job.ind_epst = independent_epst(job, tree, backend, _trials=trials)
-            except SchedulingError:
-                pass  # keeps ind_epst None
+            if job.program not in solo:
+                try:
+                    solo[job.program] = independent_epst(job, tree, backend, _trials=trials)
+                except SchedulingError:
+                    solo[job.program] = None
+            job.ind_epst = solo[job.program]
     batches: list[Batch] = []
     while jobs:
         head = jobs[0]

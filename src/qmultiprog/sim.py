@@ -12,11 +12,14 @@ computed before any slice is written. The fixed gates, cx and their
 conjugates are planned at import; a parametrized gate is planned when it
 is applied or when its noisy op is built. ``simulate_statevector`` evolves
 one buffer in place; ``apply_gate`` is the one-gate wrapper that copies.
+A program's ideal distribution (``distribution_vector``) is simulated once
+and kept on the program.
 
 Noisy model: every gate fully depolarizes its operands with its calibration
 error rate, and readout flips each bit with the qubit's readout error.
-``noisy_success_probability`` simulates only the active qubits (those a
-unitary gate touches or a layout names), in one of two modes:
+``noisy_success_probability``, like the equivalence check, simulates only
+the active qubits (``active_register``: those a unitary gate touches or a
+layout names), in one of two modes:
 
 - exact: the density matrix evolves in place as one [2]*(2m) tensor.
   U rho U^dagger acts through slice views of the row and column axes;
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -187,19 +191,21 @@ def apply_gate(state: np.ndarray, gate: Gate, operands: tuple[int, ...] | None =
     return out
 
 
-def simulate_statevector(program: QuantumProgram) -> np.ndarray:
+def simulate_statevector(program: QuantumProgram, local: Mapping[int, int] | None = None) -> np.ndarray:
     """Run all unitary gates from |0...0> on one buffer; measures and
-    barriers are skipped."""
-    n = program.n_qubits
+    barriers are skipped. With ``local`` (see ``active_register``) only its
+    qubits are simulated, qubit q as local[q]."""
+    n = program.n_qubits if local is None else len(local)
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     tensor = state.reshape([2] * n)
     for g in program.gates:
         if g.kind in (MEASURE, BARRIER):
             continue
+        qubits = g.qubits if local is None else tuple(local[q] for q in g.qubits)
         # axis of qubit q is n-1-q (little-endian); a CNOT matrix's basis is
         # |control target>, so the control comes first
-        _contract(tensor, _gate_plan(g), tuple(n - 1 - q for q in g.qubits))
+        _contract(tensor, _gate_plan(g), tuple(n - 1 - q for q in qubits))
     return state
 
 
@@ -215,14 +221,41 @@ def output_distribution(program: QuantumProgram, cap: int = DEFAULT_QUBIT_CAP) -
     return {bitstring(i, n): float(p) for i, p in enumerate(probs) if p >= PRUNE_BELOW}
 
 
-def _check_cap(m: int, cap: int, what: str) -> None:
+def check_cap(m: int, cap: int, what: str) -> None:
+    """Refuse a register of ``m`` qubits above ``cap`` (itself at most
+    ``HARD_QUBIT_CAP``); ``what`` names the qubits in the message."""
     if m > min(cap, HARD_QUBIT_CAP):
         raise QubitCapExceeded(f"{m} {what} exceed the simulation cap of {min(cap, HARD_QUBIT_CAP)}")
 
 
 def distribution_vector(program: QuantumProgram, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    _check_cap(program.n_qubits, cap, "qubits")
-    return np.abs(simulate_statevector(program)) ** 2
+    """Outcome probabilities of a program by basis index. The cap is checked
+    on every call; the vector is simulated on first use and kept on the
+    program (an attribute, not a dataclass field, so == and hash ignore it),
+    and every caller gets that one read-only vector."""
+    check_cap(program.n_qubits, cap, "qubits")
+    probs = getattr(program, "_distribution", None)
+    if probs is None:
+        probs = np.abs(simulate_statevector(program)) ** 2
+        probs.flags.writeable = False
+        object.__setattr__(program, "_distribution", probs)
+    return probs
+
+
+def active_register(compiled: QuantumProgram, layouts, cap: int) -> dict[int, int]:
+    """The active qubits of a compiled circuit, those a unitary gate touches
+    or a layout names, each mapped to its index in ascending order. Every
+    other qubit stays |0> and no layout's marginal depends on it, so only
+    these are simulated. Raises QubitCapExceeded when they exceed ``cap``."""
+    n = compiled.n_qubits
+    active = sorted(
+        {q for g in compiled.gates if g.kind not in (MEASURE, BARRIER) for q in g.qubits}
+        | {q for layout in layouts for q in layout.values()}
+    )
+    if active and active[-1] >= n:
+        raise ValueError(f"layout qubit {active[-1]} is outside the {n}-qubit circuit")
+    check_cap(len(active), cap, "active qubits")
+    return {q: i for i, q in enumerate(active)}
 
 
 def marginal_distribution(probs: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
@@ -417,25 +450,18 @@ def noisy_success_probability(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
-    n = compiled.n_qubits
-    active = sorted(
-        {q for g in compiled.gates if g.kind not in (MEASURE, BARRIER) for q in g.qubits}
-        | {q for layout in layouts for q in layout.values()}
-    )
-    if active and active[-1] >= n:
-        raise ValueError(f"layout qubit {active[-1]} is outside the {n}-qubit circuit")
-    m = len(active)
-    _check_cap(m, cap, "active qubits")
+    local = active_register(compiled, layouts, cap)
+    m = len(local)
     modes = [modal_outcome(d) for d in ideal_distributions]
     if all(modal is None for modal in modes):
         return [None for _ in zip(layouts, modes)]
-    local = {q: i for i, q in enumerate(active)}
     ops = _noisy_ops(compiled, backend, local)
     keeps = [[local[layout[q]] for q in sorted(layout)] for layout in layouts]
     if mode == "exact":
-        dist, total = _exact_distribution(ops, active, backend), 1
+        dist, total = _exact_distribution(ops, list(local), backend), 1
     else:
-        readout = [(backend.calib.readout_error[q], 1 << local[q] if q in local else 0) for q in range(n)]
+        rates = backend.calib.readout_error
+        readout = [(rates[q], 1 << local[q] if q in local else 0) for q in range(compiled.n_qubits)]
         errors, uniforms, flips = _draw_shots(ops, readout, shots, random.Random(seed))
         chunk = max(1, TRAJECTORY_BYTES // (_WORKING_BYTES * 2**m))
         dist, total = np.zeros(2**m, dtype=np.int64), shots

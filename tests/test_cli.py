@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import BUNDLED, grid_graph, make_backend
-from qmultiprog import cli, fixtures
+from qmultiprog import cli, fixtures, partition
 from qmultiprog.circuit import parse_program, serialize_program
 from qmultiprog.hardware import load_backend
 from qmultiprog.partition import PartitionError
@@ -516,5 +516,60 @@ def test_empty_workload_is_partition_error(policy, london):
 def test_register_over_the_simulator_cap_is_unchecked(policy):
     backend = make_backend(25, grid_graph(5, 5).edges, name="grid5x5")
     programs = [fixtures.load_benchmark(n) for n in ("bv_n3", "toffoli_3")]
-    report = cli.compile_workload(programs, backend, policy, cap=30)["report"]
+    # Every run's active register holds a 3-qubit program: over a cap of 2.
+    report = cli.compile_workload(programs, backend, policy, cap=2)["report"]
     assert report["equivalence"] == {"checked": False, "passed": None, "total_variation": None}
+
+
+def test_tokyo20_compile_is_checked_on_its_active_register(tmp_path):
+    # 20 physical qubits, over the default cap; the 6 active ones are not
+    out = tmp_path / "tokyo"
+    argv = ["compile", bench_file("bv_n3"), bench_file("toffoli_3"), "--backend", backend_file("tokyo20")]
+    assert run(argv + ["--out", str(out), "--format", "doc"]) == 0
+    equivalence = json.loads((out / "report.json").read_text())["equivalence"]
+    assert equivalence["checked"] is True and equivalence["passed"] is True
+
+
+@pytest.mark.parametrize("policy", ["baseline", "xswap-only"])
+def test_policies_without_a_dendrogram_build_no_tree(policy, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("built a dendrogram for a policy that does not partition by one")
+
+    monkeypatch.setattr(partition, "build_hierarchy_tree", fail)
+    programs = [fixtures.load_benchmark(n) for n in ("bv_n3", "toffoli_3")]
+    report = cli.compile_workload(programs, fixtures.load_fixture_backend("cross9"), policy)["report"]
+    assert report["equivalence"]["passed"] is True
+
+
+def test_one_tree_per_backend_serves_every_policy(monkeypatch):
+    calls = []
+    original = partition.build_hierarchy_tree
+
+    def counting(backend, omega=partition.DEFAULT_OMEGA):
+        calls.append((backend.name, omega))
+        return original(backend, omega)
+
+    monkeypatch.setattr(partition, "build_hierarchy_tree", counting)
+    backend = fixtures.load_fixture_backend("cross9")
+    programs = [fixtures.load_benchmark(n) for n in ("bv_n3", "toffoli_3")]
+    for policy in cli.POLICIES:
+        cli.compile_workload(programs, backend, policy)
+    assert calls == [("cross9", partition.DEFAULT_OMEGA)]
+    cli.compile_workload(programs, backend, "cdap-only", omega=0.5)
+    assert calls[1:] == [("cross9", 0.5)]
+
+
+@pytest.mark.parametrize("policy", cli.POLICIES)
+def test_value_equal_program_lists_give_identical_reports(policy):
+    # The second list meets caches filled by the first: a kept tree on the
+    # backend and kept distributions on equal (not identical) programs.
+    backend = fixtures.load_fixture_backend("cross9")
+    names = ("toffoli_3", "bv_n3", "peres_3")
+
+    def compile_once():
+        result = cli.compile_workload([fixtures.load_benchmark(n) for n in names], backend, policy)
+        report = dict(result["report"])
+        del report["compile_seconds"]
+        return cli._json(report), [serialize_program(c) for c in result["compiled"]]
+
+    assert compile_once() == compile_once()

@@ -25,6 +25,7 @@ from qmultiprog.partition import (
     average_redundancy,
     build_hierarchy_tree,
     frp_partition,
+    hierarchy_tree,
     max_redundant_qubits,
     merge_reward,
     modularity,
@@ -268,6 +269,22 @@ def test_golden_merge_orders_random_calibrations(chip):
     base = fixtures.load_fixture_backend(chip)
     digests = [_merge_digest(random_backend(base.graph, base.calib, seed=s)) for s in range(20)]
     assert digests == GOLDEN_CALIBRATED_MERGES[chip]
+
+
+def test_hierarchy_tree_keeps_one_tree_per_backend():
+    backend = fixtures.load_fixture_backend("london")
+    before = (backend == fixtures.load_fixture_backend("london"), repr(backend))
+    tree = hierarchy_tree(backend, 0.95)
+    assert hierarchy_tree(backend, 0.95) is tree
+    assert (backend == fixtures.load_fixture_backend("london"), repr(backend)) == before
+    assert _tree_shape(tree) == _tree_shape(build_hierarchy_tree(backend, 0.95))
+    other = hierarchy_tree(backend, 0.5)
+    assert other is not tree and other.omega == 0.5
+    assert _tree_shape(other) == _tree_shape(build_hierarchy_tree(backend, 0.5))
+    # the last omega asked for replaced the first: back at 0.95 it is rebuilt
+    again = hierarchy_tree(backend, 0.95)
+    assert again is not tree and _tree_shape(again) == _tree_shape(tree)
+    assert hierarchy_tree(fixtures.load_fixture_backend("london"), 0.95) is not again
 
 
 # --- redundancy -----------------------------------------------------------------

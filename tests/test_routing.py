@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +15,7 @@ from conftest import (
     reference_depth,
     reference_swap_score,
 )
-from qmultiprog import fixtures, routing
+from qmultiprog import fixtures, routing, sim
 from qmultiprog.circuit import Gate, QuantumProgram, front_layer, parse_program
 from qmultiprog.hardware import bfs_hops
 from qmultiprog.partition import build_hierarchy_tree, frp_partition, partition_qubits
@@ -795,6 +796,42 @@ def test_equivalence_cap():
 
     with pytest.raises(QubitCapExceeded):
         verify_equivalence([wide], wide, [{q: q for q in range(13)}], limit=12)
+
+
+def test_program_qubits_over_the_cap_refuse_before_any_gate_is_scanned(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("scanned the compiled circuit although its programs exceed the cap")
+
+    monkeypatch.setattr(sim, "active_register", fail)
+    programs = [QuantumProgram("a", 7, ()), QuantumProgram("b", 7, ())]
+    layouts = [{q: q for q in range(7)}, {q: q + 7 for q in range(7)}]
+    with pytest.raises(sim.QubitCapExceeded, match="14 program qubits exceed the simulation cap of 12"):
+        verify_equivalence(programs, QuantumProgram("wide", 14, ()), layouts, limit=12)
+
+
+def _full_register_total_variation(programs, compiled, layouts):
+    """Oracle: the check on every qubit of the compiled circuit."""
+    probs = np.abs(sim.simulate_statevector(compiled)) ** 2
+    keep = [layout[q] for layout in layouts for q in sorted(layout)]
+    ideal = np.array([1.0])
+    for program in programs:
+        ideal = np.kron(sim.distribution_vector(program), ideal)
+    return sim.total_variation(sim.marginal_distribution(probs, compiled.n_qubits, keep), ideal)
+
+
+@pytest.mark.parametrize("chip, second", [("cross9", 6), ("tokyo20", 10)])
+def test_active_register_check_matches_the_full_register_bit_for_bit(chip, second):
+    # Inactive qubits stay |0>, and renumbering in ascending order keeps the
+    # index order of the marginal's sums, so the figure is the same float.
+    backend = fixtures.load_fixture_backend(chip)
+    programs = [fixtures.load_benchmark(n) for n in ("toffoli_3", "bv_n3")]
+    mapping = GlobalMapping([{q: q for q in range(3)}, {q: second + q for q in range(3)}], n_phys=backend.n_qubits)
+    for router in (xswap_route, baseline_route):
+        schedule = router(programs, mapping, backend)
+        compiled = decompose(schedule).combined
+        layouts = [dict(s) for s in schedule.final.sigmas]
+        ok, tv = verify_equivalence(programs, compiled, layouts)
+        assert ok and tv == _full_register_total_variation(programs, compiled, layouts)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -190,6 +190,26 @@ def test_each_job_is_estimated_alone_once(monkeypatch):
     assert calls == {0: 1, 1: 1, 2: 1}
 
 
+def test_value_equal_programs_are_estimated_alone_once(tokyo20, monkeypatch):
+    # bv_n3 parsed twice: two program objects, one value, one solo estimate
+    bv, peres, bv_again = (fixtures.load_benchmark(n) for n in ("bv_n3", "peres_3", "bv_n3"))
+    assert bv == bv_again and bv is not bv_again
+    tree = build_hierarchy_tree(tokyo20)
+    queue = [Job(0, bv), Job(1, peres), Job(2, bv_again)]
+    calls = Counter()
+    original = scheduler.independent_epst
+
+    def counting(job, tree, backend, **kw):
+        calls[job.program.name] += 1
+        return original(job, tree, backend, **kw)
+
+    monkeypatch.setattr(scheduler, "independent_epst", counting)
+    batches = schedule_tasks(queue, tree, tokyo20, epsilon=0.15, max_colocate=3)
+    assert calls == {"bv_n3": 1, "peres_3": 1}
+    assert queue[0].ind_epst == queue[2].ind_epst == original(Job(9, bv_again), tree, tokyo20)
+    assert sorted(j.id for b in batches for j in b.jobs) == [0, 1, 2]
+
+
 def test_trf_arithmetic():
     def batch_of(k, start):
         return Batch(

@@ -760,3 +760,40 @@ def test_plan_and_index_tables_do_not_grow_with_angles():
     run([Gate("u3", (i % n,), tuple(rng.uniform(-7, 7) for _ in range(3))) for i in range(1000)])
     assert {name: len(value) for name, value in tables.items()} == sizes
     assert sizes["_BLOCK_INDEX"] > 0
+
+
+# --- a program's ideal distribution is simulated once and kept on it -----------
+
+
+def test_distribution_cache_is_invisible_to_value_semantics():
+    src = fixtures.benchmark_path("toffoli_3").read_text()
+    program, twin = parse_program(src, name="toffoli_3"), parse_program(src, name="toffoli_3")
+    before = (program == twin, hash(program), repr(program))
+    first = distribution_vector(program)
+    assert distribution_vector(program) is first  # simulated once
+    assert (program == twin, hash(program), repr(program)) == before
+    assert distribution_vector(twin).tobytes() == first.tobytes()
+    assert first.tobytes() == (np.abs(simulate_statevector(program)) ** 2).tobytes()
+
+
+def test_cached_distribution_is_read_only():
+    probs = distribution_vector(fixtures.load_benchmark("bv_n3"))
+    with pytest.raises(ValueError):
+        probs[0] = 1.0
+
+
+def test_cap_is_checked_on_every_call_of_a_cached_program():
+    program = fixtures.load_benchmark("toffoli_3")
+    distribution_vector(program, cap=12)
+    with pytest.raises(QubitCapExceeded, match="3 qubits exceed the simulation cap of 2"):
+        distribution_vector(program, cap=2)
+
+
+def test_active_register_renumbers_in_ascending_order():
+    compiled = parse_program("qreg q[6]; creg c[1]; h q[4]; cx q[4],q[1]; measure q[5] -> c[0];", name="c")
+    # q5 is only measured and q0 is named by a layout: q0, q1 and q4 are active
+    assert sim.active_register(compiled, [{0: 4, 1: 0}], cap=12) == {0: 0, 1: 1, 4: 2}
+    with pytest.raises(QubitCapExceeded, match="3 active qubits"):
+        sim.active_register(compiled, [{0: 4, 1: 0}], cap=2)
+    with pytest.raises(ValueError, match="outside the 6-qubit circuit"):
+        sim.active_register(compiled, [{0: 6}], cap=12)
