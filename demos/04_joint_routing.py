@@ -33,4 +33,5 @@ for event in schedule.events:
     if isinstance(event, SwapOp):
         print(f"  SWAP {event.key()} [{event.swap_class}]")
     else:
-        print(f"  P{event.program} {event.kind:8s} phys {event.phys}")
+        kind = programs[event.program].gates[event.gate_id].kind
+        print(f"  P{event.program} {kind:8s} phys {event.phys}")

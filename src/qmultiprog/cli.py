@@ -274,6 +274,16 @@ def cmd_bench(args) -> int:
         [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else [None]
     )
     workloads = _read_manifest(args.manifest)
+    # An empty grid is a usage error, not an empty table.
+    if not policies:
+        print("error: --policies lists no policy", file=sys.stderr)
+        return EXIT_USAGE
+    if not seeds:
+        print("error: --seeds lists no seed", file=sys.stderr)
+        return EXIT_USAGE
+    if not any(workloads):
+        print(f"error: manifest {args.manifest} lists no programs", file=sys.stderr)
+        return EXIT_USAGE
     cells = []
     for files in workloads:
         programs = [parse_program_file(f) for f in files]

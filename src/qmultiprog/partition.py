@@ -277,6 +277,20 @@ def program_order(programs) -> list[QuantumProgram]:
     return sorted(programs, key=lambda p: (-p.cnot_density, -p.n_qubits, p.name))
 
 
+def _placement_order(programs) -> list[QuantumProgram]:
+    """The programs a partitioner places, in ``program_order``. Refuses an
+    empty list and a program object given twice (a placement is looked up by
+    object, so one object cannot hold two regions)."""
+    programs = list(programs)
+    if not programs:
+        raise PartitionError("no programs to partition")
+    if len({id(p) for p in programs}) != len(programs):
+        raise PartitionError(
+            "each program must be a distinct object; parse the source again to co-run a circuit with itself"
+        )
+    return program_order(programs)
+
+
 def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> dict[int, int]:
     """Greatest-weighted-edge-first placement of a program inside a region,
     as the map from each logical qubit to its physical qubit.
@@ -387,13 +401,7 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend, *, _trials
     live in ``_trials``, keyed by ``id(program)``: the scheduler hands one
     table to every partition of a call, so trials recur across its batches.
     """
-    programs = list(programs)
-    if not programs:
-        raise PartitionError("no programs to partition")
-    if len({id(p) for p in programs}) != len(programs):
-        raise PartitionError(
-            "each program must be a distinct object; parse the source again to co-run a circuit with itself"
-        )
+    ordered = _placement_order(programs)
     # Alive qubits of every node that has lost some; any other node still
     # has all of ``node.qubits``. The parent of a cut node counts as None.
     free: dict[HierarchyNode, frozenset[int]] = {}
@@ -414,7 +422,7 @@ def partition_qubits(tree: HierarchyTree, programs, backend: Backend, *, _trials
         _trials = {}
     assignments: list[Assignment] = []
     unassigned: list[QuantumProgram] = []
-    for program in program_order(programs):
+    for program in ordered:
         need = program.n_qubits
         candidates: list[HierarchyNode] = []
         for q in sorted(tree.leaves):
@@ -476,9 +484,7 @@ def frp_partition(programs, backend: Backend) -> Partition:
     (link count / summed CNOT error) utility as root, then repeatedly absorb
     the best-utility available neighbor until the region is program-sized.
     """
-    programs = list(programs)
-    if not programs:
-        raise PartitionError("no programs to partition")
+    ordered = _placement_order(programs)
     available = set(range(backend.n_qubits))
     assignments: list[Assignment] = []
     unassigned: list[QuantumProgram] = []
@@ -490,7 +496,7 @@ def frp_partition(programs, backend: Backend) -> Partition:
         err = sum(backend.calib.cnot_error[(min(q, n), max(q, n))] for n in links)
         return float("inf") if err == 0 else len(links) / err
 
-    for program in program_order(programs):
+    for program in ordered:
         if program.n_qubits > len(available):
             unassigned.append(program)
             continue

@@ -19,17 +19,20 @@ two things that differ:
 
 Each step redoes only what the last SWAP changed (as in SABRE). A program
 counts every gate's unexecuted predecessors and updates its ready set as
-gates execute; CNOTs found non-adjacent stay blocked until a SWAP moves one
-of their operands, so the compliant pass re-tests only those. The blocked
-sets are then the front layer, whose terms (hop row, hop count, shortcut
-bonus per CNOT) are looked up once per step and shared by every candidate.
-SWAPs are counted only in ``decompose``, which charges each to its
-lowest-indexed owner.
+gates execute; a CNOT found non-adjacent keeps its physical operand pair
+and stays blocked until a SWAP moves one of them, so the compliant pass
+re-tests only those. The blocked gates are then the front layer, whose
+terms (hop row, hop count, shortcut bonus per CNOT) are read from those
+pairs once per step and shared by every candidate. A schedule records each
+SWAP with its class and owners, and each gate as (program, gate id,
+physical operands). SWAPs are counted only in ``decompose``, which charges
+each to its lowest-indexed owner.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -134,9 +137,12 @@ class SwapOp:
 class GateEvent:
     program: int
     gate_id: int
-    kind: str
     phys: tuple[int, ...]
-    params: tuple[float, ...] = ()
+
+
+def _emitted_params(g: Gate) -> tuple[float, ...]:
+    """A gate's angles as a compiled circuit carries them: one-qubit kinds only."""
+    return g.params if g.kind in ONE_QUBIT_GATES else ()
 
 
 @dataclass(frozen=True)
@@ -162,13 +168,14 @@ class Schedule:
             if isinstance(e, SwapOp):
                 events.append({"swap": [e.phys_a, e.phys_b], "class": e.swap_class, "owners": list(e.owners)})
             else:
+                g = self.programs[e.program].gates[e.gate_id]
                 events.append(
                     {
                         "program": e.program,
                         "gate": e.gate_id,
-                        "kind": e.kind,
+                        "kind": g.kind,
                         "phys": list(e.phys),
-                        "params": list(e.params),
+                        "params": list(_emitted_params(g)),
                     }
                 )
         return {
@@ -190,22 +197,19 @@ def mapping_from_partition(partition, programs, n_phys: int) -> GlobalMapping:
 # --- heuristics ----------------------------------------------------------------
 
 
-def obtain_swaps(to_resolve, graph, mapping: GlobalMapping, allowed=None) -> list[tuple[int, int]]:
+def obtain_swaps(operands, graph, allowed) -> list[tuple[int, int]]:
     """Candidate SWAPs as sorted (low, high) edges: every coupling edge
-    incident to a physical qubit that hosts an operand of a gate to resolve,
-    regardless of who owns the other endpoint (this is what admits
-    cross-program and free-qubit SWAPs). With ``allowed`` (the routers pass
-    their hop rows), only edges with both endpoints in it qualify."""
+    incident to a qubit of the physical ``operands`` pairs, with both
+    endpoints in ``allowed`` (the routers pass their hop rows), regardless of
+    who owns the other one (this is what admits cross-program and free-qubit
+    SWAPs)."""
     edges: set[tuple[int, int]] = set()
-    for program, g in to_resolve:
-        sigma = mapping.sigmas[program]
-        for lq in g.qubits:
-            p = sigma[lq]
-            if allowed is not None and p not in allowed:
-                continue
-            for nb in graph.neighbors(p):
-                if allowed is None or nb in allowed:
-                    edges.add((p, nb) if p < nb else (nb, p))
+    for pair in operands:
+        for p in pair:
+            if p in allowed:
+                for nb in graph.neighbors(p):
+                    if nb in allowed:
+                        edges.add((p, nb) if p < nb else (nb, p))
     return sorted(edges)
 
 
@@ -261,74 +265,68 @@ class _ProgramState:
     ``waiting[gid]`` counts the gate's DAG predecessors not yet executed;
     ``ready`` is the set of pending gates (any kind) with none left, updated
     as gates execute rather than found by rescanning the program. ``blocked``
-    holds the ready CNOTs found non-adjacent under the current mapping; only
-    a SWAP on one of their operands can unblock them.
+    maps each ready CNOT found non-adjacent to its physical operand pair,
+    which stays valid until a SWAP on one of those qubits unblocks it.
     """
 
     def __init__(self, index: int, program: QuantumProgram):
         self.index = index
         self.program = program
         self.dag: Dag = build_dag(program)
-        self.executed: set[int] = set()
         self.waiting = {gid: len(preds) for gid, preds in self.dag.predecessors.items()}
         self.ready = {gid for gid, n in self.waiting.items() if n == 0}
-        self.blocked: set[int] = set()
+        self.blocked: dict[int, tuple[int, int]] = {}
 
     def execute(self, gid: int):
-        self.executed.add(gid)
         self.ready.remove(gid)
         for succ in self.dag.successors[gid]:
             self.waiting[succ] -= 1
             if not self.waiting[succ]:
                 self.ready.add(succ)
 
-    def unblock(self, mapping: GlobalMapping, a: int, b: int):
+    def unblock(self, a: int, b: int):
         """Forget the blocked gates with an operand on physical qubit a or b."""
-        sigma, gates = mapping.sigmas[self.index], self.program.gates
-        self.blocked = {gid for gid in self.blocked if not {sigma[q] for q in gates[gid].qubits} & {a, b}}
+        self.blocked = {gid: pair for gid, pair in self.blocked.items() if a not in pair and b not in pair}
 
-    def front_terms(self, mapping: GlobalMapping, hops, own=None) -> list[tuple]:
+    def front_terms(self, n_phys: int, hops, own=None) -> list[tuple]:
         """``swap_score``'s terms for the front layer (``blocked`` after a
         compliant pass), one ``(pa, pb, hops[pa], d, bonus)`` per CNOT in gate
         order. The bonus is the SWAPs the gate saves by crossing program
         boundaries, per front gate: its hop count in ``own[index]`` (its region
-        plus the free qubits) minus ``d``, or the chip's qubit count when that
-        region cannot connect it. It is None without ``own`` and when the gate
-        saves nothing, as subtracting 0.0 changes no score. Raises
-        UnroutableProgramError when ``hops`` cannot connect the operands."""
-        front = sorted(self.blocked)
-        per_layer = 1.0 / len(front) if front else 0.0
-        sigma = mapping.sigmas[self.index]
+        plus the free qubits) minus ``d``, or ``n_phys`` (the chip's qubit
+        count) when that region cannot connect it. It is None without ``own``
+        and when the gate saves nothing, as subtracting 0.0 changes no score.
+        Raises UnroutableProgramError when ``hops`` cannot connect a pair."""
+        per_layer = 1.0 / len(self.blocked) if self.blocked else 0.0
         terms = []
-        for gid in front:
-            qa, qb = self.program.gates[gid].qubits
-            pa, pb = sigma[qa], sigma[qb]
+        for _, (pa, pb) in sorted(self.blocked.items()):
             row = hops[pa]
             if pb not in row:
-                where = "the chip" if len(hops) == mapping.n_phys else f"region {sorted(hops)}"
+                where = "the chip" if len(hops) == n_phys else f"region {sorted(hops)}"
                 raise UnroutableProgramError(self.program.name, f"{where} cannot connect qubits {pa} and {pb}")
             d = row[pb]
             saved = 0
             if own is not None:
                 restricted = own[self.index][pa].get(pb)
-                saved = mapping.n_phys if restricted is None else restricted - d
+                saved = n_phys if restricted is None else restricted - d
             terms.append((pa, pb, row, d, per_layer * saved if saved else None))
         return terms
 
     def done(self) -> bool:
-        return len(self.executed) == len(self.program.gates)
+        return not self.ready  # the earliest unexecuted gate is always ready
 
 
 def _execute_compliant(states, mapping: GlobalMapping, graph, events, pending_measures) -> bool:
     """Greedily execute every gate that needs no SWAP; returns True if any ran.
     The mapping is fixed for the whole call, so a blocked gate is not tested
-    again; afterwards ``blocked`` is exactly ``front_layer(dag, executed)``."""
+    again; afterwards ``blocked`` maps ``front_layer(dag, executed)`` to the
+    gates' current physical operands."""
     progress = False
     moved = True
     while moved:
         moved = False
         for st in states:
-            todo = st.ready - st.blocked
+            todo = st.ready.difference(st.blocked)
             if not todo:
                 continue
             sigma, gates = mapping.sigmas[st.index], st.program.gates
@@ -337,15 +335,14 @@ def _execute_compliant(states, mapping: GlobalMapping, graph, events, pending_me
                 g = gates[gid]
                 phys = tuple([sigma[q] for q in g.qubits])
                 if g.kind == CNOT and not graph.has_edge(*phys):
-                    st.blocked.add(gid)
+                    st.blocked[gid] = phys
                     continue
                 st.execute(gid)
                 moved = progress = True
                 if g.kind == MEASURE:
                     pending_measures.append((st.index, gid, g.qubits[0]))
                 else:
-                    params = g.params if g.kind in ONE_QUBIT_GATES else ()
-                    events.append(GateEvent(st.index, gid, g.kind, phys, params))
+                    events.append(GateEvent(st.index, gid, phys))
     return progress
 
 
@@ -386,30 +383,29 @@ def _route(
             own = own_hops()
         terms, to_resolve = [], []
         for st in states:
-            terms += st.front_terms(mapping, hops, own)
+            terms += st.front_terms(mapping.n_phys, hops, own)
             for gid in sorted(critical_gates(st.dag, st.blocked) or st.blocked):
-                to_resolve.append((st.index, st.program.gates[gid]))
+                to_resolve.append(st.blocked[gid])
         if stalled >= stall_limit:
-            program, g = to_resolve[0]
-            pa, pb = mapping.phys(program, g.qubits[0]), mapping.phys(program, g.qubits[1])
+            pa, pb = to_resolve[0]
             row = hops[pb]  # hop counts are symmetric
             step = min((x for x in graph.neighbors(pa) if x in row), key=lambda x: (row[x], x))
             best = _classify(mapping, pa, step)
         else:
             edge = min(
-                obtain_swaps(to_resolve, graph, mapping, hops),
+                obtain_swaps(to_resolve, graph, hops),
                 key=lambda e: (swap_score(e, terms, hops), e),
             )
             best = _classify(mapping, *edge)
         for st in states:
-            st.unblock(mapping, best.phys_a, best.phys_b)
+            st.unblock(best.phys_a, best.phys_b)
         mapping.apply_swap(best.phys_a, best.phys_b)
         events.append(best)
         stalled += 1
         regions_moved = own_hops is not None and best.swap_class != "intra"
     # Measurements are pinned to the end, remapped through the final layout.
     for program, gid, logical in pending_measures:
-        events.append(GateEvent(program, gid, MEASURE, (mapping.phys(program, logical),)))
+        events.append(GateEvent(program, gid, (mapping.phys(program, logical),)))
     return events
 
 
@@ -467,14 +463,8 @@ def baseline_route(
         region = mapping.region(i)
         region_hops = {q: bfs_hops(graph, q, region) for q in region}
         streams.append(_route([(i, program)], mapping, graph, region_hops, stall_limit))
-    merged: list = []
-    cursors = [0] * len(streams)
-    while any(c < len(s) for c, s in zip(cursors, streams)):
-        for i, stream in enumerate(streams):
-            if cursors[i] < len(stream):
-                merged.append(stream[cursors[i]])
-                cursors[i] += 1
-    return Schedule(tuple(programs), tuple(merged), initial.clone(), mapping, backend)
+    merged = tuple(e for row in zip_longest(*streams) for e in row if e is not None)
+    return Schedule(tuple(programs), merged, initial.clone(), mapping, backend)
 
 
 # --- decomposition and verification ----------------------------------------------
@@ -514,16 +504,16 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
             charged[event.owners[0]] += 1
             replayed.apply_swap(a, b)
             continue
-        kind, phys = event.kind, event.phys
-        if kind == CNOT and not graph.has_edge(*phys):
+        g, phys = schedule.programs[event.program].gates[event.gate_id], event.phys
+        if g.kind == CNOT and not graph.has_edge(*phys):
             raise RoutingError(f"executed CNOT on non-adjacent qubits ({phys[0]},{phys[1]})")
         sigma = sigmas[event.program]
-        expected = tuple([sigma[q] for q in schedule.programs[event.program].gates[event.gate_id].qubits])
+        expected = tuple([sigma[q] for q in g.qubits])
         if expected != phys:
             raise RoutingError(f"event operands {phys} disagree with replayed mapping {expected}")
-        combined.append(Gate(kind, phys, tuple(event.params), len(combined)))
+        combined.append(Gate(g.kind, phys, _emitted_params(g), len(combined)))
         # A barrier lifts its qubits to their common level and adds none.
-        depth = max([level.get(q, 0) for q in phys], default=0) + (kind != BARRIER)
+        depth = max([level.get(q, 0) for q in phys], default=0) + (g.kind != BARRIER)
         for q in phys:
             level[q] = depth
     for i, sigma in enumerate(sigmas):

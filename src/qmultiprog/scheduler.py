@@ -23,7 +23,8 @@ class SchedulingError(ValueError):
 
 @dataclass
 class Job:
-    """A queued program with cached success-rate estimates."""
+    """A queued program with the success-rate estimates its last
+    ``schedule_tasks`` call recorded."""
 
     id: int
     program: QuantumProgram
@@ -108,8 +109,9 @@ def schedule_tasks(
     estimate under a joint partition; a tentative addition that pushes any
     member's violation past ``epsilon`` is dropped. A job whose program object
     is already in the batch is skipped and waits for a later batch. Every job
-    is estimated alone before batching, once per distinct program value (a
-    program compares by value, so a circuit parsed twice is estimated once);
+    is estimated alone on ``backend`` before batching, whatever estimate it
+    carries in, once per distinct program value (a program compares by
+    value, so a circuit parsed twice is estimated once);
     a job that cannot be placed alone is never a candidate and runs alone
     when it reaches the head.
 
@@ -124,13 +126,12 @@ def schedule_tasks(
     trials: dict = {}  # partition_qubits' scored trials; the jobs keep their programs alive
     solo: dict[QuantumProgram, float | None] = {}  # by value: equal programs place alike
     for job in jobs:
-        if job.ind_epst is None:
-            if job.program not in solo:
-                try:
-                    solo[job.program] = independent_epst(job, tree, backend, _trials=trials)
-                except SchedulingError:
-                    solo[job.program] = None
-            job.ind_epst = solo[job.program]
+        if job.program not in solo:
+            try:
+                solo[job.program] = independent_epst(job, tree, backend, _trials=trials)
+            except SchedulingError:
+                solo[job.program] = None
+        job.ind_epst = solo[job.program]
     batches: list[Batch] = []
     while jobs:
         head = jobs[0]

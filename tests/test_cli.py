@@ -283,14 +283,34 @@ def test_bench_grid_and_determinism(tmp_path, capsys):
 
 
 def test_bench_empty_policy_list(tmp_path, capsys):
+    # An empty policy list is a usage error naming the option, not an empty table.
     manifest = tmp_path / "w.txt"
     manifest.write_text(f"{bench_file('bv_n3')}\n")
-    code = run(
-        ["bench", str(manifest), "--backend", backend_file("london"), "--policies", "", "--format", "doc"]
-    )
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["cells"] == []
+    for policies in ("", ","):
+        code = run(
+            ["bench", str(manifest), "--backend", backend_file("london"), "--policies", policies, "--format", "doc"]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--policies lists no policy" in err
+
+
+def test_bench_empty_seed_list_is_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "w.txt"
+    manifest.write_text(f"{bench_file('bv_n3')}\n")
+    assert run(["bench", str(manifest), "--backend", backend_file("london"), "--seeds", ","]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--seeds lists no seed" in err
+
+
+@pytest.mark.parametrize("text", ["", "# nothing to compare yet\n\n", ",\n"])
+def test_bench_refuses_an_empty_manifest_naming_it(text, tmp_path, capsys):
+    manifest = tmp_path / "w.txt"
+    manifest.write_text(text)
+    assert run(["bench", str(manifest), "--backend", backend_file("london"), "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"manifest {manifest} lists no programs" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_schedule_subcommand(tmp_path, capsys):
@@ -510,6 +530,14 @@ def test_independent_report_combines_solo_runs(chip):
 def test_empty_workload_is_partition_error(policy, london):
     with pytest.raises(PartitionError, match="no programs"):
         cli.compile_workload([], london, policy)
+
+
+@pytest.mark.parametrize("policy", [p for p in cli.POLICIES if p != "independent"])
+def test_a_program_object_given_twice_is_refused_by_every_joint_policy(policy):
+    # The dendrogram partitioner and the greedy one refuse it alike, before placing anything.
+    program = fixtures.load_benchmark("bv_n3")
+    with pytest.raises(PartitionError, match="each program must be a distinct object"):
+        cli.compile_workload([program, program], fixtures.load_fixture_backend("cross9"), policy)
 
 
 @pytest.mark.parametrize("policy", ["cdap-xswap", "independent"])

@@ -367,10 +367,14 @@ def test_partition_four_qubit_program_on_london(london):
 
 
 def test_partition_rejects_duplicate_program_objects(london):
+    # Both partitioners share one prologue: the same refusals, before any placement.
     tree = build_hierarchy_tree(london)
     program = random_program("twice", 2, 2, 1, seed=44)
-    with pytest.raises(PartitionError, match="distinct object"):
-        partition_qubits(tree, [program, program], london)
+    for partitioner in (lambda ps: partition_qubits(tree, ps, london), lambda ps: frp_partition(ps, london)):
+        with pytest.raises(PartitionError, match="distinct object"):
+            partitioner([program, program])
+        with pytest.raises(PartitionError, match="no programs to partition"):
+            partitioner([])
 
 
 def test_partitioners_accept_a_generator(tokyo20):

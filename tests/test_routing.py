@@ -70,7 +70,9 @@ def test_global_mapping_rejects_overlap():
 def test_obtain_swaps_crossed_grid_candidates():
     programs, mapping, backend = fixtures.shortcut_swap_instance()
     blocked = programs[0].gates[-1]
-    keys = obtain_swaps([(0, blocked)], backend.graph, mapping)
+    pair = tuple(mapping.phys(0, q) for q in blocked.qubits)
+    assert pair == (0, 8)
+    keys = obtain_swaps([pair], backend.graph, set(range(backend.n_qubits)))
     # edges incident to the blocked operands (phys 0 and 8), owners ignored
     assert keys == [(0, 1), (0, 3), (0, 4), (4, 8), (5, 8), (7, 8)]
     by_key = {k: _classify(mapping, *k) for k in keys}
@@ -80,11 +82,11 @@ def test_obtain_swaps_crossed_grid_candidates():
 
 def test_obtain_swaps_path_chip():
     backend = make_backend(3, [(0, 1), (1, 2)])
-    program = parse_program("qreg q[2]; cx q[0],q[1];", name="p")
-    mapping = GlobalMapping([{0: 0, 1: 2}], n_phys=3)
-    swaps = obtain_swaps([(0, program.gates[0])], backend.graph, mapping)
-    assert swaps == [(0, 1), (1, 2)]
-    assert obtain_swaps([], backend.graph, mapping) == []
+    chip = set(range(3))
+    assert obtain_swaps([(0, 2)], backend.graph, chip) == [(0, 1), (1, 2)]
+    assert obtain_swaps([], backend.graph, chip) == []
+    # only edges with both endpoints allowed qualify
+    assert obtain_swaps([(0, 2)], backend.graph, {0, 1}) == [(0, 1)]
 
 
 def test_score_prefers_shortcut_swap():
@@ -97,10 +99,11 @@ def test_score_prefers_shortcut_swap():
         own.append({q: bfs_hops(graph, q, allowed) for q in allowed})
     blocked = programs[0].gates[-1]
     fronts = [[blocked], []]
+    pair = tuple(mapping.phys(0, q) for q in blocked.qubits)
     state = _ProgramState(0, programs[0])
-    state.blocked = {blocked.id}
-    terms = state.front_terms(mapping, full, own)
-    candidates = obtain_swaps([(0, blocked)], backend.graph, mapping)
+    state.blocked = {blocked.id: pair}
+    terms = state.front_terms(mapping.n_phys, full, own)
+    candidates = obtain_swaps([pair], backend.graph, full)
     scores = {e: swap_score(e, terms, full) for e in candidates}
     assert scores == {
         e: reference_swap_score(e, fronts, mapping, full, own, gain_cap=backend.n_qubits)
@@ -311,7 +314,7 @@ def test_incremental_frontier_matches_reference(program, data):
     while True:
         assert sorted(state.ready) == ready_gates(state.dag, executed)
         assert {gid for gid in state.ready if program.gates[gid].is_cnot} == front_layer(state.dag, executed)
-        assert state.executed == executed
+        assert state.done() == (len(executed) == len(program.gates))
         if not state.ready:
             break
         gid = data.draw(st.sampled_from(sorted(state.ready)))
@@ -357,16 +360,26 @@ def _own_rows(mapping, graph):
     return rows
 
 
-def _checked_compliant_pass(states, mapping, graph, *args):
+def _executed(events, pending_measures, index):
+    """Program ``index``'s executed gates, read from the events and pending
+    measures a routing pass has collected."""
+    gates = {e.gate_id for e in events if isinstance(e, GateEvent) and e.program == index}
+    return gates | {gid for program, gid, _ in pending_measures if program == index}
+
+
+def _checked_compliant_pass(states, mapping, graph, events, pending_measures):
     """``_execute_compliant`` followed by the blocked-set invariant: the
-    blocked gates are the rescanned front layer, all ready and all still
-    non-adjacent (the pass left no executable gate behind)."""
-    progress = _execute_compliant(states, mapping, graph, *args)
+    blocked gates are the front layer rescanned from the collected events,
+    all ready and all still non-adjacent (the pass left no executable gate
+    behind), and each stored operand pair is the gate's current physical
+    operands."""
+    progress = _execute_compliant(states, mapping, graph, events, pending_measures)
     for s in states:
-        assert s.blocked == front_layer(s.dag, s.executed)
-        assert s.blocked <= s.ready
-        for gid in s.blocked:
-            assert not graph.has_edge(*(mapping.phys(s.index, q) for q in s.program.gates[gid].qubits))
+        assert set(s.blocked) == front_layer(s.dag, _executed(events, pending_measures, s.index))
+        assert set(s.blocked) <= s.ready
+        for gid, pair in s.blocked.items():
+            assert pair == tuple(mapping.phys(s.index, q) for q in s.program.gates[gid].qubits)
+            assert not graph.has_edge(*pair)
     return progress
 
 
@@ -378,18 +391,20 @@ def _walk_and_score(programs, mapping, graph, bonus, steps, pick):
     hops = {q: bfs_hops(graph, q) for q in range(graph.n_qubits)}
     states = [_ProgramState(i, p) for i, p in enumerate(programs)]
     edges = sorted(graph.edges)
+    events, pending_measures = [], []
     for _ in range(steps):
-        _checked_compliant_pass(states, mapping, graph, [], [])
+        _checked_compliant_pass(states, mapping, graph, events, pending_measures)
         own = _own_rows(mapping, graph) if bonus else None
         terms, fronts = [], []
         for s in states:
-            fronts.append([s.program.gates[gid] for gid in sorted(front_layer(s.dag, s.executed))])
-            terms += s.front_terms(mapping, hops, own)
+            front = front_layer(s.dag, _executed(events, pending_measures, s.index))
+            fronts.append([s.program.gates[gid] for gid in sorted(front)])
+            terms += s.front_terms(mapping.n_phys, hops, own)
         for e in edges:
             assert swap_score(e, terms, hops) == reference_swap_score(e, fronts, mapping, hops, own, graph.n_qubits)
         a, b = pick(edges)
         for s in states:
-            s.unblock(mapping, a, b)
+            s.unblock(a, b)
         mapping.apply_swap(a, b)
 
 
@@ -698,7 +713,7 @@ def _corrupt_cnot_to_non_adjacent():
     backend = make_backend(3, [(0, 1), (1, 2)])
     program = parse_program("qreg q[2]; cx q[0],q[1];", name="one")
     mapping = GlobalMapping([{0: 0, 1: 2}], n_phys=3)
-    events = (GateEvent(0, 0, "cx", (0, 2)),)
+    events = (GateEvent(0, 0, (0, 2)),)
     return Schedule((program,), events, mapping, mapping.clone(), backend)
 
 
@@ -706,7 +721,11 @@ def _corrupt_operands():
     # a CNOT's operands reversed: still a coupling edge, but not the replay
     programs, mapping, backend = fixtures.boundary_swap_instance()
     schedule = xswap_route(programs, mapping, backend)
-    i, cx = next((i, e) for i, e in enumerate(schedule.events) if isinstance(e, GateEvent) and e.kind == "cx")
+    i, cx = next(
+        (i, e)
+        for i, e in enumerate(schedule.events)
+        if isinstance(e, GateEvent) and schedule.programs[e.program].gates[e.gate_id].is_cnot
+    )
     events = list(schedule.events)
     events[i] = dataclasses.replace(cx, phys=cx.phys[::-1])
     return dataclasses.replace(schedule, events=tuple(events))

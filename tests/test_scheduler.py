@@ -210,6 +210,26 @@ def test_value_equal_programs_are_estimated_alone_once(tokyo20, monkeypatch):
     assert sorted(j.id for b in batches for j in b.jobs) == [0, 1, 2]
 
 
+def test_reused_jobs_are_estimated_on_the_chip_they_are_scheduled_on(melbourne):
+    # A job list scheduled on one calibration and then on another must carry
+    # the second chip's solo estimates, so it batches and records exactly as
+    # fresh jobs of the same programs do.
+    programs = [fixtures.load_benchmark(n) for n in ("bv_n3", "bv_n4", "toffoli_3", "peres_3", "fredkin_3")]
+    jobs = [Job(i, p) for i, p in enumerate(programs)]
+    schedule_tasks(jobs, build_hierarchy_tree(melbourne), melbourne)
+    other = random_backend(melbourne.graph, melbourne.calib, seed=7)
+    tree = build_hierarchy_tree(other)
+
+    def summary(batches):
+        return [
+            ([(j.id, j.status, j.ind_epst, j.co_epst) for j in b.jobs], sorted(b.decision_record.items()))
+            for b in batches
+        ]
+
+    reused = summary(schedule_tasks(jobs, tree, other))
+    assert reused == summary(schedule_tasks([Job(i, p) for i, p in enumerate(programs)], tree, other))
+
+
 def test_trf_arithmetic():
     def batch_of(k, start):
         return Batch(
