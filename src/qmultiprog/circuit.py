@@ -50,6 +50,9 @@ class Gate:
                 raise ValueError(f"{self.kind} takes exactly one qubit")
         elif self.kind != BARRIER:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        want = PARAM_COUNTS.get(self.kind, 0)
+        if len(self.params) != want:
+            raise ValueError(f"{self.kind} takes {want} angle(s), got {len(self.params)}")
 
     @property
     def is_cnot(self) -> bool:

@@ -232,12 +232,20 @@ def cmd_compile(args) -> int:
 
 
 def _read_manifest(path: str) -> list[list[str]]:
+    """The manifest's comma-separated file lists, one per line; blank lines
+    and ``#`` comments are skipped. A line that names no file, and a
+    manifest with no line left, are refused."""
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([tok.strip() for tok in line.split(",") if tok.strip()])
+        row = [tok.strip() for tok in line.split(",") if tok.strip()]
+        if not row:
+            raise ValueError(f"manifest {path} lists no programs on line {lineno}")
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"manifest {path} lists no programs")
     return rows
 
 
@@ -267,9 +275,11 @@ def _bench_text(doc: dict) -> str:
 def cmd_bench(args) -> int:
     base = _backend_file(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    for p in policies:
+    for i, p in enumerate(policies):
         if p not in POLICIES:
             raise ValueError(f"unknown policy {p!r}")
+        if p in policies[:i]:
+            raise ValueError(f"--policies lists {p} twice")
     seeds: list[int | None] = (
         [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else [None]
     )
@@ -280,9 +290,6 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     if not seeds:
         print("error: --seeds lists no seed", file=sys.stderr)
-        return EXIT_USAGE
-    if not any(workloads):
-        print(f"error: manifest {args.manifest} lists no programs", file=sys.stderr)
         return EXIT_USAGE
     cells = []
     for files in workloads:
@@ -350,11 +357,7 @@ def _schedule_text(doc: dict) -> str:
 
 def cmd_schedule(args) -> int:
     backend = _load_backend_arg(args)
-    rows = _read_manifest(args.manifest)
-    files = [f for row in rows for f in row]
-    if not files:
-        print(f"error: manifest {args.manifest} lists no programs", file=sys.stderr)
-        return EXIT_USAGE
+    files = [f for row in _read_manifest(args.manifest) for f in row]
     queue = [Job(id=i, program=parse_program_file(f)) for i, f in enumerate(files)]
     tree = build_hierarchy_tree(backend, args.omega)
     batches = schedule_tasks(

@@ -9,8 +9,9 @@ the hop row of one source, a dict from each qubit the source reaches to its
 hop count, optionally confined to a qubit subset. A qubit missing from the
 row is unreachable. A caller that needs many sources builds one row per
 source, and one that needs a few hops inside a small region never pays for
-the whole chip. Everything here is immutable after construction and safe to
-share across threads.
+the whole chip. ``CouplingGraph.links`` lists the links inside a qubit set,
+in ``edges`` order, for every caller that sums over them. Everything here is
+immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -60,14 +61,18 @@ class CouplingGraph:
             adj.setdefault(b, []).append(a)
         return {q: tuple(sorted(nbs)) for q, nbs in adj.items()}
 
-    def neighbors(self, q: int) -> list[int]:
-        return list(self._adjacency.get(q, ()))
+    def neighbors(self, q: int) -> tuple[int, ...]:
+        return self._adjacency.get(q, ())
 
     def has_edge(self, a: int, b: int) -> bool:
         return _norm_edge(a, b) in self.edges
 
     def degree(self, q: int) -> int:
         return len(self.neighbors(q))
+
+    def links(self, qubits) -> list[Edge]:
+        """The edges with both ends in ``qubits``, in ``edges`` order."""
+        return [(a, b) for a, b in self.edges if a in qubits and b in qubits]
 
     def is_connected(self) -> bool:
         return self.n_qubits > 0 and len(bfs_hops(self, 0)) == self.n_qubits

@@ -103,11 +103,6 @@ def modularity(grouping: dict[int, int], graph: CouplingGraph) -> float:
     return sum(inside.get(g, 0) / m - (endpoints.get(g, 0) / (2 * m)) ** 2 for g in groups)
 
 
-def _between_edges(a: frozenset[int], b: frozenset[int], graph: CouplingGraph):
-    both = a | b
-    return [(x, y) for x, y in graph.edges if x in both and y in both and (x in a) != (y in a)]
-
-
 def merge_reward(a: HierarchyNode, b: HierarchyNode, backend: Backend, omega: float) -> float:
     """Benefit of merging communities a and b: the closed-form modularity
     delta (``modularity`` after the merge minus before) plus omega * (mean CNOT
@@ -115,7 +110,7 @@ def merge_reward(a: HierarchyNode, b: HierarchyNode, backend: Backend, omega: fl
     qubits). Returns -inf when no link crosses (unmergeable).
     """
     graph = backend.graph
-    crossing = _between_edges(a.qubits, b.qubits, graph)
+    crossing = [(x, y) for x, y in graph.links(a.qubits | b.qubits) if (x in a.qubits) != (y in a.qubits)]
     if not crossing:
         return UNMERGEABLE
     m = len(graph.edges)
@@ -242,11 +237,7 @@ class Partition:
 def _region_avg_fidelity(qubits: set[int], backend: Backend) -> float:
     """Pooled mean of CNOT-link fidelities inside the set and readout
     fidelities of its members."""
-    values = [
-        backend.calib.cnot_fidelity(a, b)
-        for a, b in backend.graph.edges
-        if a in qubits and b in qubits
-    ]
+    values = [backend.calib.cnot_fidelity(a, b) for a, b in backend.graph.links(qubits)]
     values += [backend.calib.readout_fidelity(q) for q in qubits]
     return sum(values) / len(values)
 
@@ -312,9 +303,7 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> dic
     for (a, b), w in weights.items():
         logical_weight[a] += w
         logical_weight[b] += w
-    # Internal links in sorted order: neighbour lists are sorted, so walking
-    # the region's qubits in order lists each (low, high) link once, sorted.
-    region_edges = [(a, b) for a in sorted(region) for b in backend.graph.neighbors(a) if a < b and b in region]
+    region_edges = sorted(backend.graph.links(region))
 
     sigma: dict[int, int] = {}
 

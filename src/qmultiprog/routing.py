@@ -40,7 +40,6 @@ from .circuit import (
     BARRIER,
     CNOT,
     MEASURE,
-    ONE_QUBIT_GATES,
     Dag,
     Gate,
     QuantumProgram,
@@ -84,8 +83,6 @@ class GlobalMapping:
                 if phys in self._occupant:
                     raise ValueError(f"physical qubit {phys} assigned twice")
                 self._occupant[phys] = (i, logical)
-            if len(set(sigma.values())) != len(sigma):
-                raise ValueError(f"sigma of program {i} is not injective")
 
     def clone(self) -> "GlobalMapping":
         return GlobalMapping(self.sigmas, self.n_phys)
@@ -140,11 +137,6 @@ class GateEvent:
     phys: tuple[int, ...]
 
 
-def _emitted_params(g: Gate) -> tuple[float, ...]:
-    """A gate's angles as a compiled circuit carries them: one-qubit kinds only."""
-    return g.params if g.kind in ONE_QUBIT_GATES else ()
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Ordered executed-gate/SWAP stream plus the evolving mapping endpoints."""
@@ -175,7 +167,7 @@ class Schedule:
                         "gate": e.gate_id,
                         "kind": g.kind,
                         "phys": list(e.phys),
-                        "params": list(_emitted_params(g)),
+                        "params": list(g.params),
                     }
                 )
         return {
@@ -511,7 +503,7 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
         expected = tuple([sigma[q] for q in g.qubits])
         if expected != phys:
             raise RoutingError(f"event operands {phys} disagree with replayed mapping {expected}")
-        combined.append(Gate(g.kind, phys, _emitted_params(g), len(combined)))
+        combined.append(Gate(g.kind, phys, g.params, len(combined)))
         # A barrier lifts its qubits to their common level and adds none.
         depth = max([level.get(q, 0) for q in phys], default=0) + (g.kind != BARRIER)
         for q in phys:

@@ -52,7 +52,7 @@ def epst(program: QuantumProgram, region, backend: Backend) -> float:
         raise SchedulingError(
             f"region of {len(region)} qubits is too small for {program.name}"
         )
-    edges = [(a, b) for a, b in backend.graph.edges if a in region and b in region]
+    edges = backend.graph.links(region)
     if program.n_cnot > 0 and not edges:
         raise SchedulingError(
             f"region {sorted(region)} has no internal link but {program.name} has CNOTs"

@@ -129,9 +129,13 @@ _FIXED_PLANS = {kind: _plan(m) for kind, m in _FIXED.items()}
 _FIXED_CONJ_PLANS = {kind: _plan(m.conj()) for kind, m in _FIXED.items()}
 
 
-def _gate_plan(gate: Gate) -> _Plan:
-    plan = _FIXED_PLANS.get(gate.kind)
-    return _plan(gate_matrix(gate)) if plan is None else plan
+def _gate_plan(gate: Gate, conj: bool = False) -> _Plan:
+    """The plan of the gate's matrix, or of its conjugate with ``conj``."""
+    plan = (_FIXED_CONJ_PLANS if conj else _FIXED_PLANS).get(gate.kind)
+    if plan is None:
+        matrix = gate_matrix(gate)
+        plan = _plan(matrix.conj() if conj else matrix)
+    return plan
 
 
 # Index tuples of the slice views, per (tensor rank, axes), filled on first
@@ -295,28 +299,20 @@ _PAULI_PLANS = (None, _FIXED_PLANS["x"], _FIXED_PLANS["y"], _FIXED_PLANS["z"])
 _Op = tuple[_Plan, _Plan, tuple[int, ...], float]
 
 
-def _gate_error(gate: Gate, operands: tuple[int, ...], backend: Backend) -> float:
+def _gate_error(gate: Gate, backend: Backend) -> float:
     if gate.kind == CNOT:
-        a, b = operands
-        return backend.calib.cnot_error[(min(a, b), max(a, b))]
-    return backend.calib.oneq_error[operands[0]]
+        return backend.calib.cnot_error[tuple(sorted(gate.qubits))]
+    return backend.calib.oneq_error[gate.qubits[0]]
 
 
 def _noisy_ops(program: QuantumProgram, backend: Backend, local) -> list[_Op]:
     """(plan, conjugate plan, local operands, error rate) per unitary gate;
     ``local`` maps a physical qubit to its index in the simulated register."""
-    ops = []
-    for g in program.gates:
-        if g.kind in (MEASURE, BARRIER):
-            continue
-        plan = _FIXED_PLANS.get(g.kind)
-        if plan is None:
-            matrix = gate_matrix(g)
-            plan, conj = _plan(matrix), _plan(matrix.conj())
-        else:
-            conj = _FIXED_CONJ_PLANS[g.kind]
-        ops.append((plan, conj, tuple(local[q] for q in g.qubits), _gate_error(g, g.qubits, backend)))
-    return ops
+    return [
+        (_gate_plan(g), _gate_plan(g, conj=True), tuple(local[q] for q in g.qubits), _gate_error(g, backend))
+        for g in program.gates
+        if g.kind not in (MEASURE, BARRIER)
+    ]
 
 
 def _depolarize(tensor: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...], rate: float) -> None:

@@ -161,6 +161,17 @@ def test_parse_error_carries_line_number():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "kind, qubits, params",
+    [("h", (0,), (0.3,)), ("u3", (0,), (1.0,)), ("cx", (0, 1), (1.0,)), ("rz", (0,), ())],
+)
+def test_gate_refuses_a_wrong_angle_count(kind, qubits, params):
+    # A gate owns its angle count, so a wrong one never reaches the
+    # simulator or a serialized circuit that would not parse back.
+    with pytest.raises(ValueError, match=f"{kind} takes"):
+        Gate(kind, qubits, params, 0)
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.benchmark_names()))
 def test_round_trip_all_benchmarks(name):
     program = fixtures.load_benchmark(name)

@@ -313,6 +313,28 @@ def test_bench_refuses_an_empty_manifest_naming_it(text, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["bench", "schedule"])
+def test_manifest_line_naming_no_file_is_refused_with_its_number(command, tmp_path, capsys):
+    manifest = tmp_path / "w.txt"
+    manifest.write_text(f"{bench_file('bv_n3')}\n,\n")
+    assert run([command, str(manifest), "--backend", backend_file("london")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"manifest {manifest} lists no programs on line 2" in err
+
+
+def test_bench_refuses_a_repeated_policy_before_compiling(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("compiled a cell for a repeated policy")
+
+    monkeypatch.setattr(cli, "compile_workload", fail)
+    manifest = tmp_path / "w.txt"
+    manifest.write_text(f"{bench_file('bv_n3')}\n")
+    code = run(["bench", str(manifest), "--backend", backend_file("london"), "--policies", "baseline,baseline"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--policies lists baseline twice" in err
+
+
 def test_schedule_subcommand(tmp_path, capsys):
     manifest = tmp_path / "queue.txt"
     manifest.write_text(

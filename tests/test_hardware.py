@@ -174,17 +174,20 @@ def test_single_source_search_matches_floyd_warshall(n, seed, keep, restrict):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_adjacency_matches_edge_scan(seed):
-    # neighbors/degree/is_connected read precomputed adjacency; check them
-    # against a scan of the edge set, on connected graphs and on random
-    # subgraphs that may fall apart
+    # neighbors/degree/is_connected read precomputed adjacency; check them,
+    # and links on random qubit subsets, against a scan of the edge set, on
+    # connected graphs and on random subgraphs that may fall apart
     rng = random.Random(seed)
     full = random_graph(rng.randint(1, 12), seed)
     kept = frozenset(e for e in full.edges if rng.random() < 0.6)
     for graph in (full, CouplingGraph(full.n_qubits, kept)):
         for q in range(-1, graph.n_qubits + 1):
             scan = sorted([b for a, b in graph.edges if a == q] + [a for a, b in graph.edges if b == q])
-            assert graph.neighbors(q) == scan
+            assert list(graph.neighbors(q)) == scan
             assert graph.degree(q) == len(scan)
+        for _ in range(4):
+            subset = {q for q in range(graph.n_qubits) if rng.random() < 0.5}
+            assert graph.links(subset) == [e for e in graph.edges if e[0] in subset and e[1] in subset]
         component = {0}
         while True:
             grown = component | {x for e in graph.edges if set(e) & component for x in e}

@@ -16,7 +16,15 @@ from conftest import (
     reference_swap_score,
 )
 from qmultiprog import fixtures, routing, sim
-from qmultiprog.circuit import Gate, QuantumProgram, front_layer, parse_program
+from qmultiprog.circuit import (
+    ONE_QUBIT_GATES,
+    PARAM_COUNTS,
+    Gate,
+    QuantumProgram,
+    front_layer,
+    parse_program,
+    serialize_program,
+)
 from qmultiprog.hardware import bfs_hops
 from qmultiprog.partition import build_hierarchy_tree, frp_partition, partition_qubits
 from qmultiprog.routing import (
@@ -58,9 +66,13 @@ def test_global_mapping_owner_and_swap():
 
 
 def test_global_mapping_rejects_overlap():
-    with pytest.raises(ValueError):
+    # One per-qubit check refuses a qubit off the chip, one shared by two
+    # programs and one repeated inside a sigma.
+    with pytest.raises(ValueError, match="physical qubit 2 out of range"):
+        GlobalMapping([{0: 0, 1: 2}], n_phys=2)
+    with pytest.raises(ValueError, match="physical qubit 0 assigned twice"):
         GlobalMapping([{0: 0}, {0: 0}], n_phys=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="physical qubit 0 assigned twice"):
         GlobalMapping([{0: 0, 1: 0}], n_phys=2)
 
 
@@ -321,6 +333,44 @@ def test_incremental_frontier_matches_reference(program, data):
         state.execute(gid)
         executed.add(gid)
     assert state.done() and len(executed) == len(program.gates)
+
+
+@st.composite
+def _valid_programs(draw):
+    """Random programs over every gate kind, with angles drawn from all
+    finite floats; a measured qubit is touched by nothing but barriers."""
+    n = draw(st.integers(1, 4))
+    kinds = sorted(ONE_QUBIT_GATES) + ["cx", "barrier", "measure"]
+    gates, measured = [], set()
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
+        live = [q for q in range(n) if q not in measured]
+        if kind == "barrier":
+            qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+        elif kind == "cx":
+            if len(live) < 2:
+                continue
+            qubits = tuple(draw(st.lists(st.sampled_from(live), min_size=2, max_size=2, unique=True)))
+        else:
+            if not live:
+                continue
+            qubits = (draw(st.sampled_from(live)),)
+            if kind == "measure":
+                measured.add(qubits[0])
+        angles = st.floats(allow_nan=False, allow_infinity=False)
+        params = tuple(draw(angles) for _ in range(PARAM_COUNTS.get(kind, 0)))
+        gates.append(Gate(kind, qubits, params, id=len(gates)))
+    return QuantumProgram("valid", n, tuple(gates))
+
+
+@given(program=_valid_programs(), data=st.data())
+def test_source_and_compiled_circuits_parse_back(program, data):
+    n_phys = program.n_qubits + data.draw(st.integers(0, 2))
+    graph = random_graph(n_phys, data.draw(st.integers(0, 10**6)))
+    backend = make_backend(n_phys, graph.edges)
+    mapping = _placed([program], data.draw(st.permutations(range(n_phys))))
+    compiled = decompose(xswap_route([program], mapping, backend)).combined
+    for circuit in (program, compiled):
+        assert parse_program(serialize_program(circuit), name=circuit.name) == circuit
 
 
 @st.composite

@@ -674,7 +674,7 @@ def _reference_exact(program, backend):
     rho[0, 0] = 1.0
     tensor = rho.reshape([2] * (2 * m))
     for g in program.gates:
-        matrix, rate = gate_matrix(g), sim._gate_error(g, g.qubits, backend)
+        matrix, rate = gate_matrix(g), sim._gate_error(g, backend)
         rows = [m - 1 - q for q in g.qubits]
         cols = [2 * m - 1 - q for q in g.qubits]
         reference_contract(tensor, matrix, rows)
