@@ -2,6 +2,8 @@
 
 Programs are immutable after construction; all operations here are pure
 functions, so programs and DAGs can be shared freely across threads.
+``Gate`` and ``QuantumProgram`` own every rule about gates and programs; the
+parser checks syntax only and names the source line of their refusals.
 """
 from __future__ import annotations
 
@@ -29,6 +31,14 @@ class QasmError(ValueError):
         self.line = line
 
 
+class GateError(ValueError):
+    """A program refused one of its gates; ``gate`` is that gate's index."""
+
+    def __init__(self, message: str, gate: int):
+        super().__init__(f"gate {gate}: {message}")
+        self.gate = gate
+
+
 @dataclass(frozen=True)
 class Gate:
     """One instruction: an opcode, its qubit operands and rotation angles.
@@ -52,11 +62,8 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         want = PARAM_COUNTS.get(self.kind, 0)
         if len(self.params) != want:
-            raise ValueError(f"{self.kind} takes {want} angle(s), got {len(self.params)}")
-
-    @property
-    def is_cnot(self) -> bool:
-        return self.kind == CNOT
+            detail = f"{want} parameter(s), got {len(self.params)}" if want else "no parameters"
+            raise ValueError(f"{self.kind} takes {detail}")
 
     @property
     def is_unitary(self) -> bool:
@@ -70,6 +77,7 @@ class QuantumProgram:
     ``n_cnot`` and ``n_1q`` cache the two-qubit and one-qubit gate counts;
     measures and barriers are kept in ``gates`` but excluded from both, so
     ``gate_count`` matches the way benchmark sizes are usually quoted.
+    Measurement is terminal: once a qubit is measured, only barriers name it.
     """
 
     name: str
@@ -82,14 +90,19 @@ class QuantumProgram:
         if self.n_qubits < 1:
             raise ValueError("a program needs at least one qubit")
         n_cnot = n_1q = 0
+        measured: set[int] = set()
         for i, g in enumerate(self.gates):
             if g.id != i:
-                raise ValueError(f"gate ids must equal program order (gate {i})")
+                raise GateError(f"id {g.id} differs from its place in program order", i)
             for q in g.qubits:
                 if not 0 <= q < self.n_qubits:
-                    raise ValueError(f"qubit {q} out of range in gate {i}")
+                    raise GateError(f"qubit {q} out of range ({self.n_qubits} qubits)", i)
+                if q in measured and g.kind != BARRIER:
+                    raise GateError(f"qubit {q} already measured; measurement must be terminal", i)
             if g.kind == CNOT:
                 n_cnot += 1
+            elif g.kind == MEASURE:
+                measured.add(g.qubits[0])
             elif g.kind in ONE_QUBIT_GATES:
                 n_1q += 1
         object.__setattr__(self, "n_cnot", n_cnot)
@@ -109,7 +122,7 @@ class QuantumProgram:
         # Counted on first use; not a dataclass field, so == and hash ignore it.
         weights: dict[tuple[int, int], int] = {}
         for g in self.gates:
-            if g.is_cnot:
+            if g.kind == CNOT:
                 key = (min(g.qubits), max(g.qubits))
                 weights[key] = weights.get(key, 0) + 1
         return weights
@@ -162,7 +175,7 @@ def front_layer(dag: Dag, executed: set[int]) -> set[int]:
     return {
         g.id
         for g in dag.program.gates
-        if g.is_cnot and g.id not in executed and dag.predecessors[g.id] <= executed
+        if g.kind == CNOT and g.id not in executed and dag.predecessors[g.id] <= executed
     }
 
 
@@ -282,12 +295,14 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
     {u1,u2,u3,rx,ry,rz,h,x,y,z,s,sdg,t,tdg,cx,measure,barrier}, comments and
     ``include "qelib1.inc";`` (ignored). One-qubit gates, barrier and measure
     broadcast over the whole register when given an unindexed operand.
-    Measurement must be terminal on its qubit: no later gate may touch it.
+    Only syntax is checked here; a refusal by ``Gate`` or ``QuantumProgram``
+    (angle count, qubit range, terminal measurement...) becomes a
+    ``QasmError`` on the refused statement's line.
     """
     qreg_name: str | None = None
     n_qubits = 0
     gates: list[Gate] = []
-    measured: set[int] = set()
+    gate_lines: list[int] = []
 
     def operand_indices(tok: str, lineno: int) -> list[int]:
         m = _OPERAND_RE.match(tok.strip())
@@ -295,19 +310,14 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
             raise QasmError(f"unknown operand {tok.strip()!r}", lineno)
         if m.group(2) is None:
             return list(range(n_qubits))
-        idx = int(m.group(2))
-        if idx >= n_qubits:
-            raise QasmError(f"qubit index {idx} out of range (qreg size {n_qubits})", lineno)
-        return [idx]
+        return [int(m.group(2))]
 
     def emit(kind: str, qubits: tuple[int, ...], params: tuple[float, ...], lineno: int):
-        if kind != BARRIER:
-            for q in qubits:
-                if q in measured:
-                    raise QasmError(f"qubit {q} already measured; measurement must be terminal", lineno)
-        if kind == MEASURE:
-            measured.update(qubits)
-        gates.append(Gate(kind, qubits, params, id=len(gates)))
+        try:
+            gates.append(Gate(kind, qubits, params, id=len(gates)))
+        except ValueError as exc:
+            raise QasmError(str(exc), lineno) from None
+        gate_lines.append(lineno)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         for stmt in _strip_comment(raw).split(";"):
@@ -333,47 +343,36 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
             if not head:
                 raise QasmError(f"cannot parse statement {stmt!r}", lineno)
             opname, rest = head.group(1), stmt[head.end():]
-            param_parts = None
-            if rest.startswith("("):
-                param_parts, rest = _split_params(rest, lineno)
             if opname not in ONE_QUBIT_GATES and opname not in (MEASURE, BARRIER, CNOT):
                 raise QasmError(f"unsupported gate {opname!r}", lineno)
-            want = PARAM_COUNTS.get(opname, 0)
-            if param_parts is not None and not want:
-                raise QasmError(f"{opname} takes no parameters", lineno)
+            params: tuple[float, ...] = ()
+            if rest.startswith("("):
+                parts, rest = _split_params(rest, lineno)
+                if parts != [""]:  # "()" holds no angles
+                    params = tuple(_eval_param(p.strip(), lineno) for p in parts)
 
-            if opname == "measure":
-                target = rest.split("->")[0]  # classical target ignored
-                for q in operand_indices(target, lineno):
-                    emit(MEASURE, (q,), (), lineno)
-            elif opname == "barrier":
-                qubits: list[int] = []
-                for tok in rest.split(","):
-                    qubits.extend(operand_indices(tok, lineno))
-                emit(BARRIER, tuple(qubits), (), lineno)
-            elif opname == "cx":
+            if opname == BARRIER:
+                qubits = tuple(q for tok in rest.split(",") for q in operand_indices(tok, lineno))
+                emit(BARRIER, qubits, params, lineno)
+            elif opname == CNOT:
                 operands = rest.split(",")
                 if len(operands) != 2:
                     raise QasmError("cx takes two operands", lineno)
                 indices = [operand_indices(t, lineno) for t in operands]
                 if any(len(idx) != 1 for idx in indices):
                     raise QasmError("cx operands must be single indexed qubits", lineno)
-                (a,), (b,) = indices
-                if a == b:
-                    raise QasmError("cx operands must be distinct", lineno)
-                emit(CNOT, (a, b), (), lineno)
+                emit(CNOT, (*indices[0], *indices[1]), params, lineno)
             else:
-                params: tuple[float, ...] = ()
-                if want:
-                    if param_parts is None or len(param_parts) != want or any(not p.strip() for p in param_parts):
-                        raise QasmError(f"{opname} needs {want} parameter(s)", lineno)
-                    params = tuple(_eval_param(p.strip(), lineno) for p in param_parts)
-                for q in operand_indices(rest, lineno):
+                target = rest.split("->")[0] if opname == MEASURE else rest  # classical target ignored
+                for q in operand_indices(target, lineno):
                     emit(opname, (q,), params, lineno)
 
     if qreg_name is None:
         raise QasmError("no qreg declaration found", len(text.splitlines()) or 1)
-    return QuantumProgram(name=name, n_qubits=n_qubits, gates=tuple(gates))
+    try:
+        return QuantumProgram(name=name, n_qubits=n_qubits, gates=tuple(gates))
+    except GateError as exc:
+        raise QasmError(str(exc), gate_lines[exc.gate]) from None
 
 
 def parse_program_file(path, name: str | None = None) -> QuantumProgram:

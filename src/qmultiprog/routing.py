@@ -25,8 +25,9 @@ re-tests only those. The blocked gates are then the front layer, whose
 terms (hop row, hop count, shortcut bonus per CNOT) are read from those
 pairs once per step and shared by every candidate. A schedule records each
 SWAP with its class and owners, and each gate as (program, gate id,
-physical operands). SWAPs are counted only in ``decompose``, which charges
-each to its lowest-indexed owner.
+physical operands). ``decompose`` alone classifies SWAPs and charges each
+to its lowest-indexed owner. Measures are emitted after every other gate,
+which is exact because ``QuantumProgram`` keeps measurement terminal.
 """
 from __future__ import annotations
 

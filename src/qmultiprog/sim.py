@@ -43,7 +43,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .circuit import BARRIER, CNOT, MEASURE, Gate, QuantumProgram
+from .circuit import CNOT, Gate, QuantumProgram
 from .hardware import Backend
 
 DEFAULT_QUBIT_CAP = 12
@@ -196,15 +196,15 @@ def apply_gate(state: np.ndarray, gate: Gate, operands: tuple[int, ...] | None =
 
 
 def simulate_statevector(program: QuantumProgram, local: Mapping[int, int] | None = None) -> np.ndarray:
-    """Run all unitary gates from |0...0> on one buffer; measures and
-    barriers are skipped. With ``local`` (see ``active_register``) only its
-    qubits are simulated, qubit q as local[q]."""
+    """Run all unitary gates from |0...0> on one buffer; barriers and the
+    terminal measures are skipped. With ``local`` (see ``active_register``)
+    only its qubits are simulated, qubit q as local[q]."""
     n = program.n_qubits if local is None else len(local)
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     tensor = state.reshape([2] * n)
     for g in program.gates:
-        if g.kind in (MEASURE, BARRIER):
+        if not g.is_unitary:
             continue
         qubits = g.qubits if local is None else tuple(local[q] for q in g.qubits)
         # axis of qubit q is n-1-q (little-endian); a CNOT matrix's basis is
@@ -253,7 +253,7 @@ def active_register(compiled: QuantumProgram, layouts, cap: int) -> dict[int, in
     these are simulated. Raises QubitCapExceeded when they exceed ``cap``."""
     n = compiled.n_qubits
     active = sorted(
-        {q for g in compiled.gates if g.kind not in (MEASURE, BARRIER) for q in g.qubits}
+        {q for g in compiled.gates if g.is_unitary for q in g.qubits}
         | {q for layout in layouts for q in layout.values()}
     )
     if active and active[-1] >= n:
@@ -311,7 +311,7 @@ def _noisy_ops(program: QuantumProgram, backend: Backend, local) -> list[_Op]:
     return [
         (_gate_plan(g), _gate_plan(g, conj=True), tuple(local[q] for q in g.qubits), _gate_error(g, backend))
         for g in program.gates
-        if g.kind not in (MEASURE, BARRIER)
+        if g.is_unitary
     ]
 
 

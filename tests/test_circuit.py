@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import dag_edges, random_program, ready_gates
 from qmultiprog import fixtures
 from qmultiprog.circuit import (
+    ONE_QUBIT_GATES,
+    PARAM_COUNTS,
     Gate,
+    GateError,
     QasmError,
     QuantumProgram,
     build_dag,
@@ -150,7 +153,7 @@ _SOURCE = st.builds(
 def test_parse_program_fuzz_raises_only_parse_errors(source):
     try:
         program = parse_program(source)
-    except (QasmError, ValueError):
+    except QasmError:  # the CLI's exit 3; any other exception is a bug
         return
     assert all(math.isfinite(p) for g in program.gates for p in g.params)
 
@@ -162,6 +165,23 @@ def test_parse_error_carries_line_number():
 
 
 @pytest.mark.parametrize(
+    "source, line, fragment",
+    [
+        ("qreg q[2];\nh q[0];\ncx q[0],q[0];\nh q[1];", 3, "distinct"),
+        ("qreg q[2];\nh q[1];\nh q[5];", 3, "qubit 5 out of range"),
+        ("qreg q[2];\nmeasure q[0] -> c[0];\nh q[1];\nh q[0];", 4, "terminal"),
+        ("qreg q[1];\nh q[0];\nu3(1) q[0];", 3, "u3 takes 3 parameter(s), got 1"),
+    ],
+)
+def test_refusals_of_the_gate_and_program_rules_name_their_line(source, line, fragment):
+    # The parser checks syntax only; Gate and QuantumProgram refuse these,
+    # and the parser reports each refusal on the refused statement's line.
+    with pytest.raises(QasmError) as err:
+        parse_program(source)
+    assert err.value.line == line and fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
     "kind, qubits, params",
     [("h", (0,), (0.3,)), ("u3", (0,), (1.0,)), ("cx", (0, 1), (1.0,)), ("rz", (0,), ())],
 )
@@ -170,6 +190,72 @@ def test_gate_refuses_a_wrong_angle_count(kind, qubits, params):
     # simulator or a serialized circuit that would not parse back.
     with pytest.raises(ValueError, match=f"{kind} takes"):
         Gate(kind, qubits, params, 0)
+
+
+def _program(n, ops):
+    return QuantumProgram("p", n, tuple(Gate(kind, qubits, (), i) for i, (kind, qubits) in enumerate(ops)))
+
+
+@pytest.mark.parametrize(
+    "ops, index",
+    [
+        ([("measure", (0,)), ("h", (0,))], 1),
+        ([("h", (1,)), ("measure", (1,)), ("cx", (0, 1))], 2),
+        ([("measure", (0,)), ("measure", (1,)), ("measure", (0,))], 2),
+    ],
+)
+def test_program_keeps_measurement_terminal(ops, index):
+    with pytest.raises(GateError, match="terminal") as err:
+        _program(2, ops)
+    assert err.value.gate == index
+    # a barrier in its place may name the measured qubit
+    ops[index] = ("barrier", ops[index][1])
+    assert _program(2, ops).gates[index].kind == "barrier"
+
+
+def test_program_names_the_gate_it_refuses():
+    with pytest.raises(GateError, match="out of range") as err:
+        _program(2, [("h", (0,)), ("cx", (0, 2))])
+    assert err.value.gate == 1
+    with pytest.raises(GateError, match="program order") as err:
+        QuantumProgram("p", 1, (Gate("h", (0,), (), 0), Gate("x", (0,), (), 0)))
+    assert err.value.gate == 1
+
+
+def test_a_gate_after_its_measure_is_refused_before_it_reaches_the_router():
+    # Accepted, it would compile to h, x, cx, measure: the router pins the
+    # measure past two gates on its qubit, and the equivalence check passes.
+    with pytest.raises(GateError, match="qubit 0 already measured"):
+        _program(2, [("h", (0,)), ("measure", (0,)), ("x", (0,)), ("cx", (0, 1))])
+
+
+@st.composite
+def _gate_lists(draw):
+    """Any valid gates over every kind, with measures anywhere."""
+    n = draw(st.integers(1, 3))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(sorted(ONE_QUBIT_GATES) + ["cx", "barrier", "measure"]), max_size=12)):
+        if kind == "cx":
+            if n < 2:
+                continue
+            qubits = tuple(draw(st.permutations(range(n)))[:2])
+        elif kind == "barrier":
+            qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 1)))
+        else:
+            qubits = (draw(st.integers(0, n - 1)),)
+        angles = st.floats(allow_nan=False, allow_infinity=False)
+        gates.append(Gate(kind, qubits, tuple(draw(angles) for _ in range(PARAM_COUNTS.get(kind, 0))), len(gates)))
+    return n, tuple(gates)
+
+
+@given(_gate_lists())
+def test_every_accepted_program_round_trips_through_qasm(drawn):
+    n, gates = drawn
+    try:
+        program = QuantumProgram("p", n, gates)
+    except GateError:
+        assume(False)
+    assert parse_program(serialize_program(program), name="p") == program
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.benchmark_names()))
@@ -208,8 +294,8 @@ def test_dag_matches_brute_force_on_toffoli():
 
 
 def with_measures_and_barriers(program, seed):
-    """The program with barriers and measures spliced in at random places:
-    one barrier names a qubit twice, and every qubit is measured at the end."""
+    """The program with barriers spliced in at random places, one naming a
+    qubit twice, and every qubit measured once at the end, in random order."""
     rng = random.Random(seed)
     n = program.n_qubits
     ops = [(g.kind, g.qubits) for g in program.gates]
@@ -217,8 +303,7 @@ def with_measures_and_barriers(program, seed):
         ops.insert(rng.randrange(len(ops) + 1), ("barrier", tuple(rng.sample(range(n), rng.randint(1, n)))))
     q = rng.randrange(n)
     ops.insert(rng.randrange(len(ops) + 1), ("barrier", (q, rng.randrange(n), q)))
-    ops.insert(rng.randrange(len(ops) + 1), ("measure", (rng.randrange(n),)))
-    ops += [("measure", (q,)) for q in range(n)]
+    ops += [("measure", (q,)) for q in rng.sample(range(n), n)]
     gates = tuple(Gate(kind, qubits, (), i) for i, (kind, qubits) in enumerate(ops))
     return QuantumProgram(program.name, n, gates)
 

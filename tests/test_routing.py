@@ -17,6 +17,7 @@ from conftest import (
 )
 from qmultiprog import fixtures, routing, sim
 from qmultiprog.circuit import (
+    CNOT,
     ONE_QUBIT_GATES,
     PARAM_COUNTS,
     Gate,
@@ -300,9 +301,10 @@ def test_baseline_unreachable_noncritical_front_cnot_is_unroutable():
 
 @st.composite
 def _programs(draw):
-    """Random programs over CNOTs, rotations, partial barriers and measures."""
+    """Random programs over CNOTs, rotations, partial barriers and measures;
+    a drawn gate other than a barrier that names a measured qubit is skipped."""
     n = draw(st.integers(1, 5))
-    gates = []
+    gates, measured = [], set()
     for kind in draw(st.lists(st.sampled_from(["cx", "h", "u3", "barrier", "measure"]), max_size=40)):
         if kind == "cx":
             if n < 2:
@@ -312,6 +314,10 @@ def _programs(draw):
             qubits = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
         else:
             qubits = [draw(st.integers(0, n - 1))]
+        if kind != "barrier" and measured.intersection(qubits):
+            continue
+        if kind == "measure":
+            measured.add(qubits[0])
         params = (0.1, 0.2, 0.3) if kind == "u3" else ()
         gates.append(Gate(kind, tuple(qubits), params, id=len(gates)))
     return QuantumProgram("prop", n, tuple(gates))
@@ -325,7 +331,7 @@ def test_incremental_frontier_matches_reference(program, data):
     executed: set[int] = set()
     while True:
         assert sorted(state.ready) == ready_gates(state.dag, executed)
-        assert {gid for gid in state.ready if program.gates[gid].is_cnot} == front_layer(state.dag, executed)
+        assert {gid for gid in state.ready if program.gates[gid].kind == CNOT} == front_layer(state.dag, executed)
         assert state.done() == (len(executed) == len(program.gates))
         if not state.ready:
             break
@@ -774,7 +780,7 @@ def _corrupt_operands():
     i, cx = next(
         (i, e)
         for i, e in enumerate(schedule.events)
-        if isinstance(e, GateEvent) and schedule.programs[e.program].gates[e.gate_id].is_cnot
+        if isinstance(e, GateEvent) and schedule.programs[e.program].gates[e.gate_id].kind == CNOT
     )
     events = list(schedule.events)
     events[i] = dataclasses.replace(cx, phys=cx.phys[::-1])
