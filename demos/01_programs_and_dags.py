@@ -1,10 +1,11 @@
 """Parse a circuit, inspect its size counts, and walk its dependency DAG.
 
-The front layer is the set of CNOTs whose dependencies are all satisfied;
-a front gate is critical when resolving it unlocks more gates. These two
-queries drive the routers in demos 04.
+A gate is ready when all its dependencies have executed; the front layer is
+the set of ready CNOTs, and a front gate is critical when resolving it
+unlocks more gates. These two queries drive the routers in demos 04.
 """
-from qmultiprog import build_dag, critical_gates, front_layer, serialize_program
+from qmultiprog import build_dag, critical_gates, serialize_program
+from qmultiprog.circuit import CNOT
 from qmultiprog.fixtures import load_benchmark
 
 program = load_benchmark("toffoli_3")
@@ -18,14 +19,13 @@ print(f"dependency edges: {edges} (at most two per gate)")
 executed = set()
 layer = 0
 while True:
-    front = front_layer(dag, executed)
+    ready = [g.id for g in program.gates
+             if g.id not in executed and dag.predecessors[g.id] <= executed]
+    if not ready:
+        break
+    front = {gid for gid in ready if program.gates[gid].kind == CNOT}
     if not front:
-        # drain any non-CNOT gates that are ready (they never block)
-        ready = [g.id for g in program.gates
-                 if g.id not in executed and dag.predecessors[g.id] <= executed]
-        if not ready:
-            break
-        executed.update(ready)
+        executed.update(ready)  # ready non-CNOT gates never block
         continue
     critical = critical_gates(dag, front)
     print(f"layer {layer}: front CNOTs {sorted(front)}, critical {sorted(critical)}")

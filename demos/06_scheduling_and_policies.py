@@ -11,8 +11,7 @@ from qmultiprog.fixtures import benchmark_names, load_benchmark, load_fixture_ba
 from qmultiprog.scheduler import Job, schedule_tasks, trf
 
 melbourne = load_fixture_backend("melbourne")
-names = [n for n in benchmark_names() if not n.startswith("fig")]
-queue = [Job(id=i, program=load_benchmark(n)) for i, n in enumerate(sorted(names))]
+queue = [Job(id=i, program=load_benchmark(n)) for i, n in enumerate(sorted(benchmark_names()))]
 
 tree = build_hierarchy_tree(melbourne)
 batches = schedule_tasks(queue, tree, melbourne, epsilon=0.15, lookahead=8, max_colocate=2)

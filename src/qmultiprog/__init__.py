@@ -11,7 +11,7 @@ The submodules (``circuit``, ``hardware``, ``partition``, ``routing``,
 are the pipeline's entry points, re-exported for short scripts.
 """
 
-from .circuit import build_dag, critical_gates, front_layer, serialize_program
+from .circuit import build_dag, critical_gates, serialize_program
 from .hardware import bfs_hops, random_backend
 from .partition import average_redundancy, build_hierarchy_tree, partition_qubits
 from .routing import baseline_route, decompose, mapping_from_partition, verify_schedule, xswap_route

@@ -4,10 +4,15 @@ Programs are immutable after construction; all operations here are pure
 functions, so programs and DAGs can be shared freely across threads.
 ``Gate`` and ``QuantumProgram`` own every rule about gates and programs; the
 parser checks syntax only and names the source line of their refusals.
+Angle expressions are read by Python's own parser (``ast``), after a check
+that they hold only ASCII numerals, ``pi``, ``+ - * /`` and parentheses; a
+walker over the syntax tree refuses every other construct.
 """
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -166,19 +171,6 @@ def build_dag(program: QuantumProgram) -> Dag:
     )
 
 
-def front_layer(dag: Dag, executed: set[int]) -> set[int]:
-    """CNOT gates whose DAG predecessors are all executed, themselves pending.
-
-    This is the reference definition, rescanning every gate; the routers
-    maintain the same set incrementally as gates execute.
-    """
-    return {
-        g.id
-        for g in dag.program.gates
-        if g.kind == CNOT and g.id not in executed and dag.predecessors[g.id] <= executed
-    }
-
-
 def critical_gates(dag: Dag, front: set[int]) -> set[int]:
     """Front-layer gates with at least one successor; resolving one of these
     advances the dependency frontier."""
@@ -187,77 +179,47 @@ def critical_gates(dag: Dag, front: set[int]) -> set[int]:
 
 # --- OpenQASM 2 subset -------------------------------------------------------
 
-_QREG_RE = re.compile(r"qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
-_CREG_RE = re.compile(r"creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
-_OPERAND_RE = re.compile(r"([A-Za-z_]\w*)(?:\s*\[\s*(\d+)\s*\])?$")
+_QREG_RE = re.compile(r"qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
+_CREG_RE = re.compile(r"creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
+_OPERAND_RE = re.compile(r"([A-Za-z_]\w*)(?:\s*\[\s*(\d+)\s*\])?$", re.ASCII)
+_HEAD_RE = re.compile(r"([A-Za-z_]\w*)(?=[\s(]|$)\s*", re.ASCII)  # a whole ASCII name: "hé" is no gate "h"
+_ANGLE_TOKEN_RE = re.compile(r"pi|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?|[()+\-*/]", re.ASCII)
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _angle(node: ast.AST) -> float:
+    """Value of an angle expression's syntax tree, evaluated left to right in
+    float arithmetic; a node outside the angle grammar raises ValueError."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](_angle(node.left), _angle(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_angle(node.operand))
+    if isinstance(node, ast.Constant):  # the token check lets only numbers through
+        try:
+            return float(node.value)
+        except OverflowError:  # an integer literal past the float range reads as inf, as its text does
+            return math.inf
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    raise ValueError(f"{type(node).__name__} is not part of an angle expression")
 
 
 def _eval_param(expr: str, line: int) -> float:
-    """Evaluate a QASM angle expression: numbers, pi, + - * / and parentheses.
-    Division by zero and a non-finite result are parse errors."""
-    tokens = re.findall(r"pi|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?|[()+\-*/]", expr)
+    """Evaluate a QASM angle expression: ASCII numbers, pi, + - * /, unary
+    signs and parentheses, read by Python's parser. Division by zero and a
+    non-finite result are parse errors."""
+    tokens = _ANGLE_TOKEN_RE.findall(expr)
     if "".join(tokens).replace(" ", "") != expr.replace(" ", ""):
         raise QasmError(f"bad angle expression {expr!r}", line)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def atom() -> float:
-        tok = peek()
-        if tok is None:
-            raise QasmError(f"truncated angle expression {expr!r}", line)
-        if tok == "-":
-            take()
-            return -atom()
-        if tok == "+":
-            take()
-            return atom()
-        if tok == "(":
-            take()
-            val = add_expr()
-            if peek() != ")":
-                raise QasmError(f"unbalanced parentheses in {expr!r}", line)
-            take()
-            return val
-        take()
-        if tok == "pi":
-            return math.pi
-        try:
-            return float(tok)
-        except ValueError:
-            raise QasmError(f"bad number {tok!r} in angle expression", line) from None
-
-    def mul_expr() -> float:
-        val = atom()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = atom()
-            val = val * rhs if op == "*" else val / rhs
-        return val
-
-    def add_expr() -> float:
-        val = mul_expr()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = mul_expr()
-            val = val + rhs if op == "+" else val - rhs
-        return val
-
     try:
-        result = add_expr()
+        result = _angle(ast.parse(expr, mode="eval").body)
     except ZeroDivisionError:
         raise QasmError(f"division by zero in angle expression {expr!r}", line) from None
-    except RecursionError:
+    except (RecursionError, MemoryError):
         raise QasmError("angle expression nested too deeply", line) from None
-    if pos != len(tokens):
-        raise QasmError(f"trailing tokens in angle expression {expr!r}", line)
+    except (SyntaxError, ValueError):
+        raise QasmError(f"bad angle expression {expr!r}", line) from None
     if not math.isfinite(result):
         raise QasmError(f"angle expression {expr!r} is not a finite number", line)
     return result
@@ -339,7 +301,7 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
             if qreg_name is None:
                 raise QasmError("statement before qreg declaration", lineno)
 
-            head = re.match(r"([A-Za-z_]\w*)\s*", stmt)
+            head = _HEAD_RE.match(stmt)
             if not head:
                 raise QasmError(f"cannot parse statement {stmt!r}", lineno)
             opname, rest = head.group(1), stmt[head.end():]

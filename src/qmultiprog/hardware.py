@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -159,6 +160,7 @@ def bfs_hops(graph: CouplingGraph, source: int, allowed: set[int] | None = None)
 # --- backend documents --------------------------------------------------------
 
 _REQUIRED_FIELDS = ("n_qubits", "edges", "cnot_error", "readout_error", "oneq_error")
+_EDGE_KEY_RE = re.compile(r"([0-9]+)-([0-9]+)")  # ASCII digits only, no signs or spaces
 
 
 def _typed(value, kind, field: str):
@@ -194,11 +196,10 @@ def load_backend(doc: dict) -> Backend:
     cnot_error: dict[Edge, float] = {}
     key_of: dict[Edge, str] = {}
     for key, rate in doc["cnot_error"].items():
-        try:
-            a, b = (int(x) for x in key.split("-"))
-        except (AttributeError, ValueError):
-            raise ValueError(f"backend field 'cnot_error' has key {key!r}, not of the form \"a-b\"") from None
-        edge = _norm_edge(a, b)
+        m = _EDGE_KEY_RE.fullmatch(key) if isinstance(key, str) else None
+        if not m:
+            raise ValueError(f"backend field 'cnot_error' has key {key!r}, not of the form \"a-b\"")
+        edge = _norm_edge(int(m[1]), int(m[2]))
         if edge not in graph.edges:
             raise ValueError(f"backend field 'cnot_error' has key {key!r}, which is not an edge")
         if edge in key_of:

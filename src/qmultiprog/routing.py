@@ -312,8 +312,8 @@ class _ProgramState:
 def _execute_compliant(states, mapping: GlobalMapping, graph, events, pending_measures) -> bool:
     """Greedily execute every gate that needs no SWAP; returns True if any ran.
     The mapping is fixed for the whole call, so a blocked gate is not tested
-    again; afterwards ``blocked`` maps ``front_layer(dag, executed)`` to the
-    gates' current physical operands."""
+    again; afterwards ``blocked`` maps the front layer (the ready CNOTs) to
+    the gates' current physical operands."""
     progress = False
     moved = True
     while moved:

@@ -92,6 +92,12 @@ def ready_gates(dag, executed):
     return [g.id for g in dag.program.gates if g.id not in executed and dag.predecessors[g.id] <= executed]
 
 
+def front_layer(dag, executed):
+    """Reference front layer: the ready CNOT gates, rescanning every gate.
+    After each compliant pass a router's blocked gates are exactly this set."""
+    return {gid for gid in ready_gates(dag, executed) if dag.program.gates[gid].kind == "cx"}
+
+
 def dag_edges(dag):
     """The DAG's dependency edges (u, v), read off its predecessor sets."""
     return {(u, v) for v, preds in dag.predecessors.items() for u in preds}

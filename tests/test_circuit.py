@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import dag_edges, random_program, ready_gates
+from conftest import dag_edges, front_layer, random_program, ready_gates
 from qmultiprog import fixtures
 from qmultiprog.circuit import (
     ONE_QUBIT_GATES,
@@ -15,7 +15,6 @@ from qmultiprog.circuit import (
     QuantumProgram,
     build_dag,
     critical_gates,
-    front_layer,
     parse_program,
     serialize_program,
 )
@@ -89,6 +88,93 @@ def test_parse_nested_parentheses_in_angles(source, params):
     assert parse_program(source).gates[0].params == params
 
 
+_DIGITS = st.text("0123456789", min_size=1, max_size=3)
+_EXPONENT = st.builds("".join, st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), _DIGITS))
+# ASCII numerals as Python writes them: an integer has no leading zero; a
+# fraction or an exponent may have one, and a numeral that opens with its
+# point has no exponent. The 401-digit integer lies past the
+# float range, so it reads as inf.
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "2", "17", "3.5", ".25", "1.", "1e3", "7e-2", "1.5E+2", "1" + "0" * 400]),
+    st.builds(lambda head, tail: head + tail, st.sampled_from("123456789"), st.text("0123456789", max_size=3)),
+    st.builds(lambda i, f, e: f"{i}.{f}{e}", _DIGITS, st.text("0123456789", max_size=3), st.just("") | _EXPONENT),
+    _DIGITS.map(".{}".format),
+    st.builds(lambda i, e: i + e, _DIGITS, _EXPONENT),
+)
+# A tree is a leaf (a numeral or "pi"), (op, left, right), (sign, operand) or
+# ("()", inner) for parentheses the grammar does not need.
+_ANGLE_TREE = st.recursive(
+    _NUMBER | st.just("pi"),
+    lambda sub: st.tuples(st.sampled_from("+-*/"), sub, sub)
+    | st.tuples(st.sampled_from("+-"), sub)
+    | st.tuples(st.just("()"), sub),
+    max_leaves=12,
+)
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _binary(tree):
+    return isinstance(tree, tuple) and len(tree) == 3
+
+
+def _render(tree):
+    """Angle source for ``tree``, with parentheses only where it has a "()"
+    node or where precedence or left-associativity needs them, so that
+    chains such as 1-2-3 and 8/4/2 stay bare."""
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "()":
+        return f"({_render(tree[1])})"
+    if len(tree) == 2:
+        return f"{tree[0]}({_render(tree[1])})" if _binary(tree[1]) else tree[0] + _render(tree[1])
+    op, left, right = tree
+    lhs, rhs = _render(left), _render(right)
+    if _binary(left) and _PRECEDENCE[left[0]] < _PRECEDENCE[op]:
+        lhs = f"({lhs})"
+    if _binary(right) and _PRECEDENCE[right[0]] <= _PRECEDENCE[op]:
+        rhs = f"({rhs})"
+    return lhs + op + rhs
+
+
+def _value(tree):
+    """Reference value of ``tree``: float arithmetic, left operand first."""
+    if isinstance(tree, str):
+        return math.pi if tree == "pi" else float(tree)
+    if tree[0] == "()":
+        return _value(tree[1])
+    if len(tree) == 2:
+        return -_value(tree[1]) if tree[0] == "-" else +_value(tree[1])
+    op, left, right = tree
+    a, b = _value(left), _value(right)
+    return a + b if op == "+" else a - b if op == "-" else a * b if op == "*" else a / b
+
+
+@settings(max_examples=400)
+@given(st.lists(_ANGLE_TREE, min_size=3, max_size=3))
+def test_angle_expressions_read_as_float_arithmetic(trees):
+    # Each angle is bit for bit the reference value, or, at the first angle
+    # whose reference value divides by zero or is not finite, the parse
+    # refuses with that reason.
+    source = "qreg q[1]; u3({}, {}, {}) q[0];".format(*map(_render, trees))
+    values, refusal = [], None
+    for tree in trees:
+        try:
+            value = _value(tree)
+        except ZeroDivisionError:
+            refusal = "division by zero"
+            break
+        if not math.isfinite(value):
+            refusal = "not a finite number"
+            break
+        values.append(value)
+    if refusal:
+        with pytest.raises(QasmError, match=refusal):
+            parse_program(source)
+    else:
+        params = parse_program(source).gates[0].params
+        assert [p.hex() for p in params] == [v.hex() for v in values], source
+
+
 def test_parse_broadcast_and_measure_arrow():
     program = parse_program(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
@@ -118,6 +204,13 @@ def test_parse_broadcast_and_measure_arrow():
         ("qreg q[2]; measure(1) q[0];", "measure takes no parameters"),
         ("qreg q[2]; barrier(2) q;", "barrier takes no parameters"),
         ("OPENQASM 2.0;\nqreg q[0];", "line 2: qreg q has no qubits"),
+        # OpenQASM 2 numerals are ASCII: Arabic-Indic digits are no numbers
+        ("qreg q[\u0663];", "before qreg"),
+        ("qreg q[2]; h q[\u0661];", "unknown operand"),
+        ("qreg q[1]; rz(\u0663) q[0];", "bad angle expression"),
+        ("qreg q[1]; h\u00e9 q[0];", "cannot parse statement"),
+        # nor is an integer with a leading zero, as in Python
+        ("qreg q[1]; u1(02) q[0];", "bad angle expression"),
     ],
 )
 def test_parse_errors(source, fragment):

@@ -45,6 +45,11 @@ def _doc(n, edges, **overrides):
     return doc
 
 
+def _respell(key):
+    """Mangle: file the rate of edge 0-1 under ``key`` instead of "0-1"."""
+    return lambda d: d["cnot_error"].update({key: d["cnot_error"].pop("0-1")})
+
+
 def test_load_backend_accepts_extra_fields():
     doc = _doc(2, [(0, 1)], T1=[50.0, 60.0], T2=[40.0, 70.0], vendor="someone")
     backend = load_backend(doc)
@@ -70,6 +75,10 @@ def test_load_backend_accepts_extra_fields():
         (lambda d: d.update(oneq_error=[0.001] * 4), "'oneq_error'"),
         (lambda d: d.update(oneq_error=[0.001, "0.001", 0.001]), "'oneq_error'"),
         (lambda d: d.clear(), "required field 'n_qubits'"),
+        # another spelling of the "0-1" key: non-ASCII digits, spaces, signs
+        (_respell("\u0660-\u0661"), "not of the form"),
+        (_respell(" 0 - 1 "), "not of the form"),
+        (_respell("+0-+1"), "not of the form"),
     ],
 )
 def test_load_backend_rejections(mangle, fragment):

@@ -656,6 +656,31 @@ def test_frp_unassigned_when_chip_full():
     assert len(partition.unassigned) == 1
 
 
+# Workloads that fit, where CDAP leaves a program unassigned (ROADMAP item 3).
+_CDAP_DROPS = {
+    "tokyo20": ("alu-v0_27", "decod24-v2_43", "mod5mils_65", "3_17_13"),  # drops mod5mils_65
+    "grid3x4": ("bv_n4", "decod24-v2_43", "shortcut_p2"),  # drops shortcut_p2
+}
+
+
+def _cdap_drop_case(chip):
+    backend = make_backend(12, grid_graph(3, 4).edges) if chip == "grid3x4" else fixtures.load_fixture_backend(chip)
+    return [fixtures.load_benchmark(n) for n in _CDAP_DROPS[chip]], backend
+
+
+@pytest.mark.parametrize("chip", sorted(_CDAP_DROPS))
+def test_frp_places_every_program_of_the_cdap_drop_cases(chip):
+    programs, backend = _cdap_drop_case(chip)
+    assert frp_partition(programs, backend).unassigned == ()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("chip", sorted(_CDAP_DROPS))
+def test_cdap_places_every_program_frp_places(chip):
+    programs, backend = _cdap_drop_case(chip)
+    assert partition_qubits(hierarchy_tree(backend), programs, backend).unassigned == ()
+
+
 # --- references: the chip-wide implementations the region-local ones replaced ------
 
 

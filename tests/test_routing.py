@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     dag_edges,
+    front_layer,
     make_backend,
     random_graph,
     random_program,
@@ -22,7 +23,6 @@ from qmultiprog.circuit import (
     PARAM_COUNTS,
     Gate,
     QuantumProgram,
-    front_layer,
     parse_program,
     serialize_program,
 )
