@@ -5,12 +5,15 @@ distribution, marginalized onto each program through its final layout, must
 equal the product of the programs' standalone distributions. The same
 simulator also drives a stochastic failure model (each gate depolarizes its
 operands with its calibration error rate) to approximate hardware success.
+Each program's estimate simulates only its backward light cone: the gates
+its final qubits depend on. A crossing SWAP pulls the other program's
+qubits into the cone.
 """
 import numpy as np
 
 from qmultiprog import decompose, verify_schedule, xswap_route
 from qmultiprog.fixtures import boundary_swap_instance
-from qmultiprog.sim import distribution_vector, noisy_success_probability
+from qmultiprog.sim import distribution_vector, light_cone, noisy_success_probability
 
 programs, mapping, backend = boundary_swap_instance()
 schedule = xswap_route(programs, mapping, backend)
@@ -26,11 +29,13 @@ sampled = noisy_success_probability(
     compiled.combined, layouts, backend, ideals, mode="sampled", shots=8024, seed=3
 )
 print("\nper-program success probability under the failure model:")
-for program, ideal, e, s in zip(programs, ideals, exact, sampled):
+for program, layout, ideal, e, s in zip(programs, layouts, ideals, exact, sampled):
     ceiling = float(np.max(ideal))
+    cone, _ = light_cone(compiled.combined, layout.values())
+    print(f"  {program.name}: light cone of {len(cone)} qubits {cone} "
+          f"(of {compiled.combined.n_qubits} on the chip)")
     if e is None:
         # two outcomes tie for the ideal mode, so "success" is undefined
-        print(f"  {program.name}: ideal mode ambiguous (ceiling {ceiling:.3f}), skipped")
+        print(f"    ideal mode ambiguous (ceiling {ceiling:.3f}), skipped")
     else:
-        print(f"  {program.name}: ideal ceiling {ceiling:.3f}, exact {e:.3f}, "
-              f"sampled(8024) {s:.3f}")
+        print(f"    ideal ceiling {ceiling:.3f}, exact {e:.3f}, sampled(8024) {s:.3f}")

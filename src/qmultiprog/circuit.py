@@ -184,6 +184,9 @@ _CREG_RE = re.compile(r"creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$", re.ASCII)
 _OPERAND_RE = re.compile(r"([A-Za-z_]\w*)(?:\s*\[\s*(\d+)\s*\])?$", re.ASCII)
 _HEAD_RE = re.compile(r"([A-Za-z_]\w*)(?=[\s(]|$)\s*", re.ASCII)  # a whole ASCII name: "hé" is no gate "h"
 _ANGLE_TOKEN_RE = re.compile(r"pi|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?|[()+\-*/]", re.ASCII)
+# OpenQASM 2 is ASCII: statements, operands and angles are trimmed of ASCII
+# whitespace only, so a no-break or ideographic space is refused, not skipped.
+_SPACE = " \t\n\r\x0b\x0c"
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 _UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
@@ -238,7 +241,7 @@ def _split_params(text: str, line: int) -> tuple[list[str], str]:
             depth -= 1
             if not depth:
                 parts.append(text[start:i])
-                return parts, text[i + 1 :].lstrip()
+                return parts, text[i + 1 :].lstrip(_SPACE)
         elif ch == "," and depth == 1:
             parts.append(text[start:i])
             start = i + 1
@@ -267,9 +270,9 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
     gate_lines: list[int] = []
 
     def operand_indices(tok: str, lineno: int) -> list[int]:
-        m = _OPERAND_RE.match(tok.strip())
+        m = _OPERAND_RE.match(tok.strip(_SPACE))
         if not m or m.group(1) != qreg_name:
-            raise QasmError(f"unknown operand {tok.strip()!r}", lineno)
+            raise QasmError(f"unknown operand {tok.strip(_SPACE)!r}", lineno)
         if m.group(2) is None:
             return list(range(n_qubits))
         return [int(m.group(2))]
@@ -283,7 +286,7 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         for stmt in _strip_comment(raw).split(";"):
-            stmt = stmt.strip()
+            stmt = stmt.strip(_SPACE)
             if not stmt:
                 continue
             if stmt.startswith("OPENQASM") or stmt.startswith("include"):
@@ -311,7 +314,7 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
             if rest.startswith("("):
                 parts, rest = _split_params(rest, lineno)
                 if parts != [""]:  # "()" holds no angles
-                    params = tuple(_eval_param(p.strip(), lineno) for p in parts)
+                    params = tuple(_eval_param(p.strip(_SPACE), lineno) for p in parts)
 
             if opname == BARRIER:
                 qubits = tuple(q for tok in rest.split(",") for q in operand_indices(tok, lineno))

@@ -13,27 +13,35 @@ conjugates are planned at import; a parametrized gate is planned when it
 is applied or when its noisy op is built. ``simulate_statevector`` evolves
 one buffer in place; ``apply_gate`` is the one-gate wrapper that copies.
 A program's ideal distribution (``distribution_vector``) is simulated once
-and kept on the program.
+and kept on the program. The equivalence check simulates a compiled
+circuit's active register (``active_register``).
 
 Noisy model: every gate fully depolarizes its operands with its calibration
-error rate, and readout flips each bit with the qubit's readout error.
-``noisy_success_probability``, like the equivalence check, simulates only
-the active qubits (``active_register``: those a unitary gate touches or a
-layout names), in one of two modes:
+error rate, and readout flips each bit with the qubit's readout error. Both
+are local, so a program's outcome marginal depends only on its backward
+light cone (``light_cone``: walking the gates in reverse from its
+final-layout qubits, every unitary gate that touches the set, with its
+qubits added). ``noisy_success_probability`` simulates each program with a
+defined ideal mode on its own cone, renumbered in ascending order; a SWAP
+between two programs puts both in each other's cone. The cap bounds every
+cone, and every cone is checked before anything is simulated. Two modes:
 
-- exact: the density matrix evolves in place as one [2]*(2m) tensor.
-  U rho U^dagger acts through slice views of the row and column axes;
-  depolarizing scales rho by 1 - r and adds r/2^k times the partial trace
-  over the gate's k qubits to each diagonal block.
-- sampled: every random number is drawn first, shot by shot in a fixed
-  order (each noisy gate's failure draw and, on failure, one Pauli
-  ``randrange(4)`` per operand; the outcome draw; one readout draw per
-  qubit), so the estimate depends only on the seed. All shots then evolve
-  as one (shots x 2^m) array, in chunks that keep the working set under
-  ``TRAJECTORY_BYTES``; their outcomes are counted over the register.
+- exact: the cone's density matrix evolves in place as one [2]*(2m)
+  tensor, at most 16 * 4**cap bytes. U rho U^dagger acts through slice
+  views of the row and column axes; depolarizing scales rho by 1 - r and
+  adds r/2^k times the partial trace over the gate's k qubits to each
+  diagonal block.
+- sampled: one ``random.Random(seed)`` stream is consumed program by
+  program in layout order. Each program draws every random number of its
+  shots first, shot by shot in a fixed order (each of its cone's noisy
+  gates' failure draw and, on failure, one Pauli ``randrange(4)`` per
+  operand; the outcome draw; one readout draw per cone qubit, ascending),
+  so the estimate depends only on the seed. Its shots then evolve as one
+  (shots x 2^m) array, in chunks that keep the working set under
+  ``TRAJECTORY_BYTES``; their outcomes are counted over the cone.
 
-Both read a program's success as the register distribution's marginal on
-its layout at its ideal mode, divided by ``shots`` for the (exact) counts.
+Both read a program's success as its cone distribution's marginal on its
+layout at its ideal mode, divided by ``shots`` for the (exact) counts.
 """
 from __future__ import annotations
 
@@ -279,12 +287,10 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 # --- noisy execution model -------------------------------------------------------
 #
 # Both estimators share one op list, built once per call: for every unitary
-# gate the plans of its matrix and of its conjugate, its operands renumbered
-# onto the simulated register and its calibration error rate (looked up on
-# the physical operands). The success estimator simulates only the active
-# qubits: those a unitary gate touches plus those its layouts name,
-# renumbered in ascending order. Every other qubit stays |0> and no kept
-# marginal depends on it.
+# gate the plans of its matrix and of its conjugate, its operands and its
+# calibration error rate (looked up on the physical operands). Each
+# program's cone takes its gates' ops with the operands renumbered onto the
+# cone's qubits in ascending order.
 
 # Byte budget for the sampled estimator's working set. Shots are evolved in
 # chunks of rows small enough that the chunk and the kernel's copies of it fit.
@@ -423,6 +429,22 @@ def _sampled_outcomes(ops: list[_Op], m: int, errors, uniforms: np.ndarray, lo: 
     return np.minimum(drawn, 2**m - 1)
 
 
+def light_cone(compiled: QuantumProgram, qubits) -> tuple[list[int], list[int]]:
+    """Backward light cone of ``qubits`` in a compiled circuit. Walking its
+    unitary gates in reverse, a gate that touches the set joins the cone and
+    its qubits join the set, so a SWAP between two programs merges their
+    cones. Returns the cone's qubits in ascending order and its gates' ids
+    in circuit order. Under the failure model, the outcome distribution on
+    ``qubits`` depends only on these gates."""
+    live = set(qubits)
+    ids = []
+    for g in reversed(compiled.gates):
+        if g.is_unitary and not live.isdisjoint(g.qubits):
+            live.update(g.qubits)
+            ids.append(g.id)
+    return sorted(live), ids[::-1]
+
+
 def noisy_success_probability(
     compiled: QuantumProgram,
     layouts: list[dict[int, int]],
@@ -438,34 +460,57 @@ def noisy_success_probability(
 
     ``layouts`` maps each program's logical qubits to final physical qubits.
     ``mode`` is "exact" (full mixed-state evolution) or "sampled" (``shots``
-    trajectories with the given seed). Programs with an ambiguous ideal mode
-    get None; when every mode is ambiguous nothing is simulated. The cap
-    bounds the active register, not the chip the circuit was compiled for.
+    trajectories with the given seed). Each program is simulated on its own
+    light cone (``light_cone`` of its layout's qubits). The cap bounds every
+    cone, not the chip the circuit was compiled for, and every cone is
+    checked before anything is simulated: an exact cone's density takes at
+    most 16 * 4**cap bytes. Sampled mode draws from one ``random.Random(seed)``
+    stream, program by program in layout order, each program's shots in the
+    per-shot order of ``_draw_shots`` over its cone (one readout draw per
+    cone qubit, in ascending order). Programs with an ambiguous ideal mode
+    get None and are not simulated.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
-    local = active_register(compiled, layouts, cap)
-    m = len(local)
+    n = compiled.n_qubits
+    top = max((q for layout in layouts for q in layout.values()), default=-1)
+    if top >= n:
+        raise ValueError(f"layout qubit {top} is outside the {n}-qubit circuit")
     modes = [modal_outcome(d) for d in ideal_distributions]
-    if all(modal is None for modal in modes):
-        return [None for _ in zip(layouts, modes)]
-    ops = _noisy_ops(compiled, backend, local)
-    keeps = [[local[layout[q]] for q in sorted(layout)] for layout in layouts]
-    if mode == "exact":
-        dist, total = _exact_distribution(ops, list(local), backend), 1
-    else:
-        rates = backend.calib.readout_error
-        readout = [(rates[q], 1 << local[q] if q in local else 0) for q in range(compiled.n_qubits)]
-        errors, uniforms, flips = _draw_shots(ops, readout, shots, random.Random(seed))
-        chunk = max(1, TRAJECTORY_BYTES // (_WORKING_BYTES * 2**m))
-        dist, total = np.zeros(2**m, dtype=np.int64), shots
-        for lo in range(0, shots, chunk):
-            hi = min(lo + chunk, shots)
-            outcome = _sampled_outcomes(ops, m, errors, uniforms, lo, hi) ^ flips[lo:hi]
-            dist += np.bincount(outcome, minlength=2**m)
-    return [
-        None if modal is None else float(marginal_distribution(dist, m, keep)[modal]) / total
-        for keep, modal in zip(keeps, modes)
-    ]
+    cones = [None if modal is None else light_cone(compiled, layout.values()) for layout, modal in zip(layouts, modes)]
+    for cone in cones:
+        if cone is not None:
+            check_cap(len(cone[0]), cap, "cone qubits")
+    if not any(cones):
+        return [None] * len(cones)
+    # built once on physical operands, renumbered onto each cone below
+    ops = dict(zip((g.id for g in compiled.gates if g.is_unitary), _noisy_ops(compiled, backend, range(n))))
+    rng = random.Random(seed)
+    estimates: list[float | None] = []
+    for layout, modal, cone in zip(layouts, modes, cones):
+        if cone is None:
+            estimates.append(None)
+            continue
+        qubits, ids = cone
+        m = len(qubits)
+        local = {q: i for i, q in enumerate(qubits)}
+        cone_ops = [
+            (plan, conj, tuple(local[q] for q in operands), rate)
+            for plan, conj, operands, rate in (ops[i] for i in ids)
+        ]
+        if mode == "exact":
+            dist, total = _exact_distribution(cone_ops, qubits, backend), 1
+        else:
+            readout = [(backend.calib.readout_error[q], 1 << i) for i, q in enumerate(qubits)]
+            errors, uniforms, flips = _draw_shots(cone_ops, readout, shots, rng)
+            chunk = max(1, TRAJECTORY_BYTES // (_WORKING_BYTES * 2**m))
+            dist, total = np.zeros(2**m, dtype=np.int64), shots
+            for lo in range(0, shots, chunk):
+                hi = min(lo + chunk, shots)
+                outcome = _sampled_outcomes(cone_ops, m, errors, uniforms, lo, hi) ^ flips[lo:hi]
+                dist += np.bincount(outcome, minlength=2**m)
+        keep = [local[layout[q]] for q in sorted(layout)]
+        estimates.append(float(marginal_distribution(dist, m, keep)[modal]) / total)
+    return estimates

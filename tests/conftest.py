@@ -110,6 +110,23 @@ def noisy_output_distribution(program, backend):
     return sim._exact_distribution(sim._noisy_ops(program, backend, range(n)), list(range(n)), backend)
 
 
+def reference_light_cone(program, qubits):
+    """Reference backward light cone: walking the gates by index from the
+    last, a unitary gate with an operand in the cone joins it and adds its
+    operands. Returns the cone's qubits in ascending order and its gates in
+    program order."""
+    cone = set(qubits)
+    gates = []
+    for i in range(len(program.gates) - 1, -1, -1):
+        g = program.gates[i]
+        if g.kind in ("measure", "barrier"):
+            continue
+        if any(q in cone for q in g.qubits):
+            cone |= set(g.qubits)
+            gates.insert(0, g)
+    return sorted(cone), gates
+
+
 def reference_hits(outcomes, keep, modal):
     """Reference readout of sampled shots: how many register outcomes spell
     ``modal`` on ``keep`` (bit j from qubit keep[j]), extracted bit by bit."""

@@ -211,6 +211,11 @@ def test_parse_broadcast_and_measure_arrow():
         ("qreg q[1]; h\u00e9 q[0];", "cannot parse statement"),
         # nor is an integer with a leading zero, as in Python
         ("qreg q[1]; u1(02) q[0];", "bad angle expression"),
+        # and its whitespace is ASCII: a no-break or ideographic space is no blank
+        ("qreg q[2];\u00a0h q[1];", "cannot parse statement"),
+        ("qreg q[2]; cx q[0],\u00a0q[1];", "unknown operand"),
+        ("qreg q[1]; rz(1\u00a0) q[0];", "bad angle expression"),
+        ("qreg q[2];\u3000h q[1];", "cannot parse statement"),
     ],
 )
 def test_parse_errors(source, fragment):

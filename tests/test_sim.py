@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
+    BUNDLED,
     make_backend,
     noisy_output_distribution,
     random_program,
     reference_blocks,
     reference_contract,
     reference_hits,
+    reference_light_cone,
 )
 from qmultiprog import sim
 from qmultiprog import fixtures
@@ -390,8 +393,10 @@ def test_compacted_exact_matches_dense_oracle(instance):
 # --- batched sampler against the per-shot loop ---------------------------------
 
 
-def _sample_trajectory(program, backend, rng):
-    """One trajectory, simulated gate by gate on the full register."""
+def _sample_trajectory(program, backend, rng, phys):
+    """One trajectory, simulated gate by gate on the full register of
+    ``program``; its qubit q is the chip's qubit phys[q], whose calibration
+    gives the error rates."""
     n = program.n_qubits
     psi = state(n)
     paulis = [None, "x", "y", "z"]
@@ -400,10 +405,10 @@ def _sample_trajectory(program, backend, rng):
             continue
         psi = apply_gate(psi, g)
         if g.kind == "cx":
-            a, b = g.qubits
+            a, b = phys[g.qubits[0]], phys[g.qubits[1]]
             err = backend.calib.cnot_error[(min(a, b), max(a, b))]
         else:
-            err = backend.calib.oneq_error[g.qubits[0]]
+            err = backend.calib.oneq_error[phys[g.qubits[0]]]
         if err > 0.0 and rng.random() < err:
             for q in g.qubits:
                 p = paulis[rng.randrange(4)]
@@ -413,22 +418,41 @@ def _sample_trajectory(program, backend, rng):
     cumulative = np.cumsum(probs / probs.sum())
     outcome = min(int(np.searchsorted(cumulative, rng.random(), side="right")), probs.size - 1)
     for q in range(n):
-        if rng.random() < backend.calib.readout_error[q]:
+        if rng.random() < backend.calib.readout_error[phys[q]]:
             outcome ^= 1 << q
     return outcome
 
 
+def _cone_program(compiled, layout):
+    """The light cone of a layout as a program of its own: the cone's gates
+    with their qubits renumbered onto the cone's in ascending order. Returns
+    it with the cone's physical qubits."""
+    qubits, gates = reference_light_cone(compiled, layout.values())
+    local = {q: i for i, q in enumerate(qubits)}
+    renumbered = (Gate(g.kind, tuple(local[q] for q in g.qubits), g.params, i) for i, g in enumerate(gates))
+    return QuantumProgram("cone", len(qubits), tuple(renumbered)), qubits
+
+
 def _per_shot_hits(compiled, layouts, backend, ideals, shots, seed):
-    modes = [modal_outcome(d) for d in ideals]
+    """Per-program oracle: in layout order, each program with a defined ideal
+    mode draws all its shots from one shared stream, each shot simulated on
+    the program's light cone alone. None for an ambiguous mode."""
     rng = random.Random(seed)
-    hits = [0] * len(layouts)
-    for _ in range(shots):
-        outcome = _sample_trajectory(compiled, backend, rng)
-        for i, (layout, modal) in enumerate(zip(layouts, modes)):
+    hits = []
+    for layout, ideal in zip(layouts, ideals):
+        modal = modal_outcome(ideal)
+        if modal is None:
+            hits.append(None)
+            continue
+        cone, qubits = _cone_program(compiled, layout)
+        count = 0
+        for _ in range(shots):
+            outcome = _sample_trajectory(cone, backend, rng, qubits)
             bits = 0
             for j, q in enumerate(sorted(layout)):
-                bits |= ((outcome >> layout[q]) & 1) << j
-            hits[i] += bits == modal
+                bits |= ((outcome >> qubits.index(layout[q])) & 1) << j
+            count += bits == modal
+        hits.append(count)
     return hits
 
 
@@ -444,7 +468,8 @@ def _noisy_placed_instance():
         gates.append(Gate("u3", (qubits[-1],), (0.3 * g.id, 0.7, 1.1), len(gates)))
     compiled = QuantumProgram("placed", 6, tuple(gates))
     pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
-    backend = make_backend(6, pairs, cnot=0.15, readout=0.08, oneq=0.04)
+    # per-qubit readout rates, so a readout draw paired with the wrong qubit shows
+    backend = make_backend(6, pairs, cnot=0.15, readout={q: 0.02 + 0.03 * q for q in range(6)}, oneq=0.04)
     layouts = [{0: 0, 1: 1}, {0: 3, 1: 4}, {0: 4, 1: 2}]
     ideals = []
     for layout in layouts:
@@ -465,10 +490,12 @@ def test_batched_sampler_matches_per_shot_loop(seed):
 
 def test_batched_sampler_chunks_match_per_shot_loop(monkeypatch):
     compiled, backend, layouts, ideals = _noisy_placed_instance()
-    # the active register is qubits 0-4 (5 qubits): 7 shots per chunk
-    monkeypatch.setattr(sim, "TRAJECTORY_BYTES", 7 * sim._WORKING_BYTES * 2**5)
+    widths = [len(reference_light_cone(compiled, layout.values())[0]) for layout in layouts]
+    # the 4-qubit cone gets 7 shots per chunk, the 3- and 2-qubit ones 14 and 28
+    assert widths == [3, 4, 2]
+    monkeypatch.setattr(sim, "TRAJECTORY_BYTES", 7 * sim._WORKING_BYTES * 2**4)
     shots = 100
-    assert shots % 7
+    assert shots % 7 and shots % 14 and shots % 28
     hits = _per_shot_hits(compiled, layouts, backend, ideals, shots, 9)
     got = noisy_success_probability(compiled, layouts, backend, ideals, mode="sampled", shots=shots, seed=9)
     assert got == [h / shots for h in hits]
@@ -476,8 +503,8 @@ def test_batched_sampler_chunks_match_per_shot_loop(monkeypatch):
 
 @given(data=st.data())
 def test_counted_readout_equals_per_bit_hits(data):
-    # The sampled estimate counts outcomes over the register and reads each
-    # program's hits from their marginal; this must give the very float the
+    # The sampled estimate counts each program's outcomes over its cone and
+    # reads its hits from their marginal; this must give the very float the
     # per-bit extraction of every shot does.
     m = data.draw(st.integers(1, 8))
     outcomes = np.array(data.draw(st.lists(st.integers(0, 2**m - 1), min_size=1, max_size=300)))
@@ -487,16 +514,23 @@ def test_counted_readout_equals_per_bit_hits(data):
     modals = [data.draw(st.integers(0, 2 ** len(keep) - 1)) for keep in keeps]
     ideals = [np.eye(2 ** len(keep))[modal] for keep, modal in zip(keeps, modals)]
     layouts = [dict(enumerate(keep)) for keep in keeps]
-    # A gate on every qubit makes the active register the whole chip.
+    # One-qubit gates only: each program's cone is its own layout's qubits.
     compiled = QuantumProgram("all", m, tuple(Gate("h", (q,), (), q) for q in range(m)))
     backend = make_backend(m, [(q, q + 1) for q in range(m - 1)])
     chunk = data.draw(st.integers(1, shots))
+    programs = iter(keeps)
+    cone = []
 
     def no_errors(ops, readout, n_shots, rng):
+        # called once per program, in layout order
+        cone[:] = sorted(next(programs))
+        assert len(readout) == len(cone)
         return {}, np.zeros(n_shots), np.zeros(n_shots, dtype=np.int64)
 
-    def drawn(ops, m, errors, uniforms, lo, hi):
-        return outcomes[lo:hi]
+    def drawn(ops, width, errors, uniforms, lo, hi):
+        # the register outcomes of shots lo..hi-1, read on the cone's qubits
+        assert width == len(cone)
+        return sum(((outcomes[lo:hi] >> q) & 1) << i for i, q in enumerate(cone))
 
     with (
         mock.patch.object(sim, "_draw_shots", no_errors),
@@ -504,6 +538,7 @@ def test_counted_readout_equals_per_bit_hits(data):
         mock.patch.object(sim, "TRAJECTORY_BYTES", chunk * sim._WORKING_BYTES * 2**m),
     ):
         got = noisy_success_probability(compiled, layouts, backend, ideals, mode="sampled", shots=shots)
+    assert next(programs, None) is None
     assert got == [reference_hits(outcomes, keep, modal) / shots for keep, modal in zip(keeps, modals)]
 
 
@@ -561,7 +596,7 @@ def test_all_ambiguous_modes_skip_simulation(mode, monkeypatch):
     assert got == [None, None]
 
 
-# --- the cap bounds the active register -------------------------------------------
+# --- the cap bounds each light cone ----------------------------------------------
 
 
 def _tokyo_pair_compile():
@@ -586,16 +621,98 @@ def test_cap_counts_active_qubits_not_chip_width(mode):
     assert all(0.0 < p < 1.0 for p in got)
 
 
-@pytest.mark.parametrize("mode", ["exact", "sampled"])
-def test_active_register_over_the_cap_raises_before_simulating(mode, monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("simulated although the active register exceeds the cap")
+def _one_hot_modes(programs):
+    """Ideal targets with a defined mode: each program's first most likely
+    outcome, one-hot."""
+    return [np.eye(2**p.n_qubits)[int(np.argmax(distribution_vector(p)))] for p in programs]
 
+
+def _tokyo_triple_compile():
+    # 15 active qubits, over the default cap; three cones of 5
+    from qmultiprog.cli import compile_workload
+
+    tokyo20 = fixtures.load_fixture_backend("tokyo20")
+    programs = [fixtures.load_benchmark(n) for n in ("4mod5-v1_22", "alu-v0_27", "mod5mils_65")]
+    result = compile_workload(programs, tokyo20, "cdap-xswap")
+    compiled = result["compiled"][0]
+    layouts = [dict(s) for s in result["schedules"][0].final.sigmas]
+    # all three ideal modes are ambiguous, so each is read at a one-hot target
+    assert all(modal_outcome(distribution_vector(p)) is None for p in programs)
+    return compiled, layouts, tokyo20, _one_hot_modes(programs)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_cap_bounds_each_cone_not_the_active_register(mode):
+    compiled, layouts, tokyo20, ideals = _tokyo_triple_compile()
+    with pytest.raises(QubitCapExceeded, match="15 active qubits"):
+        sim.active_register(compiled, layouts, sim.DEFAULT_QUBIT_CAP)
+    assert [len(sim.light_cone(compiled, layout.values())[0]) for layout in layouts] == [5, 5, 5]
+    got = noisy_success_probability(compiled, layouts, tokyo20, ideals, mode=mode, shots=64)
+    assert all(0.0 < p < 1.0 for p in got)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_cone_over_the_cap_raises_before_simulating(mode, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated although a cone exceeds the cap")
+
+    compiled, layouts, tokyo20, ideals = _tokyo_triple_compile()
     for kernel in ("_noisy_ops", "_exact_distribution", "_draw_shots", "_sampled_outcomes"):
         monkeypatch.setattr(sim, kernel, fail)
-    compiled, layouts, tokyo20, ideals = _tokyo_pair_compile()
-    with pytest.raises(QubitCapExceeded, match="6 active qubits"):
-        noisy_success_probability(compiled, layouts, tokyo20, ideals, mode=mode, cap=5)
+    with pytest.raises(QubitCapExceeded, match="5 cone qubits exceed the simulation cap of 4"):
+        noisy_success_probability(compiled, layouts, tokyo20, ideals, mode=mode, cap=4)
+
+
+def test_every_bundled_tokyo20_triple_is_estimable_at_the_default_cap():
+    # 25 of these 120 have over 12 active qubits; no cone has more than 5
+    from qmultiprog.cli import compile_workload
+
+    tokyo20 = fixtures.load_fixture_backend("tokyo20")
+    programs = {name: fixtures.load_benchmark(name) for name in BUNDLED}
+    over = 0
+    for names in itertools.combinations(BUNDLED, 3):
+        triple = [programs[name] for name in names]
+        result = compile_workload(triple, tokyo20, "cdap-xswap")
+        compiled = result["compiled"][0]
+        layouts = [dict(s) for s in result["schedules"][0].final.sigmas]
+        over += len(sim.active_register(compiled, layouts, sim.HARD_QUBIT_CAP)) > sim.DEFAULT_QUBIT_CAP
+        assert max(len(sim.light_cone(compiled, layout.values())[0]) for layout in layouts) <= 5
+        ideals = _one_hot_modes(triple)
+        for mode in ("exact", "sampled"):
+            got = noisy_success_probability(compiled, layouts, tokyo20, ideals, mode=mode, shots=64)
+            assert all(0.0 <= p <= 1.0 for p in got)
+    assert over == 25
+
+
+def test_crossing_swap_merges_cones():
+    from qmultiprog import decompose, xswap_route
+
+    programs, mapping, backend = fixtures.boundary_swap_instance()
+    schedule = xswap_route(programs, mapping, backend)
+    compiled = decompose(schedule).combined
+    layouts = [dict(s) for s in schedule.final.sigmas]
+    for mine, other in ((0, 1), (1, 0)):
+        qubits, ids = sim.light_cone(compiled, layouts[mine].values())
+        ref_qubits, ref_gates = reference_light_cone(compiled, layouts[mine].values())
+        assert (qubits, ids) == (ref_qubits, [g.id for g in ref_gates])
+        # the crossing SWAP brings a qubit of the other program's region in
+        assert set(qubits) & set(mapping.sigmas[other].values())
+    ideals = _one_hot_modes(programs)
+    full = noisy_output_distribution(compiled, backend)
+    got = noisy_success_probability(compiled, layouts, backend, ideals, mode="exact")
+    for layout, ideal, estimate in zip(layouts, ideals, got, strict=True):
+        keep = [layout[q] for q in sorted(layout)]
+        want = marginal_distribution(full, compiled.n_qubits, keep)[modal_outcome(ideal)]
+        assert abs(estimate - want) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(instance=_placed_instances())
+def test_light_cone_matches_reference_walk(instance):
+    compiled, _, layouts, _ = instance
+    for layout in layouts:
+        qubits, gates = reference_light_cone(compiled, layout.values())
+        assert sim.light_cone(compiled, layout.values()) == (qubits, [g.id for g in gates])
 
 
 # --- the planned kernel against the row-scanning reference --------------------
