@@ -1,8 +1,12 @@
 """Verify a compiled co-location exactly, then estimate its noisy success.
 
-Every compiled circuit is replayed against an exact simulation: the output
-distribution, marginalized onto each program through its final layout, must
-equal the product of the programs' standalone distributions. The same
+``decompose`` certifies every compiled circuit as it builds it: each program
+gate must come once, in program order on each of its logical qubits, on the
+qubits the replayed SWAPs have moved them to. That proof needs no simulation
+and holds on any chip. This demo also checks the circuit independently by
+exact simulation: the output distribution, marginalized onto each program
+through its final layout, must equal the product of the programs'
+standalone distributions. The same
 simulator also drives a stochastic failure model (each gate depolarizes its
 operands with its calibration error rate) to approximate hardware success.
 Each program's estimate simulates only its backward light cone: the gates

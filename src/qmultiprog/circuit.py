@@ -75,6 +75,20 @@ class Gate:
         return self.kind == CNOT or self.kind in ONE_QUBIT_GATES
 
 
+def _placed(gate: Gate, qubits: tuple[int, ...], gid: int) -> Gate:
+    """``gate`` moved onto ``qubits`` with id ``gid``, without rerunning
+    ``Gate``'s checks: valid because ``gate`` is, provided ``qubits`` names
+    as many qubits as ``gate.qubits`` and repeats none that it does not.
+    Fields are set one by one in declaration order, as ``__init__`` does,
+    so the instance keeps the compact attribute layout of other gates."""
+    placed = object.__new__(Gate)
+    object.__setattr__(placed, "kind", gate.kind)
+    object.__setattr__(placed, "qubits", qubits)
+    object.__setattr__(placed, "params", gate.params)
+    object.__setattr__(placed, "id", gid)
+    return placed
+
+
 @dataclass(frozen=True)
 class QuantumProgram:
     """A named gate sequence over ``n_qubits`` logical qubits.

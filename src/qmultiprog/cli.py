@@ -4,6 +4,10 @@ Subcommands: compile (partition + route + verify one workload), bench
 (policy-comparison grid over a workload manifest), schedule (queue batching),
 tree (dendrogram dump), simulate (exact output distribution).
 
+Every compile is verified by the certificate that ``routing.decompose``
+checks as it replays the schedule, at any chip size; ``--statevector`` adds
+the exact simulation of ``routing.verify_equivalence``, within ``--cap``.
+
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 partition/routing
 failure, 5 equivalence-check failure.
 """
@@ -27,6 +31,7 @@ from .partition import (
     partition_qubits,
 )
 from .routing import (
+    RoutingError,
     UnroutableProgramError,
     baseline_route,
     decompose,
@@ -60,14 +65,19 @@ def compile_workload(
     policy: str,
     omega: float = DEFAULT_OMEGA,
     cap: int = DEFAULT_QUBIT_CAP,
+    statevector: bool = False,
 ) -> dict:
-    """Run one workload through partition, routing, decomposition and the
-    equivalence oracle. Returns report + artifacts.
+    """Run one workload through partition, routing and decomposition.
+    Returns report + artifacts.
 
     Every policy compiles a list of runs on the same chip: a joint policy is
     one run of all its programs, ``independent`` one cdap-xswap run per
-    program. The report combines the runs. The equivalence check is skipped
-    (``checked: false``) when the simulator refuses the register at ``cap``.
+    program. The report combines the runs. ``decompose`` certifies each run
+    equivalent to its programs or raises RoutingError, so the report's
+    equivalence reads method ``certificate``, passed, with total variation 0.
+    With ``statevector`` each run is also simulated by ``verify_equivalence``
+    (method ``statevector``, the largest simulated total variation); a run
+    whose register exceeds ``cap`` then raises QubitCapExceeded.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -100,11 +110,9 @@ def compile_workload(
                     "epst": epst(program, region, backend),
                 }
             )
-        layouts = [dict(s) for s in schedule.final.sigmas]
-        try:
+        if statevector:
+            layouts = [dict(s) for s in schedule.final.sigmas]
             verdicts.append(verify_equivalence(run, circuits.combined, layouts, limit=cap))
-        except QubitCapExceeded:
-            verdicts.append(None)
         compiled.append(circuits)
         schedules.append(schedule)
     run_stats = [c.stats for c in compiled]
@@ -112,18 +120,20 @@ def compile_workload(
     classes = run_stats[0]["swap_classes"]
     combined["swap_classes"] = {c: sum(s["swap_classes"][c] for s in run_stats) for c in classes}
     combined["depth"] = max(s["depth"] for s in run_stats)
-    checked = None not in verdicts
+    equivalence = {"method": "certificate", "checked": True, "passed": True, "total_variation": 0.0}
+    if statevector:
+        equivalence.update(
+            method="statevector",
+            passed=all(ok for ok, _ in verdicts),
+            total_variation=max(tv for _, tv in verdicts),
+        )
     report = {
         "policy": policy,
         "backend": backend.name,
         "omega": omega,
         "programs": per_program,
         "combined": combined,
-        "equivalence": {
-            "checked": checked,
-            "passed": all(ok for ok, _ in verdicts) if checked else None,
-            "total_variation": max(tv for _, tv in verdicts) if checked else None,
-        },
+        "equivalence": equivalence,
         "compile_seconds": time.perf_counter() - started,
     }
     return {"report": report, "compiled": [c.combined for c in compiled], "schedules": schedules}
@@ -184,10 +194,7 @@ def _compile_text(report: dict) -> str:
         f"post_gates={c['post_gates']} depth={c['depth']}"
     )
     eq = report["equivalence"]
-    lines.append(
-        "  equivalence: "
-        + ("skipped (over qubit cap)" if not eq["checked"] else f"passed={eq['passed']} tv={eq['total_variation']:.2e}")
-    )
+    lines.append(f"  equivalence: passed={eq['passed']} by {eq['method']} tv={eq['total_variation']:.2e}")
     return "\n".join(lines)
 
 
@@ -206,7 +213,9 @@ def cmd_compile(args) -> int:
                 )
                 return EXIT_USAGE
             first[prog.name] = path
-    result = compile_workload(programs, backend, args.policy, omega=args.omega, cap=args.cap)
+    result = compile_workload(
+        programs, backend, args.policy, omega=args.omega, cap=args.cap, statevector=args.statevector
+    )
     report = result["report"]
     if len(result["compiled"]) == 1:
         _write(args.out, "compiled.qasm", serialize_program(result["compiled"][0]))
@@ -226,7 +235,7 @@ def cmd_compile(args) -> int:
     _write(args.out, "layout.json", _json(layout_doc))
     _write(args.out, "report.json", _json(report))
     _emit(report, args, _compile_text)
-    if report["equivalence"]["checked"] and not report["equivalence"]["passed"]:
+    if not report["equivalence"]["passed"]:
         return EXIT_EQUIV
     return EXIT_OK
 
@@ -300,7 +309,9 @@ def cmd_bench(args) -> int:
             for policy in policies:
                 cell = {"workload": label, "policy": policy, "seed": seed}
                 try:
-                    result = compile_workload(programs, backend, policy, omega=args.omega, cap=args.cap)
+                    result = compile_workload(
+                        programs, backend, policy, omega=args.omega, cap=args.cap, statevector=args.statevector
+                    )
                     cell.update(
                         ok=True,
                         swaps=result["report"]["combined"]["swaps"],
@@ -484,7 +495,15 @@ _OPTIONS = {
     ),
     "--out": dict(default=None, help="directory for artifacts"),
     "--format": dict(choices=("doc", "text"), default="text"),
-    "--cap": dict(type=qubit_count, default=DEFAULT_QUBIT_CAP, help="simulation qubit cap (at least 1)"),
+    "--cap": dict(
+        type=qubit_count,
+        default=DEFAULT_QUBIT_CAP,
+        help="simulation qubit cap (at least 1); compile and bench apply it only with --statevector",
+    ),
+    "--statevector": dict(
+        action="store_true",
+        help="also check equivalence by exact simulation, within --cap (a wider register is a usage error)",
+    ),
 }
 
 
@@ -501,14 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compile", allow_abbrev=False, help="compile a workload of programs onto one chip")
     p.add_argument("programs", nargs="+", help="program source files")
     p.add_argument("--policy", choices=POLICIES, default="cdap-xswap")
-    _add_options(p, "--backend", "--omega", "--seed", "--out", "--format", "--cap")
+    _add_options(p, "--backend", "--omega", "--seed", "--out", "--format", "--cap", "--statevector")
     p.set_defaults(func=cmd_compile)
 
     p = subs.add_parser("bench", allow_abbrev=False, help="policy comparison over a workload manifest")
     p.add_argument("manifest", help="file with one comma-separated workload per line")
     p.add_argument("--policies", default="baseline,cdap-xswap")
     p.add_argument("--seeds", default=None, help="comma-separated calibration seeds")
-    _add_options(p, "--backend", "--omega", "--out", "--format", "--cap")
+    _add_options(p, "--backend", "--omega", "--out", "--format", "--cap", "--statevector")
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("schedule", allow_abbrev=False, help="batch a queue of program files")
@@ -545,6 +564,9 @@ def main(argv=None) -> int:
     except (PartitionError, UnroutableProgramError) as exc:
         print(f"partition failure: {exc}", file=sys.stderr)
         return EXIT_PARTITION
+    except RoutingError as exc:
+        print(f"equivalence-check failure: {exc}", file=sys.stderr)
+        return EXIT_EQUIV
     except (ValueError, QubitCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,8 @@
 """Mapping transition: a joint router that may SWAP across program boundaries
 and through free qubits, a per-program baseline router for comparison, SWAP
-decomposition into CNOTs, and an exact-simulation equivalence check.
+decomposition into CNOTs that certifies equivalence as it replays the
+schedule, and an exact-simulation equivalence check kept as an independent
+oracle for chips within the simulator's cap.
 
 Both routers run one loop (``_route``): execute every hardware-compliant
 gate, then insert the best-scoring SWAP among candidates touching the
@@ -28,6 +30,13 @@ SWAP with its class and owners, and each gate as (program, gate id,
 physical operands). ``decompose`` alone classifies SWAPs and charges each
 to its lowest-indexed owner. Measures are emitted after every other gate,
 which is exact because ``QuantumProgram`` keeps measurement terminal.
+
+``decompose``'s replay is also the equivalence proof (compare the
+compilation-flow checks of Burgholzer and Wille, arXiv 2004.08420): it
+follows the mapping through every SWAP and requires each program gate once,
+in program order on each of its logical qubits. It needs no simulation and
+so holds at any chip size; ``verify_equivalence`` simulates the compiled
+circuit instead, within a qubit cap.
 """
 from __future__ import annotations
 
@@ -44,6 +53,7 @@ from .circuit import (
     Dag,
     Gate,
     QuantumProgram,
+    _placed,
     build_dag,
     critical_gates,
 )
@@ -471,16 +481,47 @@ class CompiledCircuits:
     stats: dict = field(repr=False)
 
 
+_SWAP_CX = Gate(CNOT, (0, 1))  # placed three times per SWAP
+
+
+def _unexecuted(program: QuantumProgram) -> tuple[list[list[int]], set[int]]:
+    """Per logical qubit, the ids of the program's non-barrier gates on it in
+    reverse program order (the next one to execute is last), and its barriers."""
+    lines: list[list[int]] = [[] for _ in range(program.n_qubits)]
+    barriers = set()
+    for g in program.gates:
+        if g.kind == BARRIER:
+            barriers.add(g.id)
+        else:
+            for q in g.qubits:
+                lines[q].append(g.id)
+    for line in lines:
+        line.reverse()
+    return lines, barriers
+
+
 def decompose(schedule: Schedule) -> CompiledCircuits:
     """Expand every SWAP into three CNOTs and emit the physical circuit.
 
     One replay checks that executed CNOTs and SWAPs act on adjacent qubits,
     that operands agree with the replayed mapping and that the permutation
-    matches the final mapping (else RoutingError), and counts SWAPs and depth.
+    matches the final mapping, and counts SWAPs and depth. The same replay
+    certifies equivalence: each non-barrier gate must be the next unexecuted
+    gate, in program order, on every logical qubit it touches, each barrier
+    must appear once, and no gate may be left over. Any failure raises
+    RoutingError.
+
+    The certificate is exact on any chip. A SWAP triple only permutes qubits,
+    which the replay follows, and free qubits stay |0> because no gate acts on
+    them. So the compiled circuit applies each program's gates to its logical
+    qubits in an order that keeps the order on every qubit. Gates on disjoint
+    qubits commute and the programs hold disjoint qubits, so the circuit acts
+    as the product of the programs, read through the final layouts.
     """
     graph = schedule.backend.graph
     replayed = schedule.initial.clone()
     sigmas = replayed.sigmas
+    pending = [_unexecuted(p) for p in schedule.programs]
     combined: list[Gate] = []
     swap_classes = {"intra": 0, "inter": 0, "free": 0}
     charged = [0] * len(schedule.programs)  # SWAPs per lowest-indexed owner
@@ -491,7 +532,11 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
             if not graph.has_edge(a, b):
                 raise RoutingError(f"swap ({a},{b}) is not a coupling edge")
             n = len(combined)
-            combined += (Gate(CNOT, (a, b), (), n), Gate(CNOT, (b, a), (), n + 1), Gate(CNOT, (a, b), (), n + 2))
+            combined += (
+                _placed(_SWAP_CX, (a, b), n),
+                _placed(_SWAP_CX, (b, a), n + 1),
+                _placed(_SWAP_CX, (a, b), n + 2),
+            )
             level[a] = level[b] = max(level.get(a, 0), level.get(b, 0)) + 3
             swap_classes[event.swap_class] += 1
             charged[event.owners[0]] += 1
@@ -504,7 +549,21 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
         expected = tuple([sigma[q] for q in g.qubits])
         if expected != phys:
             raise RoutingError(f"event operands {phys} disagree with replayed mapping {expected}")
-        combined.append(Gate(g.kind, phys, g.params, len(combined)))
+        gid = event.gate_id
+        lines, barriers = pending[event.program]
+        if g.kind == BARRIER:
+            if gid not in barriers:
+                raise RoutingError(f"barrier {gid} of program {event.program} is executed more than once")
+            barriers.remove(gid)
+        else:
+            for q in g.qubits:
+                line = lines[q]
+                if not line or line[-1] != gid:
+                    raise RoutingError(
+                        f"gate {gid} of program {event.program} is not the next gate on its logical qubit {q}"
+                    )
+                line.pop()
+        combined.append(_placed(g, phys, len(combined)))
         # A barrier lifts its qubits to their common level and adds none.
         depth = max([level.get(q, 0) for q in phys], default=0) + (g.kind != BARRIER)
         for q in phys:
@@ -512,6 +571,9 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
     for i, sigma in enumerate(sigmas):
         if sigma != schedule.final.sigmas[i]:
             raise RoutingError(f"final mapping of program {i} does not match the replay")
+    for i, (lines, barriers) in enumerate(pending):
+        if barriers or any(lines):
+            raise RoutingError(f"program {i} has gates that were never executed")
 
     per_stats = [
         {"name": p.name, "swaps": k, "added_cnots": 3 * k,

@@ -458,7 +458,9 @@ def noisy_success_probability(
     """Per-program probability of observing its ideal modal outcome when the
     compiled physical circuit runs under the stochastic failure model.
 
-    ``layouts`` maps each program's logical qubits to final physical qubits.
+    ``layouts`` maps each program's logical qubits to final physical qubits,
+    and ``ideal_distributions`` holds each program's ideal distribution: one
+    of each per program, in the same order, else ValueError.
     ``mode`` is "exact" (full mixed-state evolution) or "sampled" (``shots``
     trajectories with the given seed). Each program is simulated on its own
     light cone (``light_cone`` of its layout's qubits). The cap bounds every
@@ -474,6 +476,10 @@ def noisy_success_probability(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
+    if len(layouts) != len(ideal_distributions):
+        raise ValueError(
+            f"{len(layouts)} layouts but {len(ideal_distributions)} ideal distributions: one of each per program"
+        )
     n = compiled.n_qubits
     top = max((q for layout in layouts for q in layout.values()), default=-1)
     if top >= n:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -9,6 +10,8 @@ from qmultiprog import cli, fixtures, partition
 from qmultiprog.circuit import parse_program, serialize_program
 from qmultiprog.hardware import load_backend
 from qmultiprog.partition import PartitionError
+from qmultiprog.routing import GateEvent, xswap_route
+from qmultiprog.sim import QubitCapExceeded
 
 
 def bench_file(name):
@@ -224,11 +227,48 @@ def test_exit_code_equivalence_failure(monkeypatch, tmp_path):
             backend_file("london"),
             "--out",
             str(tmp_path),
+            "--statevector",
         ]
     )
     assert code == 5
     # artifacts are still written for inspection
     assert (tmp_path / "report.json").exists()
+
+
+def test_a_schedule_the_certificate_rejects_exits_5(monkeypatch, capsys):
+    def drop_a_gate(programs, mapping, backend):
+        schedule = xswap_route(programs, mapping, backend)
+        i = max(i for i, e in enumerate(schedule.events) if isinstance(e, GateEvent))
+        return dataclasses.replace(schedule, events=schedule.events[:i] + schedule.events[i + 1 :])
+
+    monkeypatch.setattr(cli, "xswap_route", drop_a_gate)
+    code = run(["compile", bench_file("bv_n3"), bench_file("toffoli_3"), "--backend", backend_file("cross9")])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "equivalence-check failure" in err and "never executed" in err
+
+
+def test_statevector_option_reports_the_simulated_check(capsys):
+    argv = ["compile", bench_file("bv_n3"), bench_file("toffoli_3"), "--backend", backend_file("cross9")]
+    assert run(argv + ["--format", "doc", "--statevector"]) == 0
+    equivalence = json.loads(capsys.readouterr().out)["equivalence"]
+    assert equivalence["method"] == "statevector" and equivalence["passed"] is True
+    assert 0.0 <= equivalence["total_variation"] <= 1e-9
+
+
+@pytest.mark.parametrize("command", ["compile", "bench"])
+def test_statevector_over_the_cap_is_usage_error(command, tmp_path, capsys):
+    if command == "compile":
+        argv = ["compile", bench_file("bv_n3")]
+    else:
+        manifest = tmp_path / "w.txt"
+        manifest.write_text(f"{bench_file('bv_n3')}\n")
+        argv = ["bench", str(manifest)]
+    argv += ["--backend", backend_file("cross9"), "--cap", "2"]
+    assert run(argv) == 0  # the certificate needs no cap
+    capsys.readouterr()
+    assert run(argv + ["--statevector"]) == 2
+    assert "exceed the simulation cap of 2" in capsys.readouterr().err
 
 
 def test_compile_seed_redraws_calibration(capsys):
@@ -510,10 +550,12 @@ def _pairs_digest(chip, policy):
 
 # One digest per policy, in cli.POLICIES order. On london every pair is too
 # wide to share the chip, so the four joint policies record the same refusals.
+# Regenerated when the reports' equivalence became the routing certificate:
+# each digest recomputed without the "equivalence" key is unchanged.
 GOLDEN_REPORTS = {
-    "london": ["5844e81a8ae9e962"] * 4 + ["2125b7bfad4eecd4"],
-    "grid2x3": ["4b67410301d83481", "59ca77e89d2b8b75", "af76c1bea38ef4c3", "a690b99a4acb1a0a", "4fde24a5024a4950"],
-    "cross9": ["2f26a5e6322d1a39", "cb32d90d06b96bad", "3e7a161c89bd5f52", "323302c87557ef91", "82cf55bbff887020"],
+    "london": ["5844e81a8ae9e962"] * 4 + ["58fb9470ba04579d"],
+    "grid2x3": ["1857c2eb05134280", "42df25fd6b1b8e6d", "ae380f158253e312", "730d445329bfbf90", "62c65c516f62d643"],
+    "cross9": ["dfcad29074d8fb80", "406078dadd894dde", "281d5589ce389140", "3067ef58f1877562", "8934f39ef3ef45fb"],
 }
 
 
@@ -562,22 +604,39 @@ def test_a_program_object_given_twice_is_refused_by_every_joint_policy(policy):
         cli.compile_workload([program, program], fixtures.load_fixture_backend("cross9"), policy)
 
 
+CERTIFIED = {"method": "certificate", "checked": True, "passed": True, "total_variation": 0.0}
+
+
 @pytest.mark.parametrize("policy", ["cdap-xswap", "independent"])
-def test_register_over_the_simulator_cap_is_unchecked(policy):
+def test_register_over_the_simulator_cap_is_certified(policy):
     backend = make_backend(25, grid_graph(5, 5).edges, name="grid5x5")
     programs = [fixtures.load_benchmark(n) for n in ("bv_n3", "toffoli_3")]
-    # Every run's active register holds a 3-qubit program: over a cap of 2.
+    # Every run's active register holds a 3-qubit program: over a cap of 2,
+    # which bounds only the simulation.
     report = cli.compile_workload(programs, backend, policy, cap=2)["report"]
-    assert report["equivalence"] == {"checked": False, "passed": None, "total_variation": None}
+    assert report["equivalence"] == CERTIFIED
+    with pytest.raises(QubitCapExceeded):
+        cli.compile_workload(programs, backend, policy, cap=2, statevector=True)
+
+
+def test_melbourne_three_program_compile_is_certified():
+    # 14 program qubits: over the simulator's default cap of 12.
+    programs = [fixtures.load_benchmark(n) for n in ("alu-v0_27", "decod24-v2_43", "4mod5-v1_22")]
+    backend = fixtures.load_fixture_backend("melbourne")
+    report = cli.compile_workload(programs, backend, "cdap-xswap")["report"]
+    assert report["equivalence"] == CERTIFIED
+    with pytest.raises(QubitCapExceeded):
+        cli.compile_workload(programs, backend, "cdap-xswap", statevector=True)
 
 
 def test_tokyo20_compile_is_checked_on_its_active_register(tmp_path):
     # 20 physical qubits, over the default cap; the 6 active ones are not
     out = tmp_path / "tokyo"
     argv = ["compile", bench_file("bv_n3"), bench_file("toffoli_3"), "--backend", backend_file("tokyo20")]
-    assert run(argv + ["--out", str(out), "--format", "doc"]) == 0
+    assert run(argv + ["--out", str(out), "--format", "doc", "--statevector"]) == 0
     equivalence = json.loads((out / "report.json").read_text())["equivalence"]
     assert equivalence["checked"] is True and equivalence["passed"] is True
+    assert equivalence["method"] == "statevector"
 
 
 @pytest.mark.parametrize("policy", ["baseline", "xswap-only"])

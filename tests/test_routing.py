@@ -342,11 +342,12 @@ def test_incremental_frontier_matches_reference(program, data):
 
 
 @st.composite
-def _valid_programs(draw):
+def _valid_programs(draw, cx_share=1):
     """Random programs over every gate kind, with angles drawn from all
-    finite floats; a measured qubit is touched by nothing but barriers."""
+    finite floats; a measured qubit is touched by nothing but barriers.
+    ``cx`` is drawn ``cx_share`` times as often as each other kind."""
     n = draw(st.integers(1, 4))
-    kinds = sorted(ONE_QUBIT_GATES) + ["cx", "barrier", "measure"]
+    kinds = sorted(ONE_QUBIT_GATES) + ["cx"] * cx_share + ["barrier", "measure"]
     gates, measured = [], set()
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
         live = [q for q in range(n) if q not in measured]
@@ -863,6 +864,111 @@ def test_equivalence_identity_programs():
     schedule = xswap_route([p1, p2], mapping, backend)
     ok, tv = verify_schedule(schedule)
     assert ok and tv == 0.0
+
+
+@st.composite
+def _certifiable(draw):
+    """One to three programs over every gate kind, placed on a random
+    connected chip of at most 12 qubits, routed jointly or (where every
+    region connects its CNOTs) per program."""
+    programs = [draw(_valid_programs(cx_share=8)) for _ in range(draw(st.integers(1, 3)))]
+    used = sum(p.n_qubits for p in programs)
+    n_phys = max(2, min(12, used + draw(st.integers(0, 3))))
+    graph = random_graph(n_phys, draw(st.integers(0, 10**6)), draw(st.sampled_from([0.0, 0.1])))
+    backend = make_backend(n_phys, graph.edges)
+    mapping = _placed(programs, draw(st.permutations(range(n_phys))))
+    if draw(st.booleans()):
+        try:
+            return baseline_route(programs, mapping, backend)
+        except UnroutableProgramError:
+            pass
+    return xswap_route(programs, mapping, backend)
+
+
+def _statevector_accepts(schedule) -> bool:
+    """The schedule's events expanded without any check (SWAPs into CNOT
+    triples, gates onto their recorded operands) and simulated against its
+    programs through its claimed final layouts. A circuit that is no valid
+    program (a gate after a measure) is rejected."""
+    ops = []
+    for e in schedule.events:
+        if isinstance(e, SwapOp):
+            a, b = e.key()
+            ops += [(CNOT, (a, b), ()), (CNOT, (b, a), ()), (CNOT, (a, b), ())]
+        else:
+            g = schedule.programs[e.program].gates[e.gate_id]
+            ops.append((g.kind, e.phys, g.params))
+    try:
+        circuit = QuantumProgram("expanded", schedule.backend.n_qubits, tuple(Gate(*op, i) for i, op in enumerate(ops)))
+    except ValueError:
+        return False
+    return verify_equivalence(schedule.programs, circuit, [dict(s) for s in schedule.final.sigmas])[0]
+
+
+def _commute(g, h) -> bool:
+    """Whether two unitary gates commute, compared on their joint qubits."""
+    local = {q: i for i, q in enumerate(sorted(set(g.qubits) | set(h.qubits)))}
+    dim = 2 ** len(local)
+
+    def product(first, second):
+        columns = []
+        for k in range(dim):
+            state = np.eye(dim, dtype=complex)[k]
+            for gate in (first, second):
+                state = sim.apply_gate(state, gate, tuple(local[q] for q in gate.qubits))
+            columns.append(state)
+        return np.array(columns)
+
+    return np.allclose(product(g, h), product(h, g))
+
+
+def _corruptions(schedule, data) -> list:
+    """Each corruption the schedule admits, one drawn instance of each: a gate
+    event dropped, one duplicated, a gate swapped with the next gate of its
+    program on a shared qubit when the two do not commute, a SWAP dropped."""
+    events = list(schedule.events)
+    gates = [i for i, e in enumerate(events) if isinstance(e, GateEvent)]
+    swaps = [i for i, e in enumerate(events) if isinstance(e, SwapOp)]
+    program_gate = lambda e: schedule.programs[e.program].gates[e.gate_id]
+    out = []
+    if gates:
+        i = data.draw(st.sampled_from(gates))
+        out.append(events[:i] + events[i + 1 :])
+        j = data.draw(st.sampled_from(gates))
+        out.append(events[: j + 1] + [events[j]] + events[j + 1 :])
+    pairs = []
+    for i in gates:
+        g = program_gate(events[i])
+        if not g.is_unitary:
+            continue
+        for j in gates:
+            if j > i and events[j].program == events[i].program and set(program_gate(events[j]).qubits) & set(g.qubits):
+                h = program_gate(events[j])
+                if h.is_unitary and not _commute(g, h):
+                    pairs.append((i, j))
+                break
+    if pairs:
+        i, j = data.draw(st.sampled_from(pairs))
+        swapped = list(events)
+        swapped[i], swapped[j] = events[j], events[i]
+        out.append(swapped)
+    if swaps:
+        k = data.draw(st.sampled_from(swaps))
+        out.append(events[:k] + events[k + 1 :])
+    return [dataclasses.replace(schedule, events=tuple(bad)) for bad in out]
+
+
+@given(schedule=_certifiable(), data=st.data())
+def test_the_certificate_is_sound_against_the_statevector(schedule, data):
+    # Accepted by the certificate, so equivalent by simulation.
+    compiled = decompose(schedule)
+    ok, tv = verify_equivalence(schedule.programs, compiled.combined, [dict(s) for s in schedule.final.sigmas])
+    assert ok, tv
+    # Every corruption the simulation rejects, the certificate rejects too.
+    for bad in _corruptions(schedule, data):
+        if not _statevector_accepts(bad):
+            with pytest.raises(RoutingError):
+                decompose(bad)
 
 
 def test_equivalence_cap():

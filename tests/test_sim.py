@@ -266,6 +266,15 @@ def test_noisy_degradation_is_strict():
     assert broken_pst < clean_pst
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_noisy_refuses_layouts_and_ideals_of_different_lengths(mode):
+    backend, program, layout, ideal = _three_qubit_instance()
+    with pytest.raises(ValueError, match="2 layouts but 1 ideal distributions"):
+        noisy_success_probability(program, [layout, {0: 2}], backend, [ideal], mode=mode)
+    with pytest.raises(ValueError, match="1 layouts but 2 ideal distributions"):
+        noisy_success_probability(program, [layout], backend, [ideal, ideal], mode=mode)
+
+
 def test_noisy_distribution_normalized():
     backend, program, layout, ideal = _three_qubit_instance()
     dist = noisy_output_distribution(program, backend)
