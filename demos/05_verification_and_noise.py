@@ -6,12 +6,13 @@ qubits the replayed SWAPs have moved them to. That proof needs no simulation
 and holds on any chip. This demo also checks the circuit independently by
 exact simulation: the output distribution, marginalized onto each program
 through its final layout, must equal the product of the programs'
-standalone distributions. The same
-simulator also drives a stochastic failure model (each gate depolarizes its
-operands with its calibration error rate) to approximate hardware success.
-Each program's estimate simulates only its backward light cone: the gates
-its final qubits depend on. A crossing SWAP pulls the other program's
-qubits into the cone.
+standalone distributions. The simulator only ever runs a backward light
+cone: the gates some final qubits depend on. The check runs the cone of
+every program's final qubits at once. The same simulator also drives a
+stochastic failure model (each gate depolarizes its operands with its
+calibration error rate) to approximate hardware success, and each
+program's estimate runs its own cone. A crossing SWAP pulls the other
+program's qubits into the cone.
 """
 import numpy as np
 

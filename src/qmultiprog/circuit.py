@@ -201,6 +201,7 @@ _ANGLE_TOKEN_RE = re.compile(r"pi|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]
 # OpenQASM 2 is ASCII: statements, operands and angles are trimmed of ASCII
 # whitespace only, so a no-break or ideographic space is refused, not skipped.
 _SPACE = " \t\n\r\x0b\x0c"
+_LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 _UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
@@ -262,9 +263,17 @@ def _split_params(text: str, line: int) -> tuple[list[str], str]:
     raise QasmError(f"unbalanced parentheses in {text!r}", line)
 
 
-def _strip_comment(line: str) -> str:
-    idx = line.find("//")
-    return line if idx < 0 else line[:idx]
+def _statements(text: str):
+    """(line, statement) per ``;``-ended statement, trimmed of ASCII whitespace,
+    with the line it starts on. Lines end at LF, CR LF or CR only, and a
+    ``//`` comment runs to the end of its line."""
+    code = "\n".join(line.split("//", 1)[0] for line in _LINE_BREAK_RE.split(text))
+    line = 1
+    for chunk in code.split(";"):
+        stmt = chunk.strip(_SPACE)
+        if stmt:
+            yield line + chunk.count("\n", 0, chunk.index(stmt)), stmt
+        line += chunk.count("\n")
 
 
 def parse_program(text: str, name: str = "program") -> QuantumProgram:
@@ -298,56 +307,53 @@ def parse_program(text: str, name: str = "program") -> QuantumProgram:
             raise QasmError(str(exc), lineno) from None
         gate_lines.append(lineno)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        for stmt in _strip_comment(raw).split(";"):
-            stmt = stmt.strip(_SPACE)
-            if not stmt:
-                continue
-            if stmt.startswith("OPENQASM") or stmt.startswith("include"):
-                continue
-            m = _QREG_RE.match(stmt)
-            if m:
-                if qreg_name is not None:
-                    raise QasmError("exactly one qreg is supported", lineno)
-                qreg_name, n_qubits = m.group(1), int(m.group(2))
-                if not n_qubits:
-                    raise QasmError(f"qreg {qreg_name} has no qubits", lineno)
-                continue
-            if _CREG_RE.match(stmt):
-                continue
-            if qreg_name is None:
-                raise QasmError("statement before qreg declaration", lineno)
+    for lineno, stmt in _statements(text):
+        if stmt.startswith("OPENQASM") or stmt.startswith("include"):
+            continue
+        m = _QREG_RE.match(stmt)
+        if m:
+            if qreg_name is not None:
+                raise QasmError("exactly one qreg is supported", lineno)
+            qreg_name, n_qubits = m.group(1), int(m.group(2))
+            if not n_qubits:
+                raise QasmError(f"qreg {qreg_name} has no qubits", lineno)
+            continue
+        if _CREG_RE.match(stmt):
+            continue
+        if qreg_name is None:
+            raise QasmError("statement before qreg declaration", lineno)
 
-            head = _HEAD_RE.match(stmt)
-            if not head:
-                raise QasmError(f"cannot parse statement {stmt!r}", lineno)
-            opname, rest = head.group(1), stmt[head.end():]
-            if opname not in ONE_QUBIT_GATES and opname not in (MEASURE, BARRIER, CNOT):
-                raise QasmError(f"unsupported gate {opname!r}", lineno)
-            params: tuple[float, ...] = ()
-            if rest.startswith("("):
-                parts, rest = _split_params(rest, lineno)
-                if parts != [""]:  # "()" holds no angles
-                    params = tuple(_eval_param(p.strip(_SPACE), lineno) for p in parts)
+        head = _HEAD_RE.match(stmt)
+        if not head:
+            raise QasmError(f"cannot parse statement {stmt!r}", lineno)
+        opname, rest = head.group(1), stmt[head.end():]
+        if opname not in ONE_QUBIT_GATES and opname not in (MEASURE, BARRIER, CNOT):
+            raise QasmError(f"unsupported gate {opname!r}", lineno)
+        params: tuple[float, ...] = ()
+        if rest.startswith("("):
+            parts, rest = _split_params(rest, lineno)
+            if parts != [""]:  # "()" holds no angles
+                params = tuple(_eval_param(p.strip(_SPACE), lineno) for p in parts)
 
-            if opname == BARRIER:
-                qubits = tuple(q for tok in rest.split(",") for q in operand_indices(tok, lineno))
-                emit(BARRIER, qubits, params, lineno)
-            elif opname == CNOT:
-                operands = rest.split(",")
-                if len(operands) != 2:
-                    raise QasmError("cx takes two operands", lineno)
-                indices = [operand_indices(t, lineno) for t in operands]
-                if any(len(idx) != 1 for idx in indices):
-                    raise QasmError("cx operands must be single indexed qubits", lineno)
-                emit(CNOT, (*indices[0], *indices[1]), params, lineno)
-            else:
-                target = rest.split("->")[0] if opname == MEASURE else rest  # classical target ignored
-                for q in operand_indices(target, lineno):
-                    emit(opname, (q,), params, lineno)
+        if opname == BARRIER:
+            qubits = tuple(q for tok in rest.split(",") for q in operand_indices(tok, lineno))
+            emit(BARRIER, qubits, params, lineno)
+        elif opname == CNOT:
+            operands = rest.split(",")
+            if len(operands) != 2:
+                raise QasmError("cx takes two operands", lineno)
+            indices = [operand_indices(t, lineno) for t in operands]
+            if any(len(idx) != 1 for idx in indices):
+                raise QasmError("cx operands must be single indexed qubits", lineno)
+            emit(CNOT, (*indices[0], *indices[1]), params, lineno)
+        else:
+            target = rest.split("->")[0] if opname == MEASURE else rest  # classical target ignored
+            for q in operand_indices(target, lineno):
+                emit(opname, (q,), params, lineno)
 
     if qreg_name is None:
-        raise QasmError("no qreg declaration found", len(text.splitlines()) or 1)
+        last_line = len(_LINE_BREAK_RE.findall(text)) + (not text.endswith(("\n", "\r")))
+        raise QasmError("no qreg declaration found", last_line)
     try:
         return QuantumProgram(name=name, n_qubits=n_qubits, gates=tuple(gates))
     except GateError as exc:

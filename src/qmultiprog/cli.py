@@ -77,7 +77,7 @@ def compile_workload(
     equivalence reads method ``certificate``, passed, with total variation 0.
     With ``statevector`` each run is also simulated by ``verify_equivalence``
     (method ``statevector``, the largest simulated total variation); a run
-    whose register exceeds ``cap`` then raises QubitCapExceeded.
+    whose programs or light cone exceed ``cap`` then raises QubitCapExceeded.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")

@@ -36,7 +36,8 @@ compilation-flow checks of Burgholzer and Wille, arXiv 2004.08420): it
 follows the mapping through every SWAP and requires each program gate once,
 in program order on each of its logical qubits. It needs no simulation and
 so holds at any chip size; ``verify_equivalence`` simulates the compiled
-circuit instead, within a qubit cap.
+circuit instead, on the light cone of the programs' final layouts
+(``sim.light_cone``), within a qubit cap on that cone.
 """
 from __future__ import annotations
 
@@ -598,23 +599,28 @@ def verify_equivalence(
 ) -> tuple[bool, float]:
     """Check the compiled physical circuit against exact simulation.
 
-    Simulates the compiled circuit's active register (``sim.active_register``)
-    from |0..0>, marginalizes it onto every program's final layout, and
-    compares with the tensor product of the programs' standalone output
+    Simulates the gates of the light cone of every final-layout qubit
+    (``sim.light_cone``), renumbered in ascending order, from |0..0>;
+    marginalizes the result onto every program's final layout, and compares
+    with the tensor product of the programs' standalone output
     distributions. Returns (total variation <= ``TOLERANCE``, total
     variation). Raises QubitCapExceeded when the programs' own qubits, a
-    lower bound checked before any gate is scanned, or the active register
-    exceed ``limit``.
+    lower bound checked before any gate is scanned, or the cone exceed
+    ``limit``.
     """
     sim.check_cap(sum(p.n_qubits for p in programs), limit, "program qubits")
-    local = sim.active_register(compiled, final_layouts, limit)
-    phys_probs = np.abs(sim.simulate_statevector(compiled, local)) ** 2
+    [(qubits, ids)] = sim._cones(compiled, final_layouts, [[q for s in final_layouts for q in s.values()]], limit)
+    local = {q: i for i, q in enumerate(qubits)}
+    gates = (compiled.gates[j] for j in ids)
+    cone = tuple(_placed(g, tuple(local[q] for q in g.qubits), i) for i, g in enumerate(gates))
+    # a program has at least one qubit; an empty cone's idle one is summed away
+    probs = np.abs(sim.simulate_statevector(QuantumProgram("cone", len(qubits) or 1, cone))) ** 2
     keep: list[int] = []
     ideal = np.array([1.0])
     for program, layout in zip(programs, final_layouts):
         keep.extend(local[layout[q]] for q in sorted(layout))
         ideal = np.kron(sim.distribution_vector(program, cap=limit), ideal)
-    marginal = sim.marginal_distribution(phys_probs, len(local), keep)
+    marginal = sim.marginal_distribution(probs, len(qubits), keep)
     tv = sim.total_variation(marginal, ideal)
     return tv <= TOLERANCE, tv
 

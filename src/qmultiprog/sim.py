@@ -13,18 +13,20 @@ conjugates are planned at import; a parametrized gate is planned when it
 is applied or when its noisy op is built. ``simulate_statevector`` evolves
 one buffer in place; ``apply_gate`` is the one-gate wrapper that copies.
 A program's ideal distribution (``distribution_vector``) is simulated once
-and kept on the program. The equivalence check simulates a compiled
-circuit's active register (``active_register``).
+and kept on the program.
+
+A compiled circuit is only ever simulated on a backward light cone
+(``light_cone``: walking its gates in reverse from some final-layout
+qubits, every unitary gate that touches the set joins it with its qubits,
+so a SWAP between two programs merges their cones), renumbered in
+ascending order. ``_cones`` refuses a layout qubit outside the circuit and
+a cone over the cap before anything is simulated. The equivalence check
+(``routing.verify_equivalence``) runs the cone of every layout at once,
+``noisy_success_probability`` each program's own.
 
 Noisy model: every gate fully depolarizes its operands with its calibration
 error rate, and readout flips each bit with the qubit's readout error. Both
-are local, so a program's outcome marginal depends only on its backward
-light cone (``light_cone``: walking the gates in reverse from its
-final-layout qubits, every unitary gate that touches the set, with its
-qubits added). ``noisy_success_probability`` simulates each program with a
-defined ideal mode on its own cone, renumbered in ascending order; a SWAP
-between two programs puts both in each other's cone. The cap bounds every
-cone, and every cone is checked before anything is simulated. Two modes:
+are local, so a program's marginal depends only on its cone. Two modes:
 
 - exact: the cone's density matrix evolves in place as one [2]*(2m)
   tensor, at most 16 * 4**cap bytes. U rho U^dagger acts through slice
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -203,21 +204,18 @@ def apply_gate(state: np.ndarray, gate: Gate, operands: tuple[int, ...] | None =
     return out
 
 
-def simulate_statevector(program: QuantumProgram, local: Mapping[int, int] | None = None) -> np.ndarray:
+def simulate_statevector(program: QuantumProgram) -> np.ndarray:
     """Run all unitary gates from |0...0> on one buffer; barriers and the
-    terminal measures are skipped. With ``local`` (see ``active_register``)
-    only its qubits are simulated, qubit q as local[q]."""
-    n = program.n_qubits if local is None else len(local)
+    terminal measures are skipped."""
+    n = program.n_qubits
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     tensor = state.reshape([2] * n)
     for g in program.gates:
-        if not g.is_unitary:
-            continue
-        qubits = g.qubits if local is None else tuple(local[q] for q in g.qubits)
-        # axis of qubit q is n-1-q (little-endian); a CNOT matrix's basis is
-        # |control target>, so the control comes first
-        _contract(tensor, _gate_plan(g), tuple(n - 1 - q for q in qubits))
+        if g.is_unitary:
+            # axis of qubit q is n-1-q (little-endian); a CNOT matrix's basis
+            # is |control target>, so the control comes first
+            _contract(tensor, _gate_plan(g), tuple(n - 1 - q for q in g.qubits))
     return state
 
 
@@ -252,22 +250,6 @@ def distribution_vector(program: QuantumProgram, cap: int = DEFAULT_QUBIT_CAP) -
         probs.flags.writeable = False
         object.__setattr__(program, "_distribution", probs)
     return probs
-
-
-def active_register(compiled: QuantumProgram, layouts, cap: int) -> dict[int, int]:
-    """The active qubits of a compiled circuit, those a unitary gate touches
-    or a layout names, each mapped to its index in ascending order. Every
-    other qubit stays |0> and no layout's marginal depends on it, so only
-    these are simulated. Raises QubitCapExceeded when they exceed ``cap``."""
-    n = compiled.n_qubits
-    active = sorted(
-        {q for g in compiled.gates if g.is_unitary for q in g.qubits}
-        | {q for layout in layouts for q in layout.values()}
-    )
-    if active and active[-1] >= n:
-        raise ValueError(f"layout qubit {active[-1]} is outside the {n}-qubit circuit")
-    check_cap(len(active), cap, "active qubits")
-    return {q: i for i, q in enumerate(active)}
 
 
 def marginal_distribution(probs: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
@@ -311,11 +293,10 @@ def _gate_error(gate: Gate, backend: Backend) -> float:
     return backend.calib.oneq_error[gate.qubits[0]]
 
 
-def _noisy_ops(program: QuantumProgram, backend: Backend, local) -> list[_Op]:
-    """(plan, conjugate plan, local operands, error rate) per unitary gate;
-    ``local`` maps a physical qubit to its index in the simulated register."""
+def _noisy_ops(program: QuantumProgram, backend: Backend) -> list[_Op]:
+    """(plan, conjugate plan, operands, error rate) per unitary gate."""
     return [
-        (_gate_plan(g), _gate_plan(g, conj=True), tuple(local[q] for q in g.qubits), _gate_error(g, backend))
+        (_gate_plan(g), _gate_plan(g, conj=True), g.qubits, _gate_error(g, backend))
         for g in program.gates
         if g.is_unitary
     ]
@@ -344,10 +325,10 @@ def _readout_flip(probs: np.ndarray, qubit: int, rate: float, n: int) -> np.ndar
     return ((1.0 - rate) * tensor + rate * flipped).reshape(-1)
 
 
-def _exact_distribution(ops: list[_Op], active: list[int], backend: Backend) -> np.ndarray:
-    """Outcome distribution over the ``active`` qubits: rho evolves in place
-    as one [2]*(2m) tensor (row axes first), then readout flips each bit."""
-    m = len(active)
+def _exact_distribution(ops: list[_Op], register: list[int], backend: Backend) -> np.ndarray:
+    """Outcome distribution over the physical qubits ``register``: rho evolves
+    in place as one [2]*(2m) tensor (row axes first), then readout flips."""
+    m = len(register)
     rho = np.zeros((2**m, 2**m), dtype=complex)
     rho[0, 0] = 1.0  # |0..0><0..0|
     tensor = rho.reshape([2] * (2 * m))
@@ -359,7 +340,7 @@ def _exact_distribution(ops: list[_Op], active: list[int], backend: Backend) -> 
         if rate:
             _depolarize(tensor, rows, cols, rate)
     diag = rho.diagonal().real.copy()
-    for i, q in enumerate(active):
+    for i, q in enumerate(register):
         diag = _readout_flip(diag, i, backend.calib.readout_error[q], m)
     return diag
 
@@ -445,6 +426,20 @@ def light_cone(compiled: QuantumProgram, qubits) -> tuple[list[int], list[int]]:
     return sorted(live), ids[::-1]
 
 
+def _cones(compiled: QuantumProgram, layouts, wanted, cap: int) -> list[tuple[list[int], list[int]] | None]:
+    """``light_cone`` of each qubit set in ``wanted`` (None: no cone). First
+    refuses a qubit of ``layouts`` outside the circuit (ValueError), then any
+    cone over ``cap`` (QubitCapExceeded), before anything is simulated."""
+    n = compiled.n_qubits
+    top = max((q for layout in layouts for q in layout.values()), default=-1)
+    if top >= n:
+        raise ValueError(f"layout qubit {top} is outside the {n}-qubit circuit")
+    cones = [None if qubits is None else light_cone(compiled, qubits) for qubits in wanted]
+    for qubits, _ in filter(None, cones):
+        check_cap(len(qubits), cap, "cone qubits")
+    return cones
+
+
 def noisy_success_probability(
     compiled: QuantumProgram,
     layouts: list[dict[int, int]],
@@ -466,11 +461,9 @@ def noisy_success_probability(
     light cone (``light_cone`` of its layout's qubits). The cap bounds every
     cone, not the chip the circuit was compiled for, and every cone is
     checked before anything is simulated: an exact cone's density takes at
-    most 16 * 4**cap bytes. Sampled mode draws from one ``random.Random(seed)``
-    stream, program by program in layout order, each program's shots in the
-    per-shot order of ``_draw_shots`` over its cone (one readout draw per
-    cone qubit, in ascending order). Programs with an ambiguous ideal mode
-    get None and are not simulated.
+    most 16 * 4**cap bytes. Sampled mode consumes one ``random.Random(seed)``
+    stream in the order the module docstring gives. Programs with an
+    ambiguous ideal mode get None and are not simulated.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -480,19 +473,13 @@ def noisy_success_probability(
         raise ValueError(
             f"{len(layouts)} layouts but {len(ideal_distributions)} ideal distributions: one of each per program"
         )
-    n = compiled.n_qubits
-    top = max((q for layout in layouts for q in layout.values()), default=-1)
-    if top >= n:
-        raise ValueError(f"layout qubit {top} is outside the {n}-qubit circuit")
     modes = [modal_outcome(d) for d in ideal_distributions]
-    cones = [None if modal is None else light_cone(compiled, layout.values()) for layout, modal in zip(layouts, modes)]
-    for cone in cones:
-        if cone is not None:
-            check_cap(len(cone[0]), cap, "cone qubits")
+    wanted = [None if modal is None else layout.values() for layout, modal in zip(layouts, modes)]
+    cones = _cones(compiled, layouts, wanted, cap)
     if not any(cones):
         return [None] * len(cones)
     # built once on physical operands, renumbered onto each cone below
-    ops = dict(zip((g.id for g in compiled.gates if g.is_unitary), _noisy_ops(compiled, backend, range(n))))
+    ops = dict(zip((g.id for g in compiled.gates if g.is_unitary), _noisy_ops(compiled, backend)))
     rng = random.Random(seed)
     estimates: list[float | None] = []
     for layout, modal, cone in zip(layouts, modes, cones):

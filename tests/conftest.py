@@ -106,8 +106,15 @@ def dag_edges(dag):
 def noisy_output_distribution(program, backend):
     """Exact outcome distribution of the whole register under the failure
     model, from the package's density kernel with every qubit simulated."""
-    n = program.n_qubits
-    return sim._exact_distribution(sim._noisy_ops(program, backend, range(n)), list(range(n)), backend)
+    return sim._exact_distribution(sim._noisy_ops(program, backend), list(range(program.n_qubits)), backend)
+
+
+def reference_active_qubits(program, layouts):
+    """The qubits of a compiled circuit that a unitary gate touches or a
+    final layout names, ascending: a superset of every layout's light cone,
+    and the most any simulation of the circuit could need."""
+    gate_qubits = {q for g in program.gates if g.kind not in ("measure", "barrier") for q in g.qubits}
+    return sorted(gate_qubits | {q for layout in layouts for q in layout.values()})
 
 
 def reference_light_cone(program, qubits):

@@ -216,6 +216,14 @@ def test_parse_broadcast_and_measure_arrow():
         ("qreg q[2]; cx q[0],\u00a0q[1];", "unknown operand"),
         ("qreg q[1]; rz(1\u00a0) q[0];", "bad angle expression"),
         ("qreg q[2];\u3000h q[1];", "cannot parse statement"),
+        # lines break at ASCII line breaks only: these are no blanks either
+        ("qreg q[2];\x1ch q[1];", "cannot parse statement"),
+        ("qreg q[2];\x85h q[1];", "cannot parse statement"),
+        ("qreg q[2];\u2028h q[1];", "cannot parse statement"),
+        ("qreg q[2];\u2029h q[1];", "cannot parse statement"),
+        # so a comment runs past a U+2028, and line numbers count LF only
+        ("qreg q[2]; // a\u2028b\nh q[5];", "line 2: gate 0: qubit 5 out of range"),
+        ("// a\u2028b\r\n", "line 1: no qreg declaration found"),
     ],
 )
 def test_parse_errors(source, fragment):
@@ -359,9 +367,19 @@ def test_every_accepted_program_round_trips_through_qasm(drawn):
 @pytest.mark.parametrize("name", sorted(fixtures.benchmark_names()))
 def test_round_trip_all_benchmarks(name):
     program = fixtures.load_benchmark(name)
-    again = parse_program(serialize_program(program), name=name)
-    assert again.n_qubits == program.n_qubits
-    assert again.gates == program.gates
+    text = serialize_program(program)
+    for source in (text, text.replace("\n", "\r\n")):  # CR LF line ends too
+        again = parse_program(source, name=name)
+        assert again.n_qubits == program.n_qubits
+        assert again.gates == program.gates
+
+
+def test_statements_end_at_semicolons_not_lines():
+    program = parse_program("qreg q[2];\nh\nq[0]; cx q[0],\r\n  q[1] // note; h q[1];\n;")
+    assert [(g.kind, g.qubits) for g in program.gates] == [("h", (0,)), ("cx", (0, 1))]
+    with pytest.raises(QasmError) as err:
+        parse_program("qreg q[2];\r\nh q[0];\r\n\r\ncx\nq[0],\rq[0];")
+    assert err.value.line == 4  # the line the refused statement starts on
 
 
 def brute_force_edges(program):

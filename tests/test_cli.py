@@ -630,7 +630,7 @@ def test_melbourne_three_program_compile_is_certified():
 
 
 def test_tokyo20_compile_is_checked_on_its_active_register(tmp_path):
-    # 20 physical qubits, over the default cap; the 6 active ones are not
+    # 20 physical qubits, over the default cap; the 6 of their light cone are not
     out = tmp_path / "tokyo"
     argv = ["compile", bench_file("bv_n3"), bench_file("toffoli_3"), "--backend", backend_file("tokyo20")]
     assert run(argv + ["--out", str(out), "--format", "doc", "--statevector"]) == 0

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     dag_edges,
@@ -13,6 +13,7 @@ from conftest import (
     random_graph,
     random_program,
     ready_gates,
+    reference_active_qubits,
     reference_depth,
     reference_swap_score,
 )
@@ -983,7 +984,7 @@ def test_program_qubits_over_the_cap_refuse_before_any_gate_is_scanned(monkeypat
     def fail(*args, **kwargs):
         raise AssertionError("scanned the compiled circuit although its programs exceed the cap")
 
-    monkeypatch.setattr(sim, "active_register", fail)
+    monkeypatch.setattr(sim, "light_cone", fail)
     programs = [QuantumProgram("a", 7, ()), QuantumProgram("b", 7, ())]
     layouts = [{q: q for q in range(7)}, {q: q + 7 for q in range(7)}]
     with pytest.raises(sim.QubitCapExceeded, match="14 program qubits exceed the simulation cap of 12"):
@@ -1002,8 +1003,9 @@ def _full_register_total_variation(programs, compiled, layouts):
 
 @pytest.mark.parametrize("chip, second", [("cross9", 6), ("tokyo20", 10)])
 def test_active_register_check_matches_the_full_register_bit_for_bit(chip, second):
-    # Inactive qubits stay |0>, and renumbering in ascending order keeps the
-    # index order of the marginal's sums, so the figure is the same float.
+    # Qubits outside the layouts' light cone stay |0>, and renumbering in
+    # ascending order keeps the index order of the marginal's sums, so the
+    # figure is the same float.
     backend = fixtures.load_fixture_backend(chip)
     programs = [fixtures.load_benchmark(n) for n in ("toffoli_3", "bv_n3")]
     mapping = GlobalMapping([{q: q for q in range(3)}, {q: second + q for q in range(3)}], n_phys=backend.n_qubits)
@@ -1013,6 +1015,27 @@ def test_active_register_check_matches_the_full_register_bit_for_bit(chip, secon
         layouts = [dict(s) for s in schedule.final.sigmas]
         ok, tv = verify_equivalence(programs, compiled, layouts)
         assert ok and tv == _full_register_total_variation(programs, compiled, layouts)
+
+
+@settings(max_examples=300)
+@given(instance=_colocations())
+def test_layout_cone_is_the_active_register_and_checks_bit_for_bit(instance):
+    # The invariant that lets the check simulate only the layouts' light
+    # cone: every unitary gate of a compiled circuit, free-qubit SWAPs
+    # included, lies in it, so the cone is every qubit a gate touches or a
+    # layout names and the check is the same float as on the full register.
+    programs, mapping, backend = instance
+    for router in (xswap_route, baseline_route):
+        try:
+            schedule = router(programs, mapping, backend)
+        except UnroutableProgramError:
+            continue  # the baseline's region may not connect a CNOT
+        circuit, layouts = decompose(schedule).combined, [dict(s) for s in schedule.final.sigmas]
+        cone, _ = sim.light_cone(circuit, [q for layout in layouts for q in layout.values()])
+        assert cone == reference_active_qubits(circuit, layouts)
+        if circuit.n_qubits <= sim.DEFAULT_QUBIT_CAP:
+            ok, tv = verify_equivalence(programs, circuit, layouts)
+            assert ok and tv == _full_register_total_variation(programs, circuit, layouts)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -14,6 +14,7 @@ from conftest import (
     make_backend,
     noisy_output_distribution,
     random_program,
+    reference_active_qubits,
     reference_blocks,
     reference_contract,
     reference_hits,
@@ -653,8 +654,7 @@ def _tokyo_triple_compile():
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 def test_cap_bounds_each_cone_not_the_active_register(mode):
     compiled, layouts, tokyo20, ideals = _tokyo_triple_compile()
-    with pytest.raises(QubitCapExceeded, match="15 active qubits"):
-        sim.active_register(compiled, layouts, sim.DEFAULT_QUBIT_CAP)
+    assert len(reference_active_qubits(compiled, layouts)) == 15 > sim.DEFAULT_QUBIT_CAP
     assert [len(sim.light_cone(compiled, layout.values())[0]) for layout in layouts] == [5, 5, 5]
     got = noisy_success_probability(compiled, layouts, tokyo20, ideals, mode=mode, shots=64)
     assert all(0.0 < p < 1.0 for p in got)
@@ -684,7 +684,7 @@ def test_every_bundled_tokyo20_triple_is_estimable_at_the_default_cap():
         result = compile_workload(triple, tokyo20, "cdap-xswap")
         compiled = result["compiled"][0]
         layouts = [dict(s) for s in result["schedules"][0].final.sigmas]
-        over += len(sim.active_register(compiled, layouts, sim.HARD_QUBIT_CAP)) > sim.DEFAULT_QUBIT_CAP
+        over += len(reference_active_qubits(compiled, layouts)) > sim.DEFAULT_QUBIT_CAP
         assert max(len(sim.light_cone(compiled, layout.values())[0]) for layout in layouts) <= 5
         ideals = _one_hot_modes(triple)
         for mode in ("exact", "sampled"):
@@ -852,7 +852,7 @@ def test_noisy_kernels_are_bit_identical_to_reference_kernel(program, seed):
         readout={q: rng.uniform(0, 0.2) for q in range(n)},
         oneq={q: rng.choice([0.0, rng.uniform(0, 0.4)]) for q in range(n)},
     )
-    ops = sim._noisy_ops(program, backend, range(n))
+    ops = sim._noisy_ops(program, backend)
     assert np.array_equal(sim._exact_distribution(ops, list(range(n)), backend), _reference_exact(program, backend))
     shots = 64
     readout = [(backend.calib.readout_error[q], 1 << q) for q in range(n)]
@@ -915,11 +915,20 @@ def test_cap_is_checked_on_every_call_of_a_cached_program():
         distribution_vector(program, cap=2)
 
 
-def test_active_register_renumbers_in_ascending_order():
+def test_equivalence_check_renumbers_the_cone_in_ascending_order(monkeypatch):
+    from qmultiprog.routing import verify_equivalence
+
     compiled = parse_program("qreg q[6]; creg c[1]; h q[4]; cx q[4],q[1]; measure q[5] -> c[0];", name="c")
-    # q5 is only measured and q0 is named by a layout: q0, q1 and q4 are active
-    assert sim.active_register(compiled, [{0: 4, 1: 0}], cap=12) == {0: 0, 1: 1, 4: 2}
-    with pytest.raises(QubitCapExceeded, match="3 active qubits"):
-        sim.active_register(compiled, [{0: 4, 1: 0}], cap=2)
+    program = parse_program("qreg q[2]; h q[0];", name="p")
+    # q5 is only measured and q0 is named by the layout: the cone is q0, q1, q4
+    distribution_vector(program)  # kept on the program: only the cone is simulated below
+    simulated = []
+    monkeypatch.setattr(sim, "simulate_statevector", lambda p: simulated.append(p) or simulate_statevector(p))
+    assert verify_equivalence([program], compiled, [{0: 4, 1: 0}]) == (True, 0.0)
+    [cone] = simulated
+    assert cone.n_qubits == 3
+    assert [(g.kind, g.qubits) for g in cone.gates] == [("h", (2,)), ("cx", (2, 1))]
+    with pytest.raises(QubitCapExceeded, match="3 cone qubits exceed the simulation cap of 2"):
+        verify_equivalence([program], compiled, [{0: 4, 1: 0}], limit=2)
     with pytest.raises(ValueError, match="outside the 6-qubit circuit"):
-        sim.active_register(compiled, [{0: 6}], cap=12)
+        verify_equivalence([program], compiled, [{0: 6, 1: 0}])
