@@ -1,7 +1,10 @@
-"""Quantum program IR: gate list, OpenQASM 2 subset parser and dependency DAG.
+"""Quantum program IR: gate list, OpenQASM 2 subset parser and program order.
 
 Programs are immutable after construction; all operations here are pure
-functions, so programs and DAGs can be shared freely across threads.
+functions, so programs can be shared freely across threads. Program order
+has one representation, ``qubit_lines``: per logical qubit, the gates still
+to run on it, next one last. The routers' front layer and ``decompose``'s
+equivalence certificate both consume fresh copies of those lines.
 ``Gate`` and ``QuantumProgram`` own every rule about gates and programs; the
 parser checks syntax only and names the source line of their refusals.
 Angle expressions are read by Python's own parser (``ast``), after a check
@@ -153,42 +156,23 @@ class QuantumProgram:
         return MappingProxyType(self._cnot_counts)
 
 
-@dataclass(frozen=True)
-class Dag:
-    """Data-dependency DAG: u in ``predecessors[v]`` and v in ``successors[u]``
-    iff u is v's nearest predecessor on a shared qubit; barriers are isolated."""
-
-    program: QuantumProgram
-    predecessors: dict[int, frozenset[int]]
-    successors: dict[int, frozenset[int]]
-
-
-def build_dag(program: QuantumProgram) -> Dag:
-    """Build the nearest-predecessor-per-shared-qubit dependency DAG."""
-    last_on_qubit: dict[int, int] = {}
-    preds: dict[int, frozenset[int]] = {}
-    succs: dict[int, set[int]] = {g.id: set() for g in program.gates}
+def qubit_lines(program: QuantumProgram) -> tuple[list[list[int]], set[int]]:
+    """Program order, per logical qubit: the ids of the program's non-barrier
+    gates on that qubit in reverse program order, so the next gate to execute
+    is last, and the set of barrier ids. Barriers order nothing. A gate may
+    run once it is last on every one of its lines; it has a later gate that
+    depends on it when one of those lines holds more than one gate."""
+    lines: list[list[int]] = [[] for _ in range(program.n_qubits)]
+    barriers = set()
     for g in program.gates:
-        mine: set[int] = set()
-        if g.kind != BARRIER:  # barriers stay isolated; only they can name a qubit twice
+        if g.kind == BARRIER:
+            barriers.add(g.id)
+        else:
             for q in g.qubits:
-                if q in last_on_qubit:
-                    u = last_on_qubit[q]
-                    mine.add(u)
-                    succs[u].add(g.id)
-                last_on_qubit[q] = g.id
-        preds[g.id] = frozenset(mine)
-    return Dag(
-        program=program,
-        predecessors=preds,
-        successors={k: frozenset(v) for k, v in succs.items()},
-    )
-
-
-def critical_gates(dag: Dag, front: set[int]) -> set[int]:
-    """Front-layer gates with at least one successor; resolving one of these
-    advances the dependency frontier."""
-    return {gid for gid in front if dag.successors[gid]}
+                lines[q].append(g.id)
+    for line in lines:
+        line.reverse()
+    return lines, barriers
 
 
 # --- OpenQASM 2 subset -------------------------------------------------------
@@ -201,6 +185,7 @@ _ANGLE_TOKEN_RE = re.compile(r"pi|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]
 # OpenQASM 2 is ASCII: statements, operands and angles are trimmed of ASCII
 # whitespace only, so a no-break or ideographic space is refused, not skipped.
 _SPACE = " \t\n\r\x0b\x0c"
+_BLANKS = str.maketrans(_SPACE, " " * len(_SPACE))
 _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 _UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
@@ -225,13 +210,15 @@ def _angle(node: ast.AST) -> float:
 
 def _eval_param(expr: str, line: int) -> float:
     """Evaluate a QASM angle expression: ASCII numbers, pi, + - * /, unary
-    signs and parentheses, read by Python's parser. Division by zero and a
-    non-finite result are parse errors."""
-    tokens = _ANGLE_TOKEN_RE.findall(expr)
-    if "".join(tokens).replace(" ", "") != expr.replace(" ", ""):
+    signs and parentheses, read by Python's parser, with every ASCII blank
+    read as a space. Division by zero and a non-finite result are parse
+    errors."""
+    spaced = expr.translate(_BLANKS)
+    tokens = _ANGLE_TOKEN_RE.findall(spaced)
+    if "".join(tokens) != spaced.replace(" ", ""):
         raise QasmError(f"bad angle expression {expr!r}", line)
     try:
-        result = _angle(ast.parse(expr, mode="eval").body)
+        result = _angle(ast.parse(spaced, mode="eval").body)
     except ZeroDivisionError:
         raise QasmError(f"division by zero in angle expression {expr!r}", line) from None
     except (RecursionError, MemoryError):

@@ -20,21 +20,26 @@ two things that differ:
   none.
 
 Each step redoes only what the last SWAP changed (as in SABRE). A program
-counts every gate's unexecuted predecessors and updates its ready set as
-gates execute; a CNOT found non-adjacent keeps its physical operand pair
-and stays blocked until a SWAP moves one of them, so the compliant pass
+walks its ``circuit.qubit_lines``, popping each gate from its lines as it
+executes; a gate counts the lines on which it is not yet next and is ready
+when none is left, and a blocked gate is critical when one of its lines
+holds a later gate. A CNOT found non-adjacent keeps its physical operand
+pair and stays blocked until a SWAP moves one of them, so the compliant pass
 re-tests only those. The blocked gates are then the front layer, whose
 terms (hop row, hop count, shortcut bonus per CNOT) are read from those
 pairs once per step and shared by every candidate. A schedule records each
 SWAP with its class and owners, and each gate as (program, gate id,
-physical operands). ``decompose`` alone classifies SWAPs and charges each
-to its lowest-indexed owner. Measures are emitted after every other gate,
-which is exact because ``QuantumProgram`` keeps measurement terminal.
+physical operands). ``_route`` classifies each SWAP by who owns its
+endpoints when it is inserted; ``decompose`` tallies the classes and
+charges each SWAP to its lowest-indexed owner. Measures are emitted after
+every other gate, which is exact because ``QuantumProgram`` keeps
+measurement terminal.
 
 ``decompose``'s replay is also the equivalence proof (compare the
 compilation-flow checks of Burgholzer and Wille, arXiv 2004.08420): it
 follows the mapping through every SWAP and requires each program gate once,
-in program order on each of its logical qubits. It needs no simulation and
+in program order on each of its logical qubits, popping the same
+``qubit_lines`` the routers walk. It needs no simulation and
 so holds at any chip size; ``verify_equivalence`` simulates the compiled
 circuit instead, on the light cone of the programs' final layouts
 (``sim.light_cone``), within a qubit cap on that cone.
@@ -47,17 +52,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .circuit import (
-    BARRIER,
-    CNOT,
-    MEASURE,
-    Dag,
-    Gate,
-    QuantumProgram,
-    _placed,
-    build_dag,
-    critical_gates,
-)
+from .circuit import BARRIER, CNOT, MEASURE, Gate, QuantumProgram, _placed, qubit_lines
 from .hardware import Backend, bfs_hops
 from . import sim
 
@@ -266,27 +261,47 @@ def swap_score(edge: tuple[int, int], terms, hops: dict[int, dict[int, int]]) ->
 class _ProgramState:
     """One program's routing progress, kept incrementally.
 
-    ``waiting[gid]`` counts the gate's DAG predecessors not yet executed;
-    ``ready`` is the set of pending gates (any kind) with none left, updated
-    as gates execute rather than found by rescanning the program. ``blocked``
-    maps each ready CNOT found non-adjacent to its physical operand pair,
-    which stays valid until a SWAP on one of those qubits unblocks it.
+    ``lines`` are the program's ``qubit_lines``, popped as gates execute;
+    ``waiting[gid]`` counts the lines on which a non-barrier gate is not yet
+    next. ``ready`` is the set of pending gates (any kind) with none left,
+    barriers from the start, updated as gates execute rather than found by
+    rescanning the program. ``blocked`` maps each ready CNOT found
+    non-adjacent to its physical operand pair, which stays valid until a
+    SWAP on one of those qubits unblocks it.
     """
 
     def __init__(self, index: int, program: QuantumProgram):
         self.index = index
         self.program = program
-        self.dag: Dag = build_dag(program)
-        self.waiting = {gid: len(preds) for gid, preds in self.dag.predecessors.items()}
-        self.ready = {gid for gid, n in self.waiting.items() if n == 0}
+        self.lines, self.ready = qubit_lines(program)
+        self.waiting = [0] * len(program.gates)
+        for line in self.lines:
+            for gid in line[:-1]:
+                self.waiting[gid] += 1
+        self.ready.update(line[-1] for line in self.lines if line and not self.waiting[line[-1]])
         self.blocked: dict[int, tuple[int, int]] = {}
 
     def execute(self, gid: int):
         self.ready.remove(gid)
-        for succ in self.dag.successors[gid]:
-            self.waiting[succ] -= 1
-            if not self.waiting[succ]:
-                self.ready.add(succ)
+        g = self.program.gates[gid]
+        if g.kind == BARRIER:
+            return
+        for q in g.qubits:
+            line = self.lines[q]
+            line.pop()
+            if line:
+                head = line[-1]
+                self.waiting[head] -= 1
+                if not self.waiting[head]:
+                    self.ready.add(head)
+
+    def critical(self) -> list[int]:
+        """The blocked gates that some later gate waits on (one of their
+        lines holds more than one gate), in gate order; all blocked gates
+        when none is. Resolving one of these advances the frontier."""
+        lines, gates = self.lines, self.program.gates
+        critical = [gid for gid in self.blocked if any(len(lines[q]) > 1 for q in gates[gid].qubits)]
+        return sorted(critical or self.blocked)
 
     def unblock(self, a: int, b: int):
         """Forget the blocked gates with an operand on physical qubit a or b."""
@@ -388,7 +403,7 @@ def _route(
         terms, to_resolve = [], []
         for st in states:
             terms += st.front_terms(mapping.n_phys, hops, own)
-            for gid in sorted(critical_gates(st.dag, st.blocked) or st.blocked):
+            for gid in st.critical():
                 to_resolve.append(st.blocked[gid])
         if stalled >= stall_limit:
             pa, pb = to_resolve[0]
@@ -485,22 +500,6 @@ class CompiledCircuits:
 _SWAP_CX = Gate(CNOT, (0, 1))  # placed three times per SWAP
 
 
-def _unexecuted(program: QuantumProgram) -> tuple[list[list[int]], set[int]]:
-    """Per logical qubit, the ids of the program's non-barrier gates on it in
-    reverse program order (the next one to execute is last), and its barriers."""
-    lines: list[list[int]] = [[] for _ in range(program.n_qubits)]
-    barriers = set()
-    for g in program.gates:
-        if g.kind == BARRIER:
-            barriers.add(g.id)
-        else:
-            for q in g.qubits:
-                lines[q].append(g.id)
-    for line in lines:
-        line.reverse()
-    return lines, barriers
-
-
 def decompose(schedule: Schedule) -> CompiledCircuits:
     """Expand every SWAP into three CNOTs and emit the physical circuit.
 
@@ -522,7 +521,7 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
     graph = schedule.backend.graph
     replayed = schedule.initial.clone()
     sigmas = replayed.sigmas
-    pending = [_unexecuted(p) for p in schedule.programs]
+    pending = [qubit_lines(p) for p in schedule.programs]
     combined: list[Gate] = []
     swap_classes = {"intra": 0, "inter": 0, "free": 0}
     charged = [0] * len(schedule.programs)  # SWAPs per lowest-indexed owner

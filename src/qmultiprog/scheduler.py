@@ -86,7 +86,10 @@ def _co_epsts(
 
 
 def _violation(ind: float, co: float) -> float:
-    return 1.0 - co / ind
+    """Relative loss of the co-located estimate against the solo one. A solo
+    estimate that underflowed to 0.0 defines no relative loss, and sharing the
+    chip cannot lower it, so its violation is 0.0."""
+    return 1.0 - co / ind if ind else 0.0
 
 
 def _acceptable(violation: float, epsilon: float) -> bool:

@@ -85,22 +85,69 @@ BUNDLED = (
 )
 
 
-def ready_gates(dag, executed):
-    """Reference frontier: all pending gates (any kind) whose predecessors are
-    executed, in id order, rescanning every gate; the routers keep the same
-    set incrementally as gates execute."""
-    return [g.id for g in dag.program.gates if g.id not in executed and dag.predecessors[g.id] <= executed]
+def brute_force_edges(program):
+    """Independent oracle for program order: for every non-barrier gate, scan
+    backwards for the nearest prior non-barrier gate on each of its qubits.
+    Returns the dependency edges (u, v)."""
+    edges = set()
+    gates = [g for g in program.gates]
+    for v in gates:
+        if v.kind == "barrier":
+            continue
+        for q in v.qubits:
+            for u in reversed(gates[: v.id]):
+                if u.kind != "barrier" and q in u.qubits:
+                    edges.add((u.id, v.id))
+                    break
+    return edges
 
 
-def front_layer(dag, executed):
+def ready_gates(program, executed):
+    """Reference frontier: all pending gates (any kind) whose predecessors in
+    ``brute_force_edges`` are executed, in id order, rescanning every gate;
+    the routers keep the same set incrementally as gates execute."""
+    edges = brute_force_edges(program)
+    return [
+        g.id for g in program.gates
+        if g.id not in executed and all(u in executed for u, v in edges if v == g.id)
+    ]
+
+
+def front_layer(program, executed):
     """Reference front layer: the ready CNOT gates, rescanning every gate.
     After each compliant pass a router's blocked gates are exactly this set."""
-    return {gid for gid in ready_gates(dag, executed) if dag.program.gates[gid].kind == "cx"}
+    return {gid for gid in ready_gates(program, executed) if program.gates[gid].kind == "cx"}
 
 
-def dag_edges(dag):
-    """The DAG's dependency edges (u, v), read off its predecessor sets."""
-    return {(u, v) for v, preds in dag.predecessors.items() for u in preds}
+def critical_reference(program, front):
+    """Reference critical gates: the gates of ``front`` that some gate
+    depends on in ``brute_force_edges``, or all of ``front`` when none does."""
+    edges = brute_force_edges(program)
+    return {u for u, _ in edges if u in front} or set(front)
+
+
+def with_measures_and_barriers(program, seed):
+    """The program with barriers spliced in at random places, one naming a
+    qubit twice, and every qubit measured once at the end, in random order."""
+    rng = random.Random(seed)
+    n = program.n_qubits
+    ops = [(g.kind, g.qubits) for g in program.gates]
+    for _ in range(3):
+        ops.insert(rng.randrange(len(ops) + 1), ("barrier", tuple(rng.sample(range(n), rng.randint(1, n)))))
+    q = rng.randrange(n)
+    ops.insert(rng.randrange(len(ops) + 1), ("barrier", (q, rng.randrange(n), q)))
+    ops += [("measure", (q,)) for q in rng.sample(range(n), n)]
+    gates = tuple(Gate(kind, qubits, (), i) for i, (kind, qubits) in enumerate(ops))
+    return QuantumProgram(program.name, n, gates)
+
+
+def underflow_instance():
+    """Two 3-qubit programs of 400 CNOTs each on a 6-qubit line chip whose
+    every CNOT fails with rate 0.9: each program's estimated success rate,
+    a product of fidelities, underflows to 0.0 on any region."""
+    backend = make_backend(6, [(q, q + 1) for q in range(5)], cnot=0.9, name="line6")
+    gates = tuple(Gate("cx", (g % 3, (g + 1) % 3), (), g) for g in range(400))
+    return [QuantumProgram(name, 3, gates) for name in ("deep_a", "deep_b")], backend
 
 
 def noisy_output_distribution(program, backend):

@@ -1,0 +1,132 @@
+"""Mutation check: each mutant is a small deliberate fault in the package,
+and the tests listed with it must catch it.
+
+For each mutant the script copies ``src``, ``tests`` and ``pyproject.toml``
+into a temporary directory, replaces the mutant's exact old text (which must
+occur once in its file) with the new text, and runs the listed tests there
+with pytest. The mutant is killed when they fail. Before any mutant the
+listed tests must pass on an unmutated copy, so a kill is the mutant's doing.
+Exits 1 if a mutant survives or its old text is not found.
+
+    python tests/mutants.py
+
+Uses only the standard library; the tests it runs need pytest and hypothesis.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/qmultiprog, exact old text, new text, tests that must fail)
+MUTANTS = (
+    (
+        "a gate joins ready when it becomes next on any one of its lines",
+        "routing.py",
+        "                self.waiting[head] -= 1\n                if not self.waiting[head]:\n",
+        "                self.waiting[head] -= 1\n                if True:\n",
+        ["tests/test_routing.py::test_incremental_frontier_matches_reference"],
+    ),
+    (
+        "every line's first gate starts ready",
+        "routing.py",
+        "for line in self.lines if line and not self.waiting[line[-1]])",
+        "for line in self.lines if line)",
+        [
+            "tests/test_routing.py::test_incremental_frontier_matches_reference",
+            "tests/test_circuit.py::test_dag_matches_brute_force_on_toffoli",
+        ],
+    ),
+    (
+        "a blocked gate is critical when one of its lines holds any gate",
+        "routing.py",
+        "any(len(lines[q]) > 1 for q in gates[gid].qubits)",
+        "any(len(lines[q]) > 0 for q in gates[gid].qubits)",
+        [
+            "tests/test_circuit.py::test_front_layer_and_critical_gates_layered",
+            "tests/test_routing.py::test_incremental_frontier_matches_reference",
+        ],
+    ),
+    (
+        "the certificate accepts a gate that is not next on its line",
+        "routing.py",
+        "if not line or line[-1] != gid:",
+        "if not line:",
+        ["tests/test_routing.py::test_the_certificate_is_sound_against_the_statevector"],
+    ),
+    (
+        "a calibration rate of exactly 1.0 is accepted",
+        "hardware.py",
+        "if not 0.0 <= r < 1.0:",
+        "if not 0.0 <= r <= 1.0:",
+        [
+            "tests/test_hardware.py::test_load_backend_rejections",
+            "tests/test_cli.py::test_exit_code_rate_of_one_is_usage_error",
+        ],
+    ),
+    (
+        "a violation equal to epsilon is admitted",
+        "scheduler.py",
+        "return violation < epsilon or violation <= 0.0",
+        "return violation <= epsilon or violation <= 0.0",
+        ["tests/test_scheduler.py::test_violation_equal_to_epsilon_is_refused"],
+    ),
+    (
+        "the default stall limit is four SWAPs per qubit",
+        "routing.py",
+        "stall_limit = 3 * graph.n_qubits",
+        "stall_limit = 4 * graph.n_qubits",
+        ["tests/test_routing.py::test_default_stall_limit_is_three_per_qubit"],
+    ),
+)
+
+
+def _copy(dest: Path):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(cwd: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True).returncode
+
+
+def main() -> int:
+    started = time.perf_counter()
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="qmultiprog-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        listed = sorted({t for *_, tests in MUTANTS for t in tests})
+        if _pytest(clean, listed):
+            print("the listed tests fail on the unmutated code; fix them first")
+            return 1
+        for k, (name, file, old, new, tests) in enumerate(MUTANTS):
+            work = Path(tmp) / f"mutant{k}"
+            _copy(work)
+            path = work / "src" / "qmultiprog" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"STALE   {name}: old text occurs {text.count(old)} times in {file}")
+                failures += 1
+                continue
+            path.write_text(text.replace(old, new))
+            killed = _pytest(work, tests) != 0
+            print(f"{'killed ' if killed else 'SURVIVED'} {name}")
+            failures += not killed
+            shutil.rmtree(work)
+    print(f"{len(MUTANTS) - failures}/{len(MUTANTS)} mutants killed in {time.perf_counter() - started:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

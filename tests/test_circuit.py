@@ -4,7 +4,14 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import dag_edges, front_layer, random_program, ready_gates
+from conftest import (
+    brute_force_edges,
+    critical_reference,
+    front_layer,
+    random_program,
+    ready_gates,
+    with_measures_and_barriers,
+)
 from qmultiprog import fixtures
 from qmultiprog.circuit import (
     ONE_QUBIT_GATES,
@@ -13,11 +20,11 @@ from qmultiprog.circuit import (
     GateError,
     QasmError,
     QuantumProgram,
-    build_dag,
-    critical_gates,
     parse_program,
+    qubit_lines,
     serialize_program,
 )
+from qmultiprog.routing import _ProgramState
 
 TABLE_COUNTS = {
     "bv_n3": (3, 2, 8),
@@ -86,6 +93,14 @@ def test_parse_param_expressions():
 )
 def test_parse_nested_parentheses_in_angles(source, params):
     assert parse_program(source).gates[0].params == params
+
+
+@pytest.mark.parametrize("blank", ["\t", "\n", "\r\n", "\x0b", "\x0c"])
+def test_ascii_blanks_inside_angles_are_blanks(blank):
+    plain = parse_program("qreg q[1]; rz(pi/2) q[0]; u3(1, pi / 4, -pi) q[0];")
+    program = parse_program(f"qreg q[1]; rz(pi{blank}/2) q[0]; u3(1,{blank}pi{blank}/{blank}4, -{blank}pi) q[0];")
+    assert program == plain
+    assert parse_program(serialize_program(program), name=program.name) == program
 
 
 _DIGITS = st.text("0123456789", min_size=1, max_size=3)
@@ -215,6 +230,7 @@ def test_parse_broadcast_and_measure_arrow():
         ("qreg q[2];\u00a0h q[1];", "cannot parse statement"),
         ("qreg q[2]; cx q[0],\u00a0q[1];", "unknown operand"),
         ("qreg q[1]; rz(1\u00a0) q[0];", "bad angle expression"),
+        ("qreg q[1]; rz(pi\u00a0/2) q[0];", "bad angle expression"),
         ("qreg q[2];\u3000h q[1];", "cannot parse statement"),
         # lines break at ASCII line breaks only: these are no blanks either
         ("qreg q[2];\x1ch q[1];", "cannot parse statement"),
@@ -382,79 +398,75 @@ def test_statements_end_at_semicolons_not_lines():
     assert err.value.line == 4  # the line the refused statement starts on
 
 
-def brute_force_edges(program):
-    """Independent oracle for the DAG: scan backwards for the nearest prior
-    gate on each shared qubit."""
-    edges = set()
-    gates = [g for g in program.gates]
-    for v in gates:
-        if v.kind == "barrier":
-            continue
-        for q in v.qubits:
-            for u in reversed(gates[: v.id]):
-                if u.kind != "barrier" and q in u.qubits:
-                    edges.add((u.id, v.id))
-                    break
-    return edges
+def line_edges(program):
+    """Program order as ``qubit_lines`` states it: each gate depends on the
+    entry after it on each of its lines."""
+    lines, _ = qubit_lines(program)
+    return {(line[k + 1], line[k]) for line in lines for k in range(len(line) - 1)}
+
+
+def state_after(program, executed):
+    """The router's state for ``program`` with the predecessor-closed set
+    ``executed`` run in id order, which is a valid program order."""
+    state = _ProgramState(0, program)
+    for gid in sorted(executed):
+        state.execute(gid)
+    return state
+
+
+def front_of(state):
+    """The state's front layer: its ready CNOTs."""
+    return {gid for gid in state.ready if state.program.gates[gid].kind == "cx"}
+
+
+def critical_of(state, front):
+    """``_ProgramState.critical`` with ``front`` as the blocked gates."""
+    state.blocked = dict.fromkeys(front)
+    return set(state.critical())
 
 
 def test_dag_matches_brute_force_on_toffoli():
     program = fixtures.load_benchmark("toffoli_3")
-    dag = build_dag(program)
-    assert dag_edges(dag) == brute_force_edges(program)
-    assert len(dag_edges(dag)) <= 2 * len(program.gates)
+    assert line_edges(program) == brute_force_edges(program)
+    assert len(line_edges(program)) <= 2 * len(program.gates)
     # the opening hadamard blocks the first CNOT until it executes
-    assert front_layer(dag, set()) == set()
-    assert front_layer(dag, {0}) == {1}
-    assert ready_gates(dag, set())[0] == 0
-
-
-def with_measures_and_barriers(program, seed):
-    """The program with barriers spliced in at random places, one naming a
-    qubit twice, and every qubit measured once at the end, in random order."""
-    rng = random.Random(seed)
-    n = program.n_qubits
-    ops = [(g.kind, g.qubits) for g in program.gates]
-    for _ in range(3):
-        ops.insert(rng.randrange(len(ops) + 1), ("barrier", tuple(rng.sample(range(n), rng.randint(1, n)))))
-    q = rng.randrange(n)
-    ops.insert(rng.randrange(len(ops) + 1), ("barrier", (q, rng.randrange(n), q)))
-    ops += [("measure", (q,)) for q in rng.sample(range(n), n)]
-    gates = tuple(Gate(kind, qubits, (), i) for i, (kind, qubits) in enumerate(ops))
-    return QuantumProgram(program.name, n, gates)
+    assert front_of(state_after(program, set())) == front_layer(program, set()) == set()
+    assert front_of(state_after(program, {0})) == front_layer(program, {0}) == {1}
+    assert min(state_after(program, set()).ready) == ready_gates(program, set())[0] == 0
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_dag_matches_brute_force_random(seed):
     plain = random_program(f"r{seed}", 4, 12, 10, seed=seed)
     for program in (plain, with_measures_and_barriers(plain, seed)):
-        dag = build_dag(program)
-        assert dag_edges(dag) == brute_force_edges(program)
-        assert {(u, v) for u, succs in dag.successors.items() for v in succs} == dag_edges(dag)
+        lines, barriers = qubit_lines(program)
+        assert line_edges(program) == brute_force_edges(program)
+        # each line lists its qubit's non-barrier gates, latest first
+        for q, line in enumerate(lines):
+            assert line == [g.id for g in reversed(program.gates) if g.kind != "barrier" and q in g.qubits]
+        assert barriers == {g.id for g in program.gates if g.kind == "barrier"}
         for g in program.gates:
             if g.kind == "barrier":
-                assert not dag.predecessors[g.id] and not dag.successors[g.id]
+                assert not any(g.id in edge for edge in line_edges(program))
 
 
 def test_dag_single_gate():
     program = parse_program("qreg q[2]; cx q[0],q[1];")
-    dag = build_dag(program)
-    assert len(dag.predecessors) == 1
-    assert not dag_edges(dag)
+    assert qubit_lines(program) == ([[0], [0]], set())
+    assert not line_edges(program)
 
 
 def test_dag_disjoint_cnots_independent():
     program = parse_program("qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
-    dag = build_dag(program)
-    assert not dag_edges(dag)
-    assert front_layer(dag, set()) == {0, 1}
+    assert not line_edges(program)
+    assert front_of(state_after(program, set())) == front_layer(program, set()) == {0, 1}
 
 
 def test_barriers_contribute_no_edges():
     program = parse_program("qreg q[2]; h q[0]; barrier q[0],q[1]; h q[0];")
-    dag = build_dag(program)
-    assert dag_edges(dag) == {(0, 2)}
-    assert dag.predecessors[1] == frozenset()
+    assert line_edges(program) == {(0, 2)}
+    assert qubit_lines(program) == ([[2, 0], []], {1})
+    assert 1 in state_after(program, set()).ready
 
 
 def test_front_layer_and_critical_gates_layered():
@@ -462,32 +474,31 @@ def test_front_layer_and_critical_gates_layered():
     program = parse_program(
         "qreg q[5]; cx q[0],q[1]; cx q[2],q[3]; cx q[1],q[4]; cx q[0],q[4];"
     )
-    dag = build_dag(program)
-    front = front_layer(dag, set())
-    assert front == {0, 1}
-    assert critical_gates(dag, front) == {0}
+    state = state_after(program, set())
+    front = front_of(state)
+    assert front == front_layer(program, set()) == {0, 1}
+    assert critical_of(state, front) == critical_reference(program, front) == {0}
     # resolving the critical gate advances the frontier
-    assert front_layer(dag, {0}) == {1, 2}
+    assert front_of(state_after(program, {0})) == front_layer(program, {0}) == {1, 2}
 
 
 def test_front_layer_all_executed_empty():
     program = fixtures.load_benchmark("bv_n3")
-    dag = build_dag(program)
     executed = {g.id for g in program.gates}
-    assert front_layer(dag, executed) == set()
+    state = state_after(program, executed)
+    assert front_of(state) == front_layer(program, executed) == set()
+    assert state.done() and not any(state.lines)
 
 
 def test_front_layer_chain_same_pair():
     program = parse_program("qreg q[2]; cx q[0],q[1]; cx q[0],q[1]; cx q[0],q[1];")
-    dag = build_dag(program)
-    assert front_layer(dag, {0}) == {1}
+    assert front_of(state_after(program, {0})) == front_layer(program, {0}) == {1}
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_front_layer_never_contains_blocked_gate(seed):
     rng = random.Random(seed)
     program = random_program(f"p{seed}", rng.randint(2, 6), rng.randint(3, 25), rng.randint(2, 25), seed)
-    dag = build_dag(program)
     oracle_edges = brute_force_edges(program)
     executed = set()
     order = [g.id for g in program.gates]
@@ -501,9 +512,12 @@ def test_front_layer_never_contains_blocked_gate(seed):
                 continue
             executed.add(x)
             stack.extend(u for u, v in oracle_edges if v == x)
-        front = front_layer(dag, executed)
+        state = state_after(program, executed)
+        front = front_of(state)
+        assert front == front_layer(program, executed)
         for f in front:
             preds = {u for u, v in oracle_edges if v == f}
             assert preds <= executed
             assert f not in executed
-        assert critical_gates(dag, front) <= front
+        assert critical_of(state, front) == critical_reference(program, front)
+        assert critical_of(state, front) <= front

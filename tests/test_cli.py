@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from conftest import BUNDLED, grid_graph, make_backend
+from conftest import BUNDLED, backend_to_doc, grid_graph, make_backend, underflow_instance
 from qmultiprog import cli, fixtures, partition
 from qmultiprog.circuit import parse_program, serialize_program
 from qmultiprog.hardware import load_backend
@@ -193,6 +193,19 @@ def test_exit_code_malformed_backend_is_usage_error(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run(["compile", bench_file("bv_n3"), "--backend", str(bad)]) == 2
     assert "'edges'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["cnot_error", "readout_error", "oneq_error"])
+def test_exit_code_rate_of_one_is_usage_error(field, tmp_path, capsys):
+    doc = json.loads(fixtures.backend_path("london").read_text())
+    if field == "cnot_error":
+        doc[field]["1-3"] = 1.0
+    else:
+        doc[field][2] = 1.0
+    bad = tmp_path / "bad.backend"
+    bad.write_text(json.dumps(doc))
+    assert run(["compile", bench_file("bv_n3"), "--backend", str(bad)]) == 2
+    assert f"{field} rate 1.0 outside [0, 1)" in capsys.readouterr().err
 
 
 def test_exit_code_bad_angle_is_parse_error(tmp_path, capsys):
@@ -402,6 +415,21 @@ def test_schedule_subcommand(tmp_path, capsys):
     assert len(doc["batches"]) == 2
     saved = json.loads((tmp_path / "schedule.json").read_text())
     assert saved == doc
+
+
+def test_schedule_survives_solo_estimates_underflowing_to_zero(tmp_path, capsys):
+    programs, backend = underflow_instance()
+    chip = tmp_path / "line6.backend"
+    chip.write_text(json.dumps(backend_to_doc(backend)))
+    manifest = tmp_path / "queue.txt"
+    for program in programs:
+        path = tmp_path / f"{program.name}.qasm"
+        path.write_text(serialize_program(program))
+        with manifest.open("a") as f:
+            f.write(f"{path}\n")
+    assert run(["schedule", str(manifest), "--backend", str(chip), "--format", "doc"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [j["violation"] for b in doc["batches"] for j in b["jobs"]] == [0.0, 0.0]
 
 
 def test_schedule_refuses_an_empty_queue_naming_the_manifest(tmp_path, capsys, monkeypatch):

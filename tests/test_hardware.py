@@ -63,6 +63,10 @@ def test_load_backend_accepts_extra_fields():
         (lambda d: d["cnot_error"].popitem(), "missing cnot_error"),
         (lambda d: d.update(edges=[[0, 1]]), "disconnected"),
         (lambda d: d.update(readout_error=[0.02, 1.5, 0.02]), "outside [0, 1)"),
+        # a rate of exactly 1.0 is refused too: a gate that always fails
+        (lambda d: d["cnot_error"].update({"0-1": 1.0}), "cnot_error rate 1.0 outside [0, 1)"),
+        (lambda d: d.update(readout_error=[0.02, 1.0, 0.02]), "readout_error rate 1.0 outside [0, 1)"),
+        (lambda d: d.update(oneq_error=[0.001, 0.001, 1.0]), "oneq_error rate 1.0 outside [0, 1)"),
         (lambda d: d.update(edges=[0, 1]), "'edges'"),
         (lambda d: d.update(edges=[[0, 1], [1, 2.0]]), "'edges'"),
         (lambda d: d.update(n_qubits="3"), "'n_qubits'"),

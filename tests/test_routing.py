@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    dag_edges,
+    brute_force_edges,
+    critical_reference,
     front_layer,
     make_backend,
     random_graph,
@@ -16,6 +17,7 @@ from conftest import (
     reference_active_qubits,
     reference_depth,
     reference_swap_score,
+    with_measures_and_barriers,
 )
 from qmultiprog import fixtures, routing, sim
 from qmultiprog.circuit import (
@@ -185,14 +187,11 @@ def test_per_program_event_order_is_topological(router):
     for instance in (fixtures.boundary_swap_instance, fixtures.shortcut_swap_instance):
         programs, mapping, backend = instance()
         schedule = router(programs, mapping, backend)
-        from qmultiprog.circuit import build_dag
-
         for i, program in enumerate(programs):
             order = [e.gate_id for e in schedule.events
                      if hasattr(e, "gate_id") and e.program == i]
             position = {gid: k for k, gid in enumerate(order)}
-            dag = build_dag(program)
-            for u, v in dag_edges(dag):
+            for u, v in brute_force_edges(program):
                 assert position[u] < position[v]
 
 
@@ -247,6 +246,18 @@ def test_forced_walk_fallback_still_correct(router):
         assert ok
         again = router(programs, mapping, backend, stall_limit=0)
         assert schedule.to_json() == again.to_json()
+
+
+@pytest.mark.parametrize("router", [xswap_route, baseline_route])
+def test_default_stall_limit_is_three_per_qubit(router, monkeypatch):
+    # with every candidate scoring alike the routers oscillate and stall, so
+    # the stall limit decides when the shortest-path walk takes over
+    monkeypatch.setattr(routing, "swap_score", lambda edge, terms, hops: 0.0)
+    programs, mapping, backend = fixtures.shortcut_swap_instance()
+    n = backend.n_qubits
+    default = router(programs, mapping, backend).to_json()
+    assert default == router(programs, mapping, backend, stall_limit=3 * n).to_json()
+    assert default != router(programs, mapping, backend, stall_limit=4 * n).to_json()
 
 
 def test_baseline_unroutable_region_reported():
@@ -324,15 +335,25 @@ def _programs(draw):
     return QuantumProgram("prop", n, tuple(gates))
 
 
-@given(program=_programs(), data=st.data())
+_spliced = st.builds(
+    lambda n, cx, oneq, seed: with_measures_and_barriers(random_program("spliced", n, cx, oneq, seed), seed),
+    st.integers(2, 5), st.integers(0, 20), st.integers(0, 10), st.integers(0, 10**6),
+)
+
+
+@given(program=st.one_of(_programs(), _spliced), data=st.data())
 def test_incremental_frontier_matches_reference(program, data):
     # drive the router's per-program state through a random valid execution
     # order; after every step it must agree with the rescanning definitions
     state = _ProgramState(0, program)
     executed: set[int] = set()
     while True:
-        assert sorted(state.ready) == ready_gates(state.dag, executed)
-        assert {gid for gid in state.ready if program.gates[gid].kind == CNOT} == front_layer(state.dag, executed)
+        front = front_layer(program, executed)
+        assert sorted(state.ready) == ready_gates(program, executed)
+        assert {gid for gid in state.ready if program.gates[gid].kind == CNOT} == front
+        state.blocked = dict.fromkeys(front)
+        assert state.critical() == sorted(critical_reference(program, front))
+        state.blocked = {}
         assert state.done() == (len(executed) == len(program.gates))
         if not state.ready:
             break
@@ -433,7 +454,7 @@ def _checked_compliant_pass(states, mapping, graph, events, pending_measures):
     operands."""
     progress = _execute_compliant(states, mapping, graph, events, pending_measures)
     for s in states:
-        assert set(s.blocked) == front_layer(s.dag, _executed(events, pending_measures, s.index))
+        assert set(s.blocked) == front_layer(s.program, _executed(events, pending_measures, s.index))
         assert set(s.blocked) <= s.ready
         for gid, pair in s.blocked.items():
             assert pair == tuple(mapping.phys(s.index, q) for q in s.program.gates[gid].qubits)
@@ -455,7 +476,7 @@ def _walk_and_score(programs, mapping, graph, bonus, steps, pick):
         own = _own_rows(mapping, graph) if bonus else None
         terms, fronts = [], []
         for s in states:
-            front = front_layer(s.dag, _executed(events, pending_measures, s.index))
+            front = front_layer(s.program, _executed(events, pending_measures, s.index))
             fronts.append([s.program.gates[gid] for gid in sorted(front)])
             terms += s.front_terms(mapping.n_phys, hops, own)
         for e in edges:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from unittest import mock
@@ -7,7 +8,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BUNDLED, grid_graph, grid_queue, make_backend, partition_digest, random_graph, random_program
+from conftest import (
+    BUNDLED,
+    grid_graph,
+    grid_queue,
+    make_backend,
+    partition_digest,
+    random_graph,
+    random_program,
+    underflow_instance,
+)
 from qmultiprog import fixtures, partition, scheduler
 from qmultiprog.hardware import random_backend
 from qmultiprog.partition import build_hierarchy_tree, partition_qubits
@@ -109,6 +119,22 @@ def _pair_jobs():
     a = random_program("job_a", 2, 3, 2, seed=7)
     b = random_program("job_b", 2, 3, 2, seed=7)  # identical gates, later name
     return [Job(id=0, program=a), Job(id=1, program=b)]
+
+
+def test_solo_estimate_underflowing_to_zero_schedules():
+    programs, backend = underflow_instance()
+    jobs = [Job(id=i, program=p) for i, p in enumerate(programs)]
+    batches = schedule_tasks(jobs, build_hierarchy_tree(backend), backend)
+    assert [j.ind_epst for j in jobs] == [0.0, 0.0]
+    # no relative loss is defined against 0.0, and sharing cannot lower it
+    assert [b.decision_record for b in batches] == [{0: 0.0, 1: 0.0}]
+    assert [j.co_epst for j in jobs] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("epsilon", [5e-324, 0.15, 1.0])
+def test_violation_equal_to_epsilon_is_refused(epsilon):
+    assert not scheduler._acceptable(epsilon, epsilon)
+    assert scheduler._acceptable(math.nextafter(epsilon, 0.0), epsilon)
 
 
 def test_epsilon_zero_asymmetric_regions_all_singletons():
