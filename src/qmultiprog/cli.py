@@ -6,7 +6,7 @@ tree (dendrogram dump), simulate (exact output distribution).
 
 Every compile is verified by the certificate that ``routing.decompose``
 checks as it replays the schedule, at any chip size; ``--statevector`` adds
-the exact simulation of ``routing.verify_equivalence``, within ``--cap``.
+the exact simulation of ``sim.verify_equivalence``, within ``--cap``.
 
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 partition/routing
 failure, 5 equivalence-check failure.
@@ -36,7 +36,6 @@ from .routing import (
     baseline_route,
     decompose,
     mapping_from_partition,
-    verify_equivalence,
     xswap_route,
 )
 from .scheduler import (
@@ -48,7 +47,7 @@ from .scheduler import (
     schedule_tasks,
     trf,
 )
-from .sim import DEFAULT_QUBIT_CAP, QubitCapExceeded, output_distribution
+from .sim import DEFAULT_QUBIT_CAP, QubitCapExceeded, output_distribution, verify_equivalence
 
 EXIT_OK = 0
 EXIT_USAGE = 2

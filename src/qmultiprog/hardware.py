@@ -89,7 +89,6 @@ class Calibration:
     cnot_error: dict[Edge, float]
     readout_error: dict[int, float]
     oneq_error: dict[int, float]
-    timestamp: str = ""
 
     def validate(self, graph: CouplingGraph):
         for e in graph.edges:
@@ -173,11 +172,11 @@ def _typed(value, kind, field: str):
 def load_backend(doc: dict) -> Backend:
     """Validate a backend description document (parsed JSON) into a Backend.
 
-    Unknown extra fields (T1, T2, notes, ...) are accepted and ignored. Any
-    malformed document raises ValueError naming the field at fault: missing
-    required fields, values of the wrong type, ``cnot_error`` keys that are
-    not edges or that name one edge twice, rate lists of the wrong length,
-    disconnected graphs and out-of-range rates.
+    Unknown extra fields (timestamp, T1, T2, notes, ...) are accepted and
+    ignored. Any malformed document raises ValueError naming the field at
+    fault: missing required fields, values of the wrong type, ``cnot_error``
+    keys that are not edges or that name one edge twice, rate lists of the
+    wrong length, disconnected graphs and out-of-range rates.
     """
     if not isinstance(doc, dict):
         raise ValueError("backend document must be a JSON object")
@@ -211,7 +210,7 @@ def load_backend(doc: dict) -> Backend:
         if not isinstance(doc[f], list) or len(doc[f]) != n:
             raise ValueError(f"backend field {f!r} must list one rate per qubit ({n})")
     readout, oneq = ({q: float(_typed(r, (int, float), f)) for q, r in enumerate(doc[f])} for f in rate_fields)
-    calib = Calibration(cnot_error, readout, oneq, timestamp=str(doc.get("timestamp", "")))
+    calib = Calibration(cnot_error, readout, oneq)
     return Backend(graph=graph, calib=calib, name=str(doc.get("name", "backend")))
 
 
@@ -236,5 +235,5 @@ def random_backend(topology: CouplingGraph, base: Calibration, seed: int, name: 
     cnot = {e: rng.uniform(c_lo, c_hi) for e in sorted(topology.edges)}
     readout = {q: rng.uniform(r_lo, r_hi) for q in range(topology.n_qubits)}
     oneq = {q: rng.uniform(o_lo, o_hi) for q in range(topology.n_qubits)}
-    calib = Calibration(cnot, readout, oneq, timestamp=f"synthetic-seed-{seed}")
+    calib = Calibration(cnot, readout, oneq)
     return Backend(graph=topology, calib=calib, name=name)

@@ -1,14 +1,14 @@
 """Mapping transition: a joint router that may SWAP across program boundaries
-and through free qubits, a per-program baseline router for comparison, SWAP
-decomposition into CNOTs that certifies equivalence as it replays the
-schedule, and an exact-simulation equivalence check kept as an independent
-oracle for chips within the simulator's cap.
+and through free qubits, a per-program baseline router for comparison, and
+SWAP decomposition into CNOTs that certifies equivalence as it replays the
+schedule.
 
 Both routers run one loop (``_route``): execute every hardware-compliant
 gate, then insert the best-scoring SWAP among candidates touching the
-blocked critical gates, until nothing is left; after a stall the oldest
-blocked gate walks along a shortest path instead. Each router passes the
-two things that differ:
+blocked critical gates, until nothing is left; after
+``STALL_STEPS_PER_QUBIT`` SWAPs per chip qubit that execute no gate, the
+oldest blocked gate walks along a shortest path instead. Each router passes
+the two things that differ:
 
 - hop rows: ``hops[x]`` is ``hardware.bfs_hops`` from qubit ``x``, chip-wide
   rows for every qubit in the joint router, region-confined rows for the
@@ -22,27 +22,27 @@ two things that differ:
 Each step redoes only what the last SWAP changed (as in SABRE). A program
 walks its ``circuit.qubit_lines``, popping each gate from its lines as it
 executes; a gate counts the lines on which it is not yet next and is ready
-when none is left, and a blocked gate is critical when one of its lines
-holds a later gate. A CNOT found non-adjacent keeps its physical operand
+when none is left. A CNOT found non-adjacent keeps its physical operand
 pair and stays blocked until a SWAP moves one of them, so the compliant pass
-re-tests only those. The blocked gates are then the front layer, whose
-terms (hop row, hop count, shortcut bonus per CNOT) are read from those
-pairs once per step and shared by every candidate. A schedule records each
-SWAP with its class and owners, and each gate as (program, gate id,
-physical operands). ``_route`` classifies each SWAP by who owns its
-endpoints when it is inserted; ``decompose`` tallies the classes and
-charges each SWAP to its lowest-indexed owner. Measures are emitted after
-every other gate, which is exact because ``QuantumProgram`` keeps
-measurement terminal.
+re-tests only those. The blocked gates are then the front layer, walked once
+per step (``_ProgramState.front``): it yields every CNOT's score terms (hop
+row, hop count, shortcut bonus), shared by every candidate, and the operand
+pairs of the critical gates, those with a later gate on one of their lines.
+A schedule records each SWAP with its class and owners, and each gate as
+(program, gate id, physical operands). ``_route`` classifies each SWAP by
+who owns its endpoints when it is inserted; ``decompose`` tallies the
+classes and charges each SWAP to its lowest-indexed owner. Measures are
+emitted after every other gate, which is exact because ``QuantumProgram``
+keeps measurement terminal.
 
 ``decompose``'s replay is also the equivalence proof (compare the
 compilation-flow checks of Burgholzer and Wille, arXiv 2004.08420): it
 follows the mapping through every SWAP and requires each program gate once,
 in program order on each of its logical qubits, popping the same
-``qubit_lines`` the routers walk. It needs no simulation and
-so holds at any chip size; ``verify_equivalence`` simulates the compiled
-circuit instead, on the light cone of the programs' final layouts
-(``sim.light_cone``), within a qubit cap on that cone.
+``qubit_lines`` the routers walk. It needs no simulation and so holds at any
+chip size. ``verify_schedule`` adds the independent oracle,
+``sim.verify_equivalence``, which simulates the compiled circuit within a
+qubit cap.
 """
 from __future__ import annotations
 
@@ -50,14 +50,12 @@ import json
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-import numpy as np
-
 from .circuit import BARRIER, CNOT, MEASURE, Gate, QuantumProgram, _placed, qubit_lines
 from .hardware import Backend, bfs_hops
 from . import sim
 
 FREE = -1
-TOLERANCE = 1e-9  # total variation up to which verify_equivalence accepts
+STALL_STEPS_PER_QUBIT = 3  # SWAPs per chip qubit that may execute no gate before the fallback walk
 
 
 class RoutingError(RuntimeError):
@@ -230,7 +228,7 @@ def swap_score(edge: tuple[int, int], terms, hops: dict[int, dict[int, int]]) ->
     """Score a candidate SWAP on ``edge``; lower is better.
 
     ``terms`` holds one ``(pa, pb, hops[pa], d, bonus)`` tuple per front-layer
-    CNOT (see ``_ProgramState.front_terms``). The base term sums every front
+    CNOT (see ``_ProgramState.front``). The base term sums every front
     gate's operand hop count after hypothetically applying the SWAP. A gate's
     bonus, when it has one, is subtracted if the SWAP lies on its chip-wide
     shortest path, so the minimization prefers exactly the shortcut SWAPs.
@@ -295,30 +293,28 @@ class _ProgramState:
                 if not self.waiting[head]:
                     self.ready.add(head)
 
-    def critical(self) -> list[int]:
-        """The blocked gates that some later gate waits on (one of their
-        lines holds more than one gate), in gate order; all blocked gates
-        when none is. Resolving one of these advances the frontier."""
-        lines, gates = self.lines, self.program.gates
-        critical = [gid for gid in self.blocked if any(len(lines[q]) > 1 for q in gates[gid].qubits)]
-        return sorted(critical or self.blocked)
-
     def unblock(self, a: int, b: int):
         """Forget the blocked gates with an operand on physical qubit a or b."""
         self.blocked = {gid: pair for gid, pair in self.blocked.items() if a not in pair and b not in pair}
 
-    def front_terms(self, n_phys: int, hops, own=None) -> list[tuple]:
-        """``swap_score``'s terms for the front layer (``blocked`` after a
-        compliant pass), one ``(pa, pb, hops[pa], d, bonus)`` per CNOT in gate
-        order. The bonus is the SWAPs the gate saves by crossing program
-        boundaries, per front gate: its hop count in ``own[index]`` (its region
-        plus the free qubits) minus ``d``, or ``n_phys`` (the chip's qubit
-        count) when that region cannot connect it. It is None without ``own``
-        and when the gate saves nothing, as subtracting 0.0 changes no score.
-        Raises UnroutableProgramError when ``hops`` cannot connect a pair."""
+    def front(self, n_phys: int, hops, own=None) -> tuple[list[tuple], list[tuple[int, int]]]:
+        """One walk of the front layer (``blocked`` after a compliant pass),
+        in gate order. Returns ``swap_score``'s terms, one ``(pa, pb,
+        hops[pa], d, bonus)`` per CNOT, and the operand pairs to resolve:
+        those of the critical gates (one of their lines holds more than one
+        gate, so a later gate waits on them), or every pair when none is.
+        The bonus is the SWAPs the gate saves by crossing program
+        boundaries, per front gate: its hop count in ``own[index]`` (its
+        region plus the free qubits) minus ``d``, or ``n_phys`` (the chip's
+        qubit count) when that region cannot connect it. It is None without
+        ``own`` and when the gate saves nothing, as subtracting 0.0 changes
+        no score. Raises UnroutableProgramError when ``hops`` cannot connect
+        a pair."""
+        lines, gates = self.lines, self.program.gates
         per_layer = 1.0 / len(self.blocked) if self.blocked else 0.0
-        terms = []
-        for _, (pa, pb) in sorted(self.blocked.items()):
+        terms, pairs, critical = [], [], []
+        for gid, pair in sorted(self.blocked.items()):
+            pa, pb = pair
             row = hops[pa]
             if pb not in row:
                 where = "the chip" if len(hops) == n_phys else f"region {sorted(hops)}"
@@ -329,7 +325,10 @@ class _ProgramState:
                 restricted = own[self.index][pa].get(pb)
                 saved = n_phys if restricted is None else restricted - d
             terms.append((pa, pb, row, d, per_layer * saved if saved else None))
-        return terms
+            pairs.append(pair)
+            if any(len(lines[q]) > 1 for q in gates[gid].qubits):
+                critical.append(pair)
+        return terms, critical or pairs
 
     def done(self) -> bool:
         return not self.ready  # the earliest unexecuted gate is always ready
@@ -365,14 +364,7 @@ def _execute_compliant(states, mapping: GlobalMapping, graph, events, pending_me
     return progress
 
 
-def _route(
-    programs,
-    mapping: GlobalMapping,
-    graph,
-    hops: dict[int, dict[int, int]],
-    stall_limit: int | None,
-    own_hops=None,
-) -> list:
+def _route(programs, mapping: GlobalMapping, graph, hops: dict[int, dict[int, int]], own_hops=None) -> list:
     """The loop both routers share. Routes ``programs``, a list of (index in
     ``mapping``, program) pairs, and returns their events.
 
@@ -381,12 +373,10 @@ def _route(
     ``swap_score`` over the step's front terms; ``own_hops``, when given,
     returns the per-program confined rows for the current mapping and turns
     on the shortcut bonus. A front CNOT whose operands ``hops`` cannot
-    connect raises UnroutableProgramError. After ``stall_limit`` (default
-    3 * n_qubits) consecutive SWAPs that execute no gate, the oldest blocked
+    connect raises UnroutableProgramError. After ``STALL_STEPS_PER_QUBIT *
+    n_qubits`` consecutive SWAPs that execute no gate, the oldest blocked
     gate steps along a shortest path in ``hops`` instead.
     """
-    if stall_limit is None:
-        stall_limit = 3 * graph.n_qubits
     states = [_ProgramState(i, p) for i, p in programs]
     events: list = []
     pending_measures: list[tuple[int, int, int]] = []
@@ -402,10 +392,10 @@ def _route(
             own = own_hops()
         terms, to_resolve = [], []
         for st in states:
-            terms += st.front_terms(mapping.n_phys, hops, own)
-            for gid in st.critical():
-                to_resolve.append(st.blocked[gid])
-        if stalled >= stall_limit:
+            st_terms, st_pairs = st.front(mapping.n_phys, hops, own)
+            terms += st_terms
+            to_resolve += st_pairs
+        if stalled >= STALL_STEPS_PER_QUBIT * graph.n_qubits:
             pa, pb = to_resolve[0]
             row = hops[pb]  # hop counts are symmetric
             step = min((x for x in graph.neighbors(pa) if x in row), key=lambda x: (row[x], x))
@@ -428,16 +418,14 @@ def _route(
     return events
 
 
-def xswap_route(
-    programs, initial: GlobalMapping, backend: Backend, stall_limit: int | None = None
-) -> Schedule:
+def xswap_route(programs, initial: GlobalMapping, backend: Backend) -> Schedule:
     """Route all programs jointly, allowing SWAPs across program boundaries
     and through free qubits.
 
     Candidate SWAPs touch the operands of each program's blocked critical
     gates (all blocked front gates when none is critical). A deterministic
     fallback walks the oldest blocked gate along a chip-wide shortest path if
-    ``stall_limit`` (default 3 * n_qubits) consecutive SWAPs execute no gate.
+    ``STALL_STEPS_PER_QUBIT * n_qubits`` consecutive SWAPs execute no gate.
     """
     graph = backend.graph
     mapping = initial.clone()
@@ -458,15 +446,12 @@ def xswap_route(
         mapping,
         graph,
         {q: bfs_hops(graph, q) for q in range(graph.n_qubits)},
-        stall_limit,
         own_hops=own_hops,
     )
     return Schedule(tuple(programs), tuple(events), initial.clone(), mapping, backend)
 
 
-def baseline_route(
-    programs, initial: GlobalMapping, backend: Backend, stall_limit: int | None = None
-) -> Schedule:
+def baseline_route(programs, initial: GlobalMapping, backend: Backend) -> Schedule:
     """Route each program independently inside its own region, then merge the
     per-program event streams round-robin.
 
@@ -481,7 +466,7 @@ def baseline_route(
     for i, program in enumerate(programs):
         region = mapping.region(i)
         region_hops = {q: bfs_hops(graph, q, region) for q in region}
-        streams.append(_route([(i, program)], mapping, graph, region_hops, stall_limit))
+        streams.append(_route([(i, program)], mapping, graph, region_hops))
     merged = tuple(e for row in zip_longest(*streams) for e in row if e is not None)
     return Schedule(tuple(programs), merged, initial.clone(), mapping, backend)
 
@@ -593,38 +578,8 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
     return CompiledCircuits(combined=combined_program, stats=stats)
 
 
-def verify_equivalence(
-    programs, compiled: QuantumProgram, final_layouts, limit: int = sim.DEFAULT_QUBIT_CAP
-) -> tuple[bool, float]:
-    """Check the compiled physical circuit against exact simulation.
-
-    Simulates the gates of the light cone of every final-layout qubit
-    (``sim.light_cone``), renumbered in ascending order, from |0..0>;
-    marginalizes the result onto every program's final layout, and compares
-    with the tensor product of the programs' standalone output
-    distributions. Returns (total variation <= ``TOLERANCE``, total
-    variation). Raises QubitCapExceeded when the programs' own qubits, a
-    lower bound checked before any gate is scanned, or the cone exceed
-    ``limit``.
-    """
-    sim.check_cap(sum(p.n_qubits for p in programs), limit, "program qubits")
-    [(qubits, ids)] = sim._cones(compiled, final_layouts, [[q for s in final_layouts for q in s.values()]], limit)
-    local = {q: i for i, q in enumerate(qubits)}
-    gates = (compiled.gates[j] for j in ids)
-    cone = tuple(_placed(g, tuple(local[q] for q in g.qubits), i) for i, g in enumerate(gates))
-    # a program has at least one qubit; an empty cone's idle one is summed away
-    probs = np.abs(sim.simulate_statevector(QuantumProgram("cone", len(qubits) or 1, cone))) ** 2
-    keep: list[int] = []
-    ideal = np.array([1.0])
-    for program, layout in zip(programs, final_layouts):
-        keep.extend(local[layout[q]] for q in sorted(layout))
-        ideal = np.kron(sim.distribution_vector(program, cap=limit), ideal)
-    marginal = sim.marginal_distribution(probs, len(qubits), keep)
-    tv = sim.total_variation(marginal, ideal)
-    return tv <= TOLERANCE, tv
-
-
 def verify_schedule(schedule: Schedule, limit: int = sim.DEFAULT_QUBIT_CAP) -> tuple[bool, float]:
+    """Decompose ``schedule`` and check the circuit by ``sim.verify_equivalence``."""
     compiled = decompose(schedule)
     layouts = [dict(s) for s in schedule.final.sigmas]
-    return verify_equivalence(schedule.programs, compiled.combined, layouts, limit=limit)
+    return sim.verify_equivalence(schedule.programs, compiled.combined, layouts, limit=limit)

@@ -21,7 +21,7 @@ qubits, every unitary gate that touches the set joins it with its qubits,
 so a SWAP between two programs merges their cones), renumbered in
 ascending order. ``_cones`` refuses a layout qubit outside the circuit and
 a cone over the cap before anything is simulated. The equivalence check
-(``routing.verify_equivalence``) runs the cone of every layout at once,
+(``verify_equivalence``) runs the cone of every layout at once,
 ``noisy_success_probability`` each program's own.
 
 Noisy model: every gate fully depolarizes its operands with its calibration
@@ -29,7 +29,7 @@ error rate, and readout flips each bit with the qubit's readout error. Both
 are local, so a program's marginal depends only on its cone. Two modes:
 
 - exact: the cone's density matrix evolves in place as one [2]*(2m)
-  tensor, at most 16 * 4**cap bytes. U rho U^dagger acts through slice
+  tensor, at most ``DENSITY_BYTES``. U rho U^dagger acts through slice
   views of the row and column axes; depolarizing scales rho by 1 - r and
   adds r/2^k times the partial trace over the gate's k qubits to each
   diagonal block.
@@ -52,12 +52,15 @@ import random
 
 import numpy as np
 
-from .circuit import CNOT, Gate, QuantumProgram
+from .circuit import CNOT, Gate, QuantumProgram, _placed
 from .hardware import Backend
 
 DEFAULT_QUBIT_CAP = 12
 HARD_QUBIT_CAP = 20
+DENSITY_BYTES = 16 * 4**DEFAULT_QUBIT_CAP  # an exact cone's density matrix at most: 256 MiB
 PRUNE_BELOW = 1e-15
+MODE_TIE = 1e-12  # probability gap within which two outcomes tie for the mode
+TOLERANCE = 1e-9  # total variation up to which verify_equivalence accepts
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _FIXED = {
@@ -345,11 +348,11 @@ def _exact_distribution(ops: list[_Op], register: list[int], backend: Backend) -
     return diag
 
 
-def modal_outcome(dist: np.ndarray, tol: float = 1e-12) -> int | None:
+def modal_outcome(dist: np.ndarray) -> int | None:
     """Index of the unique most likely outcome, or None when the mode is
-    ambiguous (several outcomes tie within ``tol``)."""
+    ambiguous (several outcomes tie within ``MODE_TIE``)."""
     best = float(dist.max())
-    winners = np.flatnonzero(dist >= best - tol)
+    winners = np.flatnonzero(dist >= best - MODE_TIE)
     return int(winners[0]) if winners.size == 1 else None
 
 
@@ -440,6 +443,37 @@ def _cones(compiled: QuantumProgram, layouts, wanted, cap: int) -> list[tuple[li
     return cones
 
 
+def verify_equivalence(
+    programs, compiled: QuantumProgram, final_layouts, limit: int = DEFAULT_QUBIT_CAP
+) -> tuple[bool, float]:
+    """Check the compiled physical circuit against exact simulation.
+
+    Simulates the gates of the light cone of every final-layout qubit
+    (``light_cone``), renumbered in ascending order, from |0..0>;
+    marginalizes the result onto every program's final layout, and compares
+    with the tensor product of the programs' standalone output
+    distributions. Returns (total variation <= ``TOLERANCE``, total
+    variation). Raises QubitCapExceeded when the programs' own qubits, a
+    lower bound checked before any gate is scanned, or the cone exceed
+    ``limit``.
+    """
+    check_cap(sum(p.n_qubits for p in programs), limit, "program qubits")
+    [(qubits, ids)] = _cones(compiled, final_layouts, [[q for s in final_layouts for q in s.values()]], limit)
+    local = {q: i for i, q in enumerate(qubits)}
+    gates = (compiled.gates[j] for j in ids)
+    cone = tuple(_placed(g, tuple(local[q] for q in g.qubits), i) for i, g in enumerate(gates))
+    # a program has at least one qubit; an empty cone's idle one is summed away
+    probs = np.abs(simulate_statevector(QuantumProgram("cone", len(qubits) or 1, cone))) ** 2
+    keep: list[int] = []
+    ideal = np.array([1.0])
+    for program, layout in zip(programs, final_layouts):
+        keep.extend(local[layout[q]] for q in sorted(layout))
+        ideal = np.kron(distribution_vector(program, cap=limit), ideal)
+    marginal = marginal_distribution(probs, len(qubits), keep)
+    tv = total_variation(marginal, ideal)
+    return tv <= TOLERANCE, tv
+
+
 def noisy_success_probability(
     compiled: QuantumProgram,
     layouts: list[dict[int, int]],
@@ -460,8 +494,9 @@ def noisy_success_probability(
     trajectories with the given seed). Each program is simulated on its own
     light cone (``light_cone`` of its layout's qubits). The cap bounds every
     cone, not the chip the circuit was compiled for, and every cone is
-    checked before anything is simulated: an exact cone's density takes at
-    most 16 * 4**cap bytes. Sampled mode consumes one ``random.Random(seed)``
+    checked before anything is simulated: in exact mode a cone whose density
+    (16 * 4**m bytes) exceeds ``DENSITY_BYTES`` raises QubitCapExceeded too.
+    Sampled mode consumes one ``random.Random(seed)``
     stream in the order the module docstring gives. Programs with an
     ambiguous ideal mode get None and are not simulated.
     """
@@ -476,6 +511,13 @@ def noisy_success_probability(
     modes = [modal_outcome(d) for d in ideal_distributions]
     wanted = [None if modal is None else layout.values() for layout, modal in zip(layouts, modes)]
     cones = _cones(compiled, layouts, wanted, cap)
+    if mode == "exact":
+        for qubits, _ in filter(None, cones):
+            if 16 * 4 ** len(qubits) > DENSITY_BYTES:
+                raise QubitCapExceeded(
+                    f"the density matrix of {len(qubits)} cone qubits takes {16 * 4 ** len(qubits)} bytes, "
+                    f"over the budget of {DENSITY_BYTES}"
+                )
     if not any(cones):
         return [None] * len(cones)
     # built once on physical operands, renumbered onto each cone below

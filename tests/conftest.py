@@ -22,7 +22,7 @@ def make_backend(n, pairs, cnot=0.02, readout=0.03, oneq=0.001, name="chip"):
     cnot_map = {e: cnot for e in graph.edges} if not isinstance(cnot, dict) else dict(cnot)
     ro_map = {q: readout for q in range(n)} if not isinstance(readout, dict) else dict(readout)
     oneq_map = {q: oneq for q in range(n)} if not isinstance(oneq, dict) else dict(oneq)
-    return Backend(graph=graph, calib=Calibration(cnot_map, ro_map, oneq_map, "test"), name=name)
+    return Backend(graph=graph, calib=Calibration(cnot_map, ro_map, oneq_map), name=name)
 
 
 def random_program(name, n_qubits, n_cnot, n_1q, seed):
@@ -126,6 +126,18 @@ def critical_reference(program, front):
     return {u for u, _ in edges if u in front} or set(front)
 
 
+def critical_of(state, front):
+    """The gates whose operand pairs ``_ProgramState.front`` returns to
+    resolve, in that order, with ``front`` blocked on the identity layout of
+    a chip whose qubits are all one hop apart."""
+    gates, n = state.program.gates, state.program.n_qubits
+    state.blocked = {gid: gates[gid].qubits for gid in front}
+    hops = {q: {r: int(q != r) for r in range(n)} for q in range(n)}
+    _, pairs = state.front(n, hops)
+    gid_of = {pair: gid for gid, pair in state.blocked.items()}
+    return [gid_of[pair] for pair in pairs]
+
+
 def with_measures_and_barriers(program, seed):
     """The program with barriers spliced in at random places, one naming a
     qubit twice, and every qubit measured once at the end, in random order."""
@@ -200,7 +212,6 @@ def backend_to_doc(backend):
         "cnot_error": {f"{a}-{b}": backend.calib.cnot_error[(a, b)] for a, b in sorted(backend.graph.edges)},
         "readout_error": [backend.calib.readout_error[q] for q in range(backend.n_qubits)],
         "oneq_error": [backend.calib.oneq_error[q] for q in range(backend.n_qubits)],
-        "timestamp": backend.calib.timestamp,
     }
 
 

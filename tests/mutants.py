@@ -44,10 +44,10 @@ MUTANTS = (
         ],
     ),
     (
-        "a blocked gate is critical when one of its lines holds any gate",
+        "a front gate is critical when one of its lines holds any gate",
         "routing.py",
-        "any(len(lines[q]) > 1 for q in gates[gid].qubits)",
-        "any(len(lines[q]) > 0 for q in gates[gid].qubits)",
+        "            if any(len(lines[q]) > 1 for q in gates[gid].qubits):\n                critical.append(pair)",
+        "            if any(len(lines[q]) > 0 for q in gates[gid].qubits):\n                critical.append(pair)",
         [
             "tests/test_circuit.py::test_front_layer_and_critical_gates_layered",
             "tests/test_routing.py::test_incremental_frontier_matches_reference",
@@ -78,11 +78,102 @@ MUTANTS = (
         ["tests/test_scheduler.py::test_violation_equal_to_epsilon_is_refused"],
     ),
     (
-        "the default stall limit is four SWAPs per qubit",
+        "the fallback walk waits four SWAPs per qubit",
         "routing.py",
-        "stall_limit = 3 * graph.n_qubits",
-        "stall_limit = 4 * graph.n_qubits",
+        "STALL_STEPS_PER_QUBIT = 3",
+        "STALL_STEPS_PER_QUBIT = 4",
         ["tests/test_routing.py::test_default_stall_limit_is_three_per_qubit"],
+    ),
+    (
+        "a gate that touches the light cone adds none of its qubits",
+        "sim.py",
+        "            live.update(g.qubits)\n",
+        "            pass\n",
+        ["tests/test_sim.py::test_light_cone_matches_reference_walk"],
+    ),
+    (
+        "a cone over the cap is simulated",
+        "sim.py",
+        'check_cap(len(qubits), cap, "cone qubits")',
+        "pass",
+        ["tests/test_sim.py::test_cone_over_the_cap_raises_before_simulating"],
+    ),
+    (
+        "a layout qubit just outside the circuit is accepted",
+        "sim.py",
+        "    if top >= n:",
+        "    if top > n:",
+        ["tests/test_sim.py::test_equivalence_check_renumbers_the_cone_in_ascending_order"],
+    ),
+    (
+        "the oracle scans the circuit although the programs exceed the cap",
+        "sim.py",
+        'check_cap(sum(p.n_qubits for p in programs), limit, "program qubits")',
+        "pass",
+        ["tests/test_routing.py::test_program_qubits_over_the_cap_refuse_before_any_gate_is_scanned"],
+    ),
+    (
+        "an exact cone's density has no byte budget",
+        "sim.py",
+        "            if 16 * 4 ** len(qubits) > DENSITY_BYTES:",
+        "            if False:",
+        ["tests/test_sim.py::test_exact_cone_over_the_density_budget_raises_before_simulating"],
+    ),
+    (
+        "a density of exactly the byte budget is refused",
+        "sim.py",
+        "            if 16 * 4 ** len(qubits) > DENSITY_BYTES:",
+        "            if 16 * 4 ** len(qubits) >= DENSITY_BYTES:",
+        ["tests/test_sim.py::test_density_budget_admits_a_cone_at_the_budget_and_binds_exact_mode_only"],
+    ),
+    (
+        "a qreg of size 0 is accepted",
+        "circuit.py",
+        "            if not n_qubits:\n",
+        "            if False:\n",
+        ["tests/test_circuit.py::test_parse_errors"],
+    ),
+    (
+        "a non-finite angle is accepted",
+        "circuit.py",
+        "    if not math.isfinite(result):",
+        "    if False:",
+        ["tests/test_circuit.py::test_parse_errors"],
+    ),
+    (
+        "a cx with three operands is accepted",
+        "circuit.py",
+        "            if len(operands) != 2:",
+        "            if len(operands) < 2:",
+        ["tests/test_circuit.py::test_parse_errors"],
+    ),
+    (
+        "two cnot_error keys for one edge are accepted",
+        "hardware.py",
+        "        if edge in key_of:\n",
+        "        if False:\n",
+        ["tests/test_hardware.py::test_load_backend_rejections"],
+    ),
+    (
+        "a bool is accepted as a number",
+        "hardware.py",
+        "if isinstance(value, bool) or not isinstance(value, kind):",
+        "if not isinstance(value, kind):",
+        ["tests/test_hardware.py::test_load_backend_rejections"],
+    ),
+    (
+        "a sibling left with no link is never cut loose",
+        "partition.py",
+        "            if sib_alive and not linked:",
+        "            if False:",
+        ["tests/test_partition.py::test_golden_cut_partitions"],
+    ),
+    (
+        "a climb stops only at a node with more alive qubits than the program needs",
+        "partition.py",
+        "if len(alive(n)) >= need",
+        "if len(alive(n)) > need",
+        ["tests/test_partition.py::test_golden_cut_partitions"],
     ),
 )
 

@@ -19,10 +19,10 @@ from qmultiprog.partition import (
 from qmultiprog.routing import (
     baseline_route,
     decompose,
-    verify_equivalence,
     verify_schedule,
     xswap_route,
 )
+from qmultiprog.sim import verify_equivalence
 from qmultiprog.scheduler import Job, epst, schedule_tasks, trf
 from qmultiprog.partition import build_hierarchy_tree as build_tree
 

@@ -335,6 +335,29 @@ def test_bench_grid_and_determinism(tmp_path, capsys):
     assert (tmp_path / "a" / "bench.txt").exists()
 
 
+def test_bench_reports_a_refused_cell_and_compiles_the_rest(tmp_path, capsys):
+    # two 3-qubit programs overfill the 5-qubit london chip together, so the
+    # joint policies refuse, while independent compiles each on its own
+    manifest = tmp_path / "w.txt"
+    manifest.write_text(f"{bench_file('toffoli_3')},{bench_file('peres_3')}\n")
+    policies = "baseline,cdap-xswap,independent"
+    argv = ["bench", str(manifest), "--backend", backend_file("london"), "--policies", policies, "--out", str(tmp_path)]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    doc = json.loads((tmp_path / "bench.json").read_text())
+    assert [(c["policy"], c["ok"]) for c in doc["cells"]] == [
+        ("baseline", False),
+        ("cdap-xswap", False),
+        ("independent", True),
+    ]
+    assert doc["cells"][0]["error"] == "no region found for: toffoli_3"
+    assert list(doc["by_policy"]) == ["independent"] and doc["policy_deltas"] == {}
+    rows = text.splitlines()[2:5]
+    assert rows[0].split() == ["toffoli_3+peres_3", "baseline", "-", "FAILED:", "no", "region", "found", "for:", "toffoli_3"]
+    assert rows[2].split()[:3] == ["toffoli_3+peres_3", "independent", "-"]
+    assert text == (tmp_path / "bench.txt").read_text() + "\n"
+
+
 def test_bench_empty_policy_list(tmp_path, capsys):
     # An empty policy list is a usage error naming the option, not an empty table.
     manifest = tmp_path / "w.txt"
@@ -417,6 +440,23 @@ def test_schedule_subcommand(tmp_path, capsys):
     assert saved == doc
 
 
+def test_schedule_prints_its_batches_as_text_by_default(tmp_path, capsys):
+    manifest = tmp_path / "queue.txt"
+    names = ["bv_n3", "bv_n4", "toffoli_3", "peres_3"]
+    manifest.write_text("\n".join(bench_file(n) for n in names) + "\n")
+    argv = ["schedule", str(manifest), "--backend", backend_file("melbourne"), "--epsilon", "1.0", "--max-colocate", "2"]
+    assert run([*argv, "--format", "doc"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "queue of 4 jobs -> 2 batches, trf=2.0000"
+    assert len(lines) == 1 + len(doc["batches"])
+    for i, (line, batch) in enumerate(zip(lines[1:], doc["batches"])):
+        assert line == f"  batch {i}: " + ", ".join(
+            f"{j['name']} (ind={j['ind_epst']}, co={j['co_epst']}, viol={j['violation']})" for j in batch["jobs"]
+        )
+
+
 def test_schedule_survives_solo_estimates_underflowing_to_zero(tmp_path, capsys):
     programs, backend = underflow_instance()
     chip = tmp_path / "line6.backend"
@@ -466,6 +506,27 @@ def test_tree_subcommand_dump_and_dot(tmp_path, capsys):
     dot = (tmp_path / "tree.dot").read_text()
     assert dot.startswith("digraph")
     assert (tmp_path / "tree.json").exists()
+
+
+def test_tree_prints_its_merges_as_text_by_default(capsys):
+    assert run(["tree", "--backend", backend_file("london")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"dendrogram at omega={partition.DEFAULT_OMEGA}"
+    assert [line.split(" (reward ")[0] for line in lines[1:]] == [
+        "  step 1: [0, 1]",
+        "  step 2: [0, 1, 2]",
+        "  step 3: [3, 4]",
+        "  step 4: [0, 1, 2, 3, 4]",
+    ]
+
+
+@pytest.mark.parametrize("command", [["compile", "bv_n3.qasm"], ["bench", "w.txt"], ["schedule", "q.txt"], ["tree"]])
+def test_a_missing_backend_is_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(command)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --backend is required\n"
 
 
 def test_tree_dot_without_out_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -51,7 +51,7 @@ def _respell(key):
 
 
 def test_load_backend_accepts_extra_fields():
-    doc = _doc(2, [(0, 1)], T1=[50.0, 60.0], T2=[40.0, 70.0], vendor="someone")
+    doc = _doc(2, [(0, 1)], T1=[50.0, 60.0], T2=[40.0, 70.0], vendor="someone", timestamp="2019-06-01")
     backend = load_backend(doc)
     assert backend.n_qubits == 2
 
@@ -83,6 +83,12 @@ def test_load_backend_accepts_extra_fields():
         (_respell("\u0660-\u0661"), "not of the form"),
         (_respell(" 0 - 1 "), "not of the form"),
         (_respell("+0-+1"), "not of the form"),
+        # JSON true and false are no numbers, though a Python bool is an int
+        (lambda d: d.update(n_qubits=True), "'n_qubits' holds True, not a number"),
+        (lambda d: d.update(edges=[[0, 1], [True, 2]]), "'edges' holds True, not a number"),
+        (lambda d: d["cnot_error"].update({"0-1": False}), "'cnot_error' holds False, not a number"),
+        (lambda d: d.update(readout_error=[0.02, False, 0.02]), "'readout_error' holds False, not a number"),
+        (lambda d: d.update(oneq_error=[0.001, 0.001, False]), "'oneq_error' holds False, not a number"),
     ],
 )
 def test_load_backend_rejections(mangle, fragment):

@@ -656,6 +656,18 @@ def test_frp_unassigned_when_chip_full():
     assert len(partition.unassigned) == 1
 
 
+def test_frp_unassigned_when_region_growth_runs_out_of_frontier():
+    # six free qubits, but in two 3-qubit pieces: no region of 4 grows
+    backend = make_backend(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    wide = random_program("wide", 4, 3, 1, seed=24)
+    narrow = random_program("narrow", 3, 2, 1, seed=25)
+    partition = frp_partition([wide, narrow], backend)
+    assert partition.unassigned == (wide,)
+    # the abandoned region's qubits stay available to the next program
+    [placed] = partition.assignments
+    assert placed.program is narrow and placed.qubits in ({0, 1, 2}, {3, 4, 5})
+
+
 # Workloads that fit, where CDAP leaves a program unassigned (ROADMAP item 3).
 _CDAP_DROPS = {
     "tokyo20": ("alu-v0_27", "decod24-v2_43", "mod5mils_65", "3_17_13"),  # drops mod5mils_65

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     brute_force_edges,
+    critical_of,
     critical_reference,
     front_layer,
     make_backend,
@@ -47,10 +48,10 @@ from qmultiprog.routing import (
     mapping_from_partition,
     obtain_swaps,
     swap_score,
-    verify_equivalence,
     verify_schedule,
     xswap_route,
 )
+from qmultiprog.sim import verify_equivalence
 
 
 # --- mapping -----------------------------------------------------------------
@@ -118,7 +119,8 @@ def test_score_prefers_shortcut_swap():
     pair = tuple(mapping.phys(0, q) for q in blocked.qubits)
     state = _ProgramState(0, programs[0])
     state.blocked = {blocked.id: pair}
-    terms = state.front_terms(mapping.n_phys, full, own)
+    terms, to_resolve = state.front(mapping.n_phys, full, own)
+    assert to_resolve == [pair]
     candidates = obtain_swaps([pair], backend.graph, full)
     scores = {e: swap_score(e, terms, full) for e in candidates}
     assert scores == {
@@ -233,18 +235,27 @@ def test_lone_program_partial_region_dominance():
     assert joint.swap_count <= split.swap_count
 
 
+def _routed(router, programs, mapping, backend, stall=None):
+    """``router``'s schedule, with ``STALL_STEPS_PER_QUBIT`` patched to
+    ``stall`` unless it is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if stall is not None:
+            mp.setattr(routing, "STALL_STEPS_PER_QUBIT", stall)
+        return router(programs, mapping, backend)
+
+
 @pytest.mark.parametrize("router", [xswap_route, baseline_route])
 def test_forced_walk_fallback_still_correct(router):
-    # stall_limit=0 makes every blocked step take the deterministic
+    # no stall steps make every blocked step take the deterministic
     # shortest-path walk instead of the scored candidates
     for instance in (fixtures.boundary_swap_instance, fixtures.shortcut_swap_instance):
         programs, mapping, backend = instance()
-        schedule = router(programs, mapping, backend, stall_limit=0)
+        schedule = _routed(router, programs, mapping, backend, stall=0)
         seen = {(e.program, e.gate_id) for e in schedule.events if hasattr(e, "gate_id")}
         assert seen == {(i, g.id) for i, p in enumerate(programs) for g in p.gates}
         ok, _ = verify_schedule(schedule)
         assert ok
-        again = router(programs, mapping, backend, stall_limit=0)
+        again = _routed(router, programs, mapping, backend, stall=0)
         assert schedule.to_json() == again.to_json()
 
 
@@ -254,10 +265,9 @@ def test_default_stall_limit_is_three_per_qubit(router, monkeypatch):
     # the stall limit decides when the shortest-path walk takes over
     monkeypatch.setattr(routing, "swap_score", lambda edge, terms, hops: 0.0)
     programs, mapping, backend = fixtures.shortcut_swap_instance()
-    n = backend.n_qubits
     default = router(programs, mapping, backend).to_json()
-    assert default == router(programs, mapping, backend, stall_limit=3 * n).to_json()
-    assert default != router(programs, mapping, backend, stall_limit=4 * n).to_json()
+    assert default == _routed(router, programs, mapping, backend, stall=3).to_json()
+    assert default != _routed(router, programs, mapping, backend, stall=4).to_json()
 
 
 def test_baseline_unroutable_region_reported():
@@ -351,8 +361,7 @@ def test_incremental_frontier_matches_reference(program, data):
         front = front_layer(program, executed)
         assert sorted(state.ready) == ready_gates(program, executed)
         assert {gid for gid in state.ready if program.gates[gid].kind == CNOT} == front
-        state.blocked = dict.fromkeys(front)
-        assert state.critical() == sorted(critical_reference(program, front))
+        assert critical_of(state, front) == sorted(critical_reference(program, front))
         state.blocked = {}
         assert state.done() == (len(executed) == len(program.gates))
         if not state.ready:
@@ -478,7 +487,7 @@ def _walk_and_score(programs, mapping, graph, bonus, steps, pick):
         for s in states:
             front = front_layer(s.program, _executed(events, pending_measures, s.index))
             fronts.append([s.program.gates[gid] for gid in sorted(front)])
-            terms += s.front_terms(mapping.n_phys, hops, own)
+            terms += s.front(mapping.n_phys, hops, own)[0]
         for e in edges:
             assert swap_score(e, terms, hops) == reference_swap_score(e, fronts, mapping, hops, own, graph.n_qubits)
         a, b = pick(edges)
@@ -510,20 +519,20 @@ def test_front_terms_score_bit_exact_on_seeded_walks():
         _walk_and_score(programs, mapping, graph, True, 8, rng.choice)
 
 
-def _check_routed(programs, mapping, backend, stall_limit=None):
+def _check_routed(programs, mapping, backend, stall=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(routing, "_execute_compliant", _checked_compliant_pass)
         for router in (xswap_route, baseline_route):
-            schedule = router(programs, mapping, backend, stall_limit=stall_limit)
+            schedule = _routed(router, programs, mapping, backend, stall)
             compiled = decompose(schedule)
             assert compiled.stats["depth"] == reference_depth(compiled.combined.gates)
 
 
-@given(instance=_colocations(), stall_limit=st.sampled_from([None, 0]))
-def test_random_schedules_keep_blocked_set_and_depth(instance, stall_limit):
+@given(instance=_colocations(), stall=st.sampled_from([None, 0]))
+def test_random_schedules_keep_blocked_set_and_depth(instance, stall):
     programs, mapping, backend = instance
     try:
-        _check_routed(programs, mapping, backend, stall_limit)
+        _check_routed(programs, mapping, backend, stall)
     except UnroutableProgramError:
         pass  # the baseline's region may not connect a CNOT; xswap routed first
 
@@ -531,7 +540,8 @@ def test_random_schedules_keep_blocked_set_and_depth(instance, stall_limit):
 # --- golden schedules -----------------------------------------------------------------
 
 # SHA-256 of Schedule.to_json() per instance, in the order
-# (xswap, stall_limit=None), (xswap, 0), (baseline, None), (baseline, 0).
+# (xswap, default stall steps), (xswap, STALL_STEPS_PER_QUBIT patched to 0),
+# (baseline, default), (baseline, 0).
 GOLDEN_SCHEDULES = {
     "boundary": (
         "0f265d554c9fd159a3c747b0c287b7800e137cef7a38d081d39ff5760ae67cbb",
@@ -698,7 +708,7 @@ def _golden_instance(name):
 def test_golden_schedule_digests(name):
     programs, mapping, backend = _golden_instance(name)
     digests = tuple(
-        hashlib.sha256(router(programs, mapping, backend, stall_limit=stall).to_json().encode()).hexdigest()
+        hashlib.sha256(_routed(router, programs, mapping, backend, stall).to_json().encode()).hexdigest()
         for router in (xswap_route, baseline_route)
         for stall in (None, 0)
     )
@@ -718,7 +728,7 @@ def test_golden_swap_counts_match_a_recount_of_the_schedule(name):
     programs, mapping, backend = _golden_instance(name)
     for router in (xswap_route, baseline_route):
         for stall in (None, 0):
-            schedule = router(programs, mapping, backend, stall_limit=stall)
+            schedule = _routed(router, programs, mapping, backend, stall)
             stats = decompose(schedule).stats
             swaps = schedule.swaps()
             charged = [sum(s.owners[0] == i for s in swaps) for i in range(len(programs))]

@@ -34,6 +34,7 @@ from qmultiprog.sim import (
     output_distribution,
     simulate_statevector,
     total_variation,
+    verify_equivalence,
 )
 
 
@@ -229,6 +230,9 @@ def test_permutation_covariance(seed):
 def test_modal_outcome_unique_and_ambiguous():
     assert modal_outcome(np.array([0.1, 0.7, 0.2])) == 1
     assert modal_outcome(np.array([0.5, 0.5])) is None
+    # outcomes within MODE_TIE of the best tie; a wider gap does not
+    assert modal_outcome(np.array([0.5, 0.5 - sim.MODE_TIE / 2])) is None
+    assert modal_outcome(np.array([0.5, 0.5 - 2 * sim.MODE_TIE])) == 0
 
 
 def _three_qubit_instance():
@@ -672,6 +676,42 @@ def test_cone_over_the_cap_raises_before_simulating(mode, monkeypatch):
         noisy_success_probability(compiled, layouts, tokyo20, ideals, mode=mode, cap=4)
 
 
+def _one_hot(n):
+    ideal = np.zeros(2**n)
+    ideal[0] = 1.0
+    return ideal
+
+
+def test_exact_cone_over_the_density_budget_raises_before_simulating(monkeypatch):
+    # cap 20 lets a 13-qubit cone through; its density would take 1 GiB
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated although a cone's density exceeds the byte budget")
+
+    for kernel in ("_noisy_ops", "_exact_distribution", "_draw_shots", "_sampled_outcomes"):
+        monkeypatch.setattr(sim, kernel, fail)
+    backend = make_backend(13, [(q, q + 1) for q in range(12)])
+    layouts = [{q: q for q in range(13)}]
+    with pytest.raises(
+        QubitCapExceeded,
+        match=f"density matrix of 13 cone qubits takes {16 * 4**13} bytes, over the budget of {16 * 4**12}",
+    ):
+        noisy_success_probability(QuantumProgram("wide", 13, ()), layouts, backend, [_one_hot(13)], cap=20)
+
+
+def test_density_budget_admits_a_cone_at_the_budget_and_binds_exact_mode_only(monkeypatch):
+    monkeypatch.setattr(sim, "DENSITY_BYTES", 16 * 4**3)
+    backend = make_backend(4, [(0, 1), (1, 2), (2, 3)], readout=0.0)
+    three = QuantumProgram("three", 3, ())
+    assert noisy_success_probability(three, [{q: q for q in range(3)}], backend, [_one_hot(3)]) == [1.0]
+    layouts = [{q: q for q in range(4)}]
+    with pytest.raises(QubitCapExceeded, match="density matrix of 4 cone qubits"):
+        noisy_success_probability(QuantumProgram("four", 4, ()), layouts, backend, [_one_hot(4)])
+    sampled = noisy_success_probability(
+        QuantumProgram("four", 4, ()), layouts, backend, [_one_hot(4)], mode="sampled", shots=8
+    )
+    assert sampled == [1.0]
+
+
 def test_every_bundled_tokyo20_triple_is_estimable_at_the_default_cap():
     # 25 of these 120 have over 12 active qubits; no cone has more than 5
     from qmultiprog.cli import compile_workload
@@ -916,8 +956,6 @@ def test_cap_is_checked_on_every_call_of_a_cached_program():
 
 
 def test_equivalence_check_renumbers_the_cone_in_ascending_order(monkeypatch):
-    from qmultiprog.routing import verify_equivalence
-
     compiled = parse_program("qreg q[6]; creg c[1]; h q[4]; cx q[4],q[1]; measure q[5] -> c[0];", name="c")
     program = parse_program("qreg q[2]; h q[0];", name="p")
     # q5 is only measured and q0 is named by the layout: the cone is q0, q1, q4
