@@ -141,8 +141,7 @@ def compile_workload(
 def _backend_file(args) -> Backend:
     """The --backend file; a missing option is a usage error."""
     if not args.backend:
-        print("error: --backend is required", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError("--backend is required")
     return load_backend_file(args.backend)
 
 

@@ -9,11 +9,16 @@ length 2 per qubit, following a plan made once per matrix. The plan lists
 the diagonal entries that only scale a slice and, for every other output
 slice, its source slices and their coefficients; every mixed slice is
 computed before any slice is written. The fixed gates, cx and their
-conjugates are planned at import; a parametrized gate is planned when it
-is applied or when its noisy op is built. ``simulate_statevector`` evolves
-one buffer in place; ``apply_gate`` is the one-gate wrapper that copies.
-A program's ideal distribution (``distribution_vector``) is simulated once
-and kept on the program.
+conjugates are built (read-only) and planned once, on first use, not at
+import; a parametrized gate is planned when it is applied or when its noisy
+op is built. ``simulate_statevector`` evolves one buffer in place;
+``apply_gate`` is the one-gate wrapper that copies. A program's ideal
+distribution (``distribution_vector``) is simulated once and kept on the
+program.
+
+numpy is imported by the functions that compute with it, not by the
+module, so importing the package, compiling, scheduling or building a
+dendrogram never loads it.
 
 A compiled circuit is only ever simulated on a backward light cone
 (``light_cone``: walking its gates in reverse from some final-layout
@@ -47,13 +52,16 @@ layout at its ideal mode, divided by ``shots`` for the (exact) counts.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .circuit import CNOT, Gate, QuantumProgram, _placed
 from .hardware import Backend
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_QUBIT_CAP = 12
 HARD_QUBIT_CAP = 20
@@ -63,18 +71,6 @@ MODE_TIE = 1e-12  # probability gap within which two outcomes tie for the mode
 TOLERANCE = 1e-9  # total variation up to which verify_equivalence accepts
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-_FIXED = {
-    "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
-    # basis order |control target> with target the low bit
-    CNOT: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-}
 
 
 class QubitCapExceeded(ValueError):
@@ -83,9 +79,12 @@ class QubitCapExceeded(ValueError):
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Unitary of a supported gate (2x2 for one-qubit kinds, 4x4 for cx)."""
+    import numpy as np
+
     kind, p = gate.kind, gate.params
-    if kind in _FIXED:
-        return _FIXED[kind]
+    fixed = _fixed().matrices
+    if kind in fixed:
+        return fixed[kind]
     if kind == "u1":
         return np.array([[1, 0], [0, np.exp(1j * p[0])]], dtype=complex)
     if kind == "u2":
@@ -137,13 +136,42 @@ def _plan(matrix: np.ndarray) -> _Plan:
     return tuple(scales), tuple(mixed)
 
 
-_FIXED_PLANS = {kind: _plan(m) for kind, m in _FIXED.items()}
-_FIXED_CONJ_PLANS = {kind: _plan(m.conj()) for kind, m in _FIXED.items()}
+class _FixedGates(NamedTuple):
+    matrices: dict[str, np.ndarray]  # read-only: gate_matrix hands them out
+    plans: dict[str, _Plan]
+    conj_plans: dict[str, _Plan]
+    paulis: tuple[_Plan | None, ...]  # identity (None), x, y, z by Pauli index
+
+
+@functools.cache
+def _fixed() -> _FixedGates:
+    """The unitaries of the parameter-free gates, their plans and their
+    conjugates' plans, built on first use."""
+    import numpy as np
+
+    matrices = {
+        "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "z": np.array([[1, 0], [0, -1]], dtype=complex),
+        "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+        "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+        "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
+        "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
+        # basis order |control target> with target the low bit
+        CNOT: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    }
+    for m in matrices.values():
+        m.setflags(write=False)
+    plans = {kind: _plan(m) for kind, m in matrices.items()}
+    conj_plans = {kind: _plan(m.conj()) for kind, m in matrices.items()}
+    return _FixedGates(matrices, plans, conj_plans, (None, plans["x"], plans["y"], plans["z"]))
 
 
 def _gate_plan(gate: Gate, conj: bool = False) -> _Plan:
     """The plan of the gate's matrix, or of its conjugate with ``conj``."""
-    plan = (_FIXED_CONJ_PLANS if conj else _FIXED_PLANS).get(gate.kind)
+    fixed = _fixed()
+    plan = (fixed.conj_plans if conj else fixed.plans).get(gate.kind)
     if plan is None:
         matrix = gate_matrix(gate)
         plan = _plan(matrix.conj() if conj else matrix)
@@ -210,6 +238,8 @@ def apply_gate(state: np.ndarray, gate: Gate, operands: tuple[int, ...] | None =
 def simulate_statevector(program: QuantumProgram) -> np.ndarray:
     """Run all unitary gates from |0...0> on one buffer; barriers and the
     terminal measures are skipped."""
+    import numpy as np
+
     n = program.n_qubits
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
@@ -246,6 +276,8 @@ def distribution_vector(program: QuantumProgram, cap: int = DEFAULT_QUBIT_CAP) -
     on every call; the vector is simulated on first use and kept on the
     program (an attribute, not a dataclass field, so == and hash ignore it),
     and every caller gets that one read-only vector."""
+    import numpy as np
+
     check_cap(program.n_qubits, cap, "qubits")
     probs = getattr(program, "_distribution", None)
     if probs is None:
@@ -258,6 +290,8 @@ def distribution_vector(program: QuantumProgram, cap: int = DEFAULT_QUBIT_CAP) -
 def marginal_distribution(probs: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
     """Marginal over ``keep``, in the given order: bit j of the result indexes
     original qubit keep[j]. Entries are summed in index order."""
+    import numpy as np
+
     idx = np.arange(probs.size)
     new_idx = np.zeros(probs.size, dtype=np.intp)
     for j, q in enumerate(keep):
@@ -266,6 +300,8 @@ def marginal_distribution(probs: np.ndarray, n: int, keep: list[int]) -> np.ndar
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    import numpy as np
+
     return 0.5 * float(np.abs(p - q).sum())
 
 
@@ -284,8 +320,6 @@ TRAJECTORY_BYTES = 32 << 20
 # gate computes (16) and its product temporary (8), the rows a Pauli error
 # copies (16).
 _WORKING_BYTES = 64
-
-_PAULI_PLANS = (None, _FIXED_PLANS["x"], _FIXED_PLANS["y"], _FIXED_PLANS["z"])
 
 _Op = tuple[_Plan, _Plan, tuple[int, ...], float]
 
@@ -321,6 +355,8 @@ def _depolarize(tensor: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]
 
 
 def _readout_flip(probs: np.ndarray, qubit: int, rate: float, n: int) -> np.ndarray:
+    import numpy as np
+
     if rate == 0.0:
         return probs
     tensor = probs.reshape([2] * n)
@@ -331,6 +367,8 @@ def _readout_flip(probs: np.ndarray, qubit: int, rate: float, n: int) -> np.ndar
 def _exact_distribution(ops: list[_Op], register: list[int], backend: Backend) -> np.ndarray:
     """Outcome distribution over the physical qubits ``register``: rho evolves
     in place as one [2]*(2m) tensor (row axes first), then readout flips."""
+    import numpy as np
+
     m = len(register)
     rho = np.zeros((2**m, 2**m), dtype=complex)
     rho[0, 0] = 1.0  # |0..0><0..0|
@@ -351,6 +389,8 @@ def _exact_distribution(ops: list[_Op], register: list[int], backend: Backend) -
 def modal_outcome(dist: np.ndarray) -> int | None:
     """Index of the unique most likely outcome, or None when the mode is
     ambiguous (several outcomes tie within ``MODE_TIE``)."""
+    import numpy as np
+
     best = float(dist.max())
     winners = np.flatnonzero(dist >= best - MODE_TIE)
     return int(winners[0]) if winners.size == 1 else None
@@ -363,6 +403,8 @@ def _draw_shots(ops: list[_Op], readout: list[tuple[float, int]], shots: int, rn
     them depends on the state. Returns the Pauli errors per op index as
     (shot, local qubit, pauli) arrays, the outcome uniforms and the readout
     flip mask of each shot (``readout`` pairs a rate with its local bit)."""
+    import numpy as np
+
     rand, pick = rng.random, rng.randrange
     noisy = [(i, qubits, rate) for i, (_, _, qubits, rate) in enumerate(ops) if rate > 0.0]
     events: dict[int, list[tuple[int, int, int]]] = {}
@@ -387,6 +429,9 @@ def _draw_shots(ops: list[_Op], readout: list[tuple[float, int]], shots: int, rn
 def _sampled_outcomes(ops: list[_Op], m: int, errors, uniforms: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Measured register index (before readout error) of shots lo..hi-1,
     evolved together as one (shots x 2^m) array."""
+    import numpy as np
+
+    paulis = _fixed().paulis
     state = np.zeros((hi - lo, 2**m), dtype=complex)
     state[:, 0] = 1.0
     tensor = state.reshape((hi - lo,) + (2,) * m)  # axis of local qubit q: m - q
@@ -401,7 +446,7 @@ def _sampled_outcomes(ops: list[_Op], m: int, errors, uniforms: np.ndarray, lo: 
                 rows = shot[in_chunk & (qubit == q) & (pauli == p)] - lo
                 if rows.size:
                     hit = tensor[rows]
-                    _contract(hit, _PAULI_PLANS[p], (m - q,))
+                    _contract(hit, paulis[p], (m - q,))
                     tensor[rows] = hit
     probs = np.abs(state)
     del state, tensor
@@ -457,6 +502,8 @@ def verify_equivalence(
     lower bound checked before any gate is scanned, or the cone exceed
     ``limit``.
     """
+    import numpy as np
+
     check_cap(sum(p.n_qubits for p in programs), limit, "program qubits")
     [(qubits, ids)] = _cones(compiled, final_layouts, [[q for s in final_layouts for q in s.values()]], limit)
     local = {q: i for i, q in enumerate(qubits)}
@@ -500,6 +547,8 @@ def noisy_success_probability(
     stream in the order the module docstring gives. Programs with an
     ambiguous ideal mode get None and are not simulated.
     """
+    import numpy as np
+
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and shots <= 0:

@@ -127,6 +127,13 @@ MUTANTS = (
         ["tests/test_sim.py::test_density_budget_admits_a_cone_at_the_budget_and_binds_exact_mode_only"],
     ),
     (
+        "importing the simulator loads numpy",
+        "sim.py",
+        "from typing import TYPE_CHECKING, NamedTuple\n",
+        "from typing import TYPE_CHECKING, NamedTuple\n\nimport numpy as np\n",
+        ["tests/test_cli.py::test_numpy_loads_only_when_something_is_simulated"],
+    ),
+    (
         "a qreg of size 0 is accepted",
         "circuit.py",
         "            if not n_qubits:\n",

@@ -97,6 +97,21 @@ def test_apply_gate_rejects_bad_operands(kind, operands):
     assert psi[0] == 1.0  # the input is left untouched
 
 
+@pytest.mark.parametrize("kind", ["h", "x", "y", "z", "s", "sdg", "t", "tdg", "cx"])
+def test_fixed_gate_matrices_are_read_only(kind):
+    # gate_matrix hands out the one shared array of a fixed kind, which the
+    # simulator's plans are built from: an in-place edit must not reach them
+    program = parse_program("qreg q[2]; h q[0]; x q[1]; y q[0]; z q[1]; s q[0]; sdg q[1]; t q[0]; tdg q[1]; cx q[0],q[1];")
+    before = simulate_statevector(program)
+    gate = Gate(kind, (0, 1) if kind == "cx" else (0,), (), 0)
+    matrix = gate_matrix(gate)
+    copy = matrix.copy()
+    with pytest.raises(ValueError):
+        matrix *= 2
+    assert np.array_equal(gate_matrix(gate), copy)
+    assert np.array_equal(simulate_statevector(program), before)
+
+
 def test_norm_preserved_over_many_random_gates():
     rng = random.Random(2024)
     n = 4
