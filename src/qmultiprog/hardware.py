@@ -9,9 +9,13 @@ the hop row of one source, a dict from each qubit the source reaches to its
 hop count, optionally confined to a qubit subset. A qubit missing from the
 row is unreachable. A caller that needs many sources builds one row per
 source, and one that needs a few hops inside a small region never pays for
-the whole chip. ``CouplingGraph.links`` lists the links inside a qubit set,
-in ``edges`` order, for every caller that sums over them. Everything here is
-immutable after construction and safe to share across threads.
+the whole chip. ``CouplingGraph.links`` scans every edge for the links
+inside a qubit set, in ``edges`` order. Its callers are ``scheduler.epst``,
+``partition._region_avg_fidelity`` and ``partition.merge_reward``: they
+average fidelities over the list, and a float sum's last bits follow its
+order. A caller that only chooses among links, like ``partition.allocate``,
+reads the neighbours of its own qubits instead. Everything here is immutable
+after construction and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -72,7 +76,10 @@ class CouplingGraph:
         return len(self.neighbors(q))
 
     def links(self, qubits) -> list[Edge]:
-        """The edges with both ends in ``qubits``, in ``edges`` order."""
+        """The edges with both ends in ``qubits``, in ``edges`` order, by a
+        scan of every edge. ``epst``, ``_region_avg_fidelity`` and
+        ``merge_reward`` average over this list, so their floats depend on
+        the order; callers that only choose a link read ``neighbors``."""
         return [(a, b) for a, b in self.edges if a in qubits and b in qubits]
 
     def is_connected(self) -> bool:

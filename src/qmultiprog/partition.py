@@ -292,30 +292,26 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> dic
     falling back to the nearest free qubit by hops. Logical qubits that never
     interact fill leftover region qubits by descending readout fidelity.
     All ties break toward the lowest index, so the result is deterministic.
+    Only the neighbourhoods of the region's qubits are read, never the chip's
+    edge list, so a call costs the region's size, not the chip's.
     """
     region = set(region)
     if len(region) < program.n_qubits:
         raise PartitionError(
             f"region of {len(region)} qubits cannot host {program.name} ({program.n_qubits} qubits)"
         )
+    graph, calib = backend.graph, backend.calib
     weights = program.cnot_weights()
     logical_weight = {q: 0 for q in range(program.n_qubits)}
     for (a, b), w in weights.items():
         logical_weight[a] += w
         logical_weight[b] += w
-    region_edges = sorted(backend.graph.links(region))
-
     sigma: dict[int, int] = {}
+    free = set(region)  # the region's unplaced qubits; shrinks as sigma grows
 
     def phys_edge_anchor_score(p: int) -> float:
-        return sum(
-            backend.calib.cnot_fidelity(a, b)
-            for a, b in region_edges
-            if p in (a, b)
-        )
-
-    def free_region() -> list[int]:
-        return sorted(region.difference(sigma.values()))
+        # Ascending neighbours of p are its incident links in sorted edge order.
+        return sum(calib.cnot_fidelity(p, n) for n in graph.neighbors(p) if n in region)
 
     def coverage(logical: int, p: int) -> float:
         """Weighted fidelity of links from p to the already-mapped partners of
@@ -323,10 +319,16 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> dic
         total = 0.0
         for other, phys in sigma.items():
             key = (min(logical, other), max(logical, other))
-            if key in weights and backend.graph.has_edge(p, phys):
-                total += weights[key] * backend.calib.cnot_fidelity(p, phys)
+            if key in weights and graph.has_edge(p, phys):
+                total += weights[key] * calib.cnot_fidelity(p, phys)
         return total
 
+    def place(logical: int, p: int) -> None:
+        sigma[logical] = p
+        free.remove(p)
+
+    # Every max and min key below ends in the qubit index, so no choice
+    # depends on the order in which ``free`` is iterated.
     pending = sorted(weights, key=lambda e: (-weights[e], e))
     while True:
         # ``pending`` is sorted by (-weight, edge), so the first match is the best.
@@ -335,39 +337,33 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> dic
             la, lb = half
             anchor, free_l = (la, lb) if la in sigma else (lb, la)
             anchor_p = sigma[anchor]
-            adjacent = [
-                p for p in free_region() if backend.graph.has_edge(anchor_p, p)
-            ]
+            adjacent = [p for p in graph.neighbors(anchor_p) if p in free]
             if adjacent:
-                target = max(
-                    adjacent,
-                    key=lambda p: (coverage(free_l, p), backend.calib.cnot_fidelity(anchor_p, p), -p),
-                )
+                target = max(adjacent, key=lambda p: (coverage(free_l, p), calib.cnot_fidelity(anchor_p, p), -p))
             else:
-                hops = bfs_hops(backend.graph, anchor_p)  # chip-wide, from the anchor only
-                free = free_region()
-                cut_off = next((p for p in free if p not in hops), None)
+                hops = bfs_hops(graph, anchor_p)  # chip-wide, from the anchor only
+                cut_off = min((p for p in free if p not in hops), default=None)
                 if cut_off is not None:
                     raise UnreachableError(f"no path between qubits {anchor_p} and {cut_off}")
                 target = min(free, key=lambda p: (hops[p], p))
-            sigma[free_l] = target
+            place(free_l, target)
             continue
         unmapped = next((e for e in pending if e[0] not in sigma and e[1] not in sigma), None)
         if unmapped is None:
             break
-        taken = set(sigma.values())
-        free_edges = [e for e in region_edges if e[0] not in taken and e[1] not in taken]
+        free_edges = [(p, n) for p in free for n in graph.neighbors(p) if n > p and n in free]
         if not free_edges:
             break  # no internal link left; the readout fill below handles the rest
-        pa, pb = max(free_edges, key=lambda e: (backend.calib.cnot_fidelity(*e), (-e[0], -e[1])))
+        pa, pb = max(free_edges, key=lambda e: (calib.cnot_fidelity(*e), (-e[0], -e[1])))
         la, lb = sorted(unmapped, key=lambda q: (-logical_weight[q], q))  # heavier (or lower-index) first
         if phys_edge_anchor_score(pa) < phys_edge_anchor_score(pb):
             pa, pb = pb, pa  # better-connected physical spot first
-        sigma[la], sigma[lb] = pa, pb
+        place(la, pa)
+        place(lb, pb)
 
     for logical in range(program.n_qubits):
         if logical not in sigma:
-            sigma[logical] = max(free_region(), key=lambda p: (backend.calib.readout_fidelity(p), -p))
+            place(logical, max(free, key=lambda p: (calib.readout_fidelity(p), -p)))
     return sigma
 
 
@@ -489,12 +485,11 @@ def frp_partition(programs, backend: Backend) -> Partition:
         if program.n_qubits > len(available):
             unassigned.append(program)
             continue
-        root = max(sorted(available), key=lambda q: (utility(q), -q))
+        # Every key ends in the qubit index, so set order cannot decide a tie.
+        root = max(available, key=lambda q: (utility(q), -q))
         region = {root}
         while len(region) < program.n_qubits:
-            frontier = sorted(
-                {n for q in region for n in backend.graph.neighbors(q) if n in available - region}
-            )
+            frontier = {n for q in region for n in backend.graph.neighbors(q) if n in available and n not in region}
             if not frontier:
                 break
             region.add(max(frontier, key=lambda q: (utility(q), -q)))

@@ -120,12 +120,19 @@ def schedule_tasks(
 
     Each (program, region) trial is scored once per call and reused by every
     later trial batch that offers the program the same region.
+
+    Estimates and decision records are keyed by job id, so the ids must be
+    distinct: a repeated id raises ValueError before anything is estimated.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     if lookahead < 1 or max_colocate < 1:
         raise ValueError("lookahead and max_colocate must be at least 1")
     jobs: list[Job] = list(queue)
+    ids = [j.id for j in jobs]
+    if len(set(ids)) != len(ids):
+        repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise ValueError(f"job id {repeated} is repeated; each job in the queue needs its own id")
     trials: dict = {}  # partition_qubits' scored trials; the jobs keep their programs alive
     solo: dict[QuantumProgram, float | None] = {}  # by value: equal programs place alike
     for job in jobs:

@@ -182,6 +182,41 @@ MUTANTS = (
         "if len(alive(n)) > need",
         ["tests/test_partition.py::test_golden_cut_partitions"],
     ),
+    (
+        "allocate seeds a pair on the least reliable free link",
+        "partition.py",
+        "pa, pb = max(free_edges, key=",
+        "pa, pb = min(free_edges, key=",
+        ["tests/test_partition.py::test_allocate_reads_neighbourhoods_not_the_chip_edge_list"],
+    ),
+    (
+        "allocate seeds the heavier logical qubit on the worse-connected spot",
+        "partition.py",
+        "if phys_edge_anchor_score(pa) < phys_edge_anchor_score(pb):",
+        "if phys_edge_anchor_score(pa) > phys_edge_anchor_score(pb):",
+        ["tests/test_partition.py::test_allocate_reads_neighbourhoods_not_the_chip_edge_list"],
+    ),
+    (
+        "a repeated job id is accepted",
+        "scheduler.py",
+        "    if len(set(ids)) != len(ids):\n",
+        "    if False:\n",
+        ["tests/test_scheduler.py::test_repeated_job_id_is_refused_before_any_estimate"],
+    ),
+    (
+        "the lookahead window holds one job more",
+        "scheduler.py",
+        "jobs[1:lookahead]",
+        "jobs[1:lookahead + 1]",
+        ["tests/test_scheduler.py::test_lookahead_and_colocation_caps"],
+    ),
+    (
+        "a batch may grow past max_colocate",
+        "scheduler.py",
+        "if len(members) == max_colocate:",
+        "if len(members) > max_colocate:",
+        ["tests/test_scheduler.py::test_lookahead_and_colocation_caps"],
+    ),
 )
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -16,7 +17,7 @@ from conftest import (
     random_program,
 )
 from qmultiprog import fixtures
-from qmultiprog.hardware import CouplingGraph, UnreachableError, random_backend
+from qmultiprog.hardware import Backend, CouplingGraph, UnreachableError, random_backend
 from qmultiprog.partition import (
     UNMERGEABLE,
     Assignment,
@@ -904,10 +905,39 @@ def test_allocate_matches_matrix_reference_when_fallback_fires(n, seed, extra, k
     except UnreachableError:
         expected = UnreachableError
     assume(fired)
+    # The same chip and region built in another insertion order: allocate
+    # iterates sets, and no choice may depend on their order.
+    rng = random.Random(seed)
+    edges = list(backend.graph.edges)
+    rng.shuffle(edges)
+    shuffled = Backend(CouplingGraph(n, frozenset(edges)), backend.calib, backend.name)
+    shuffled_region = set(rng.sample(sorted(region), len(region)))
     if expected is UnreachableError:
-        with pytest.raises(UnreachableError):
+        with pytest.raises(UnreachableError) as refused:
             allocate(program, region, backend)
+        with pytest.raises(UnreachableError, match=f"^{re.escape(str(refused.value))}$"):
+            allocate(program, shuffled_region, shuffled)
     else:
+        assert allocate(program, region, backend) == expected == allocate(program, shuffled_region, shuffled)
+
+
+def test_allocate_reads_neighbourhoods_not_the_chip_edge_list(monkeypatch):
+    # every bundled program on every bundled chip it fits, the whole chip as region
+    cases = []
+    for chip in fixtures.backend_names():
+        backend = fixtures.load_fixture_backend(chip)
+        region = set(range(backend.n_qubits))
+        for name in fixtures.benchmark_names():
+            program = fixtures.load_benchmark(name)
+            if program.n_qubits <= backend.n_qubits:
+                cases.append((program, region, backend, _matrix_allocate(program, region, backend, [])))
+    assert cases
+
+    def scan(graph, qubits):
+        raise AssertionError("allocate scanned the chip's edge list")
+
+    monkeypatch.setattr(CouplingGraph, "links", scan)
+    for program, region, backend, expected in cases:
         assert allocate(program, region, backend) == expected
 
 

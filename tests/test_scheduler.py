@@ -192,6 +192,21 @@ def test_unassignable_job_runs_independent():
     assert batches[1].decision_record == {1: None}
 
 
+def test_repeated_job_id_is_refused_before_any_estimate(melbourne, monkeypatch):
+    # estimates and decision records are keyed by id: two jobs sharing id 0
+    # would read each other's co-located estimate
+    queue = [Job(0, fixtures.load_benchmark("alu-v0_27")), Job(0, fixtures.load_benchmark("bv_n3"))]
+    tree = build_hierarchy_tree(melbourne)
+
+    def estimate(*args, **kwargs):
+        raise AssertionError("estimated before the queue was checked")
+
+    monkeypatch.setattr(scheduler, "independent_epst", estimate)
+    with pytest.raises(ValueError, match="job id 0 is repeated"):
+        schedule_tasks(queue, tree, melbourne, epsilon=1.0)
+    assert [j.ind_epst for j in queue] == [None, None]
+
+
 def test_each_job_is_estimated_alone_once(monkeypatch):
     # too_big cannot be placed alone: it is a candidate in the first batch,
     # then the head of the second, and still estimated only once
