@@ -9,13 +9,11 @@ the hop row of one source, a dict from each qubit the source reaches to its
 hop count, optionally confined to a qubit subset. A qubit missing from the
 row is unreachable. A caller that needs many sources builds one row per
 source, and one that needs a few hops inside a small region never pays for
-the whole chip. ``CouplingGraph.links`` scans every edge for the links
-inside a qubit set, in ``edges`` order. Its callers are ``scheduler.epst``,
-``partition._region_avg_fidelity`` and ``partition.merge_reward``: they
-average fidelities over the list, and a float sum's last bits follow its
-order. A caller that only chooses among links, like ``partition.allocate``,
-reads the neighbours of its own qubits instead. Everything here is immutable
-after construction and safe to share across threads.
+the whole chip. Likewise ``CouplingGraph.links`` returns the links inside a
+qubit set in sorted order, read from the set's own neighbourhoods, so it
+costs the set's degree sum and no result depends on the order in which a
+chip lists its edges. Everything here is immutable after construction and
+safe to share across threads.
 """
 from __future__ import annotations
 
@@ -76,11 +74,9 @@ class CouplingGraph:
         return len(self.neighbors(q))
 
     def links(self, qubits) -> list[Edge]:
-        """The edges with both ends in ``qubits``, in ``edges`` order, by a
-        scan of every edge. ``epst``, ``_region_avg_fidelity`` and
-        ``merge_reward`` average over this list, so their floats depend on
-        the order; callers that only choose a link read ``neighbors``."""
-        return [(a, b) for a, b in self.edges if a in qubits and b in qubits]
+        """The edges with both ends in ``qubits``, in sorted order, read from
+        the members' neighbourhoods: the cost is the set's degree sum."""
+        return [(a, b) for a in sorted(qubits) for b in self.neighbors(a) if b > a and b in qubits]
 
     def is_connected(self) -> bool:
         return self.n_qubits > 0 and len(bfs_hops(self, 0)) == self.n_qubits
@@ -183,7 +179,8 @@ def load_backend(doc: dict) -> Backend:
     ignored. Any malformed document raises ValueError naming the field at
     fault: missing required fields, values of the wrong type, ``cnot_error``
     keys that are not edges or that name one edge twice, rate lists of the
-    wrong length, disconnected graphs and out-of-range rates.
+    wrong length, a qubit count below one, disconnected graphs and
+    out-of-range rates.
     """
     if not isinstance(doc, dict):
         raise ValueError("backend document must be a JSON object")
@@ -191,6 +188,8 @@ def load_backend(doc: dict) -> Backend:
         if f not in doc:
             raise ValueError(f"backend document missing required field {f!r}")
     n = _typed(doc["n_qubits"], int, "n_qubits")
+    if n < 1:
+        raise ValueError(f"backend field 'n_qubits' holds {n}; a chip needs at least one qubit")
     edges = doc["edges"]
     if not isinstance(edges, list) or not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
         raise ValueError("backend field 'edges' must be a list of [a, b] pairs")

@@ -110,7 +110,7 @@ def merge_reward(a: HierarchyNode, b: HierarchyNode, backend: Backend, omega: fl
     qubits). Returns -inf when no link crosses (unmergeable).
     """
     graph = backend.graph
-    crossing = [(x, y) for x, y in graph.links(a.qubits | b.qubits) if (x in a.qubits) != (y in a.qubits)]
+    crossing = sorted((min(x, y), max(x, y)) for x in a.qubits for y in graph.neighbors(x) if y in b.qubits)
     if not crossing:
         return UNMERGEABLE
     m = len(graph.edges)
@@ -310,7 +310,6 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> dic
     free = set(region)  # the region's unplaced qubits; shrinks as sigma grows
 
     def phys_edge_anchor_score(p: int) -> float:
-        # Ascending neighbours of p are its incident links in sorted edge order.
         return sum(calib.cnot_fidelity(p, n) for n in graph.neighbors(p) if n in region)
 
     def coverage(logical: int, p: int) -> float:
@@ -351,7 +350,7 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> dic
         unmapped = next((e for e in pending if e[0] not in sigma and e[1] not in sigma), None)
         if unmapped is None:
             break
-        free_edges = [(p, n) for p in free for n in graph.neighbors(p) if n > p and n in free]
+        free_edges = graph.links(free)
         if not free_edges:
             break  # no internal link left; the readout fill below handles the rest
         pa, pb = max(free_edges, key=lambda e: (calib.cnot_fidelity(*e), (-e[0], -e[1])))

@@ -155,6 +155,38 @@ MUTANTS = (
         ["tests/test_circuit.py::test_parse_errors"],
     ),
     (
+        "links lists a set's edges in edge-set order, by a scan of every chip edge",
+        "hardware.py",
+        "return [(a, b) for a in sorted(qubits) for b in self.neighbors(a) if b > a and b in qubits]",
+        "return [(a, b) for a, b in self.edges if a in qubits and b in qubits]",
+        [
+            "tests/test_hardware.py::test_adjacency_matches_edge_scan",
+            "tests/test_partition.py::test_no_result_depends_on_the_order_a_chip_lists_its_edges",
+            "tests/test_partition.py::test_region_reads_never_iterate_the_chip_edge_list",
+        ],
+    ),
+    (
+        "decompose replays a SWAP that is not a coupling edge",
+        "routing.py",
+        "            if not graph.has_edge(a, b):\n",
+        "            if False:\n",
+        ["tests/test_routing.py::test_decompose_rejects_each_corruption"],
+    ),
+    (
+        "decompose accepts an executed CNOT on non-adjacent qubits",
+        "routing.py",
+        'if g.kind == CNOT and not graph.has_edge(*phys):\n            raise RoutingError(f"executed CNOT',
+        'if False:\n            raise RoutingError(f"executed CNOT',
+        ["tests/test_routing.py::test_decompose_rejects_each_corruption"],
+    ),
+    (
+        "decompose never compares the replay with the final mapping",
+        "routing.py",
+        "        if sigma != schedule.final.sigmas[i]:\n",
+        "        if False:\n",
+        ["tests/test_routing.py::test_decompose_rejects_corrupted_schedule"],
+    ),
+    (
         "two cnot_error keys for one edge are accepted",
         "hardware.py",
         "        if edge in key_of:\n",
@@ -187,14 +219,14 @@ MUTANTS = (
         "partition.py",
         "pa, pb = max(free_edges, key=",
         "pa, pb = min(free_edges, key=",
-        ["tests/test_partition.py::test_allocate_reads_neighbourhoods_not_the_chip_edge_list"],
+        ["tests/test_partition.py::test_region_reads_never_iterate_the_chip_edge_list"],
     ),
     (
         "allocate seeds the heavier logical qubit on the worse-connected spot",
         "partition.py",
         "if phys_edge_anchor_score(pa) < phys_edge_anchor_score(pb):",
         "if phys_edge_anchor_score(pa) > phys_edge_anchor_score(pb):",
-        ["tests/test_partition.py::test_allocate_reads_neighbourhoods_not_the_chip_edge_list"],
+        ["tests/test_partition.py::test_region_reads_never_iterate_the_chip_edge_list"],
     ),
     (
         "a repeated job id is accepted",

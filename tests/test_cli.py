@@ -200,6 +200,15 @@ def test_exit_code_malformed_backend_is_usage_error(tmp_path, capsys):
     assert "'edges'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_qubits", [0, -2])
+def test_exit_code_qubit_count_below_one_is_usage_error(n_qubits, tmp_path, capsys):
+    doc = {"n_qubits": n_qubits, "edges": [], "cnot_error": {}, "readout_error": [], "oneq_error": []}
+    bad = tmp_path / "bad.backend"
+    bad.write_text(json.dumps(doc))
+    assert run(["compile", bench_file("bv_n3"), "--backend", str(bad)]) == 2
+    assert "'n_qubits'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["cnot_error", "readout_error", "oneq_error"])
 def test_exit_code_rate_of_one_is_usage_error(field, tmp_path, capsys):
     doc = json.loads(fixtures.backend_path("london").read_text())

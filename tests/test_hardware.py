@@ -70,6 +70,12 @@ def test_load_backend_accepts_extra_fields():
         (lambda d: d.update(edges=[0, 1]), "'edges'"),
         (lambda d: d.update(edges=[[0, 1], [1, 2.0]]), "'edges'"),
         (lambda d: d.update(n_qubits="3"), "'n_qubits'"),
+        # a chip without qubits is refused by its count, before any graph is built
+        (
+            lambda d: d.update(n_qubits=0, edges=[], cnot_error={}, readout_error=[], oneq_error=[]),
+            "'n_qubits' holds 0",
+        ),
+        (lambda d: d.update(n_qubits=-2), "'n_qubits' holds -2"),
         (lambda d: d.update(cnot_error=[0.01, 0.01]), "'cnot_error'"),
         (lambda d: d["cnot_error"].update({"0-1": None}), "'cnot_error'"),
         (lambda d: d["cnot_error"].update({"0:1": 0.01}), "'cnot_error'"),
@@ -194,8 +200,8 @@ def test_single_source_search_matches_floyd_warshall(n, seed, keep, restrict):
 @pytest.mark.parametrize("seed", range(12))
 def test_adjacency_matches_edge_scan(seed):
     # neighbors/degree/is_connected read precomputed adjacency; check them,
-    # and links on random qubit subsets, against a scan of the edge set, on
-    # connected graphs and on random subgraphs that may fall apart
+    # and links on random qubit subsets, against a sorted scan of the edge
+    # set, on connected graphs and on random subgraphs that may fall apart
     rng = random.Random(seed)
     full = random_graph(rng.randint(1, 12), seed)
     kept = frozenset(e for e in full.edges if rng.random() < 0.6)
@@ -206,7 +212,7 @@ def test_adjacency_matches_edge_scan(seed):
             assert graph.degree(q) == len(scan)
         for _ in range(4):
             subset = {q for q in range(graph.n_qubits) if rng.random() < 0.5}
-            assert graph.links(subset) == [e for e in graph.edges if e[0] in subset and e[1] in subset]
+            assert graph.links(subset) == [e for e in sorted(graph.edges) if e[0] in subset and e[1] in subset]
         component = {0}
         while True:
             grown = component | {x for e in graph.edges if set(e) & component for x in e}

@@ -36,6 +36,7 @@ from qmultiprog.partition import (
     _allocation_pressure,
     _region_avg_fidelity,
 )
+from qmultiprog.scheduler import Job, epst, schedule_tasks
 
 
 # --- modularity -----------------------------------------------------------------
@@ -499,11 +500,12 @@ def test_partition_candidate_choice_matches_brute_force():
 
 # Partitions of windows of a seeded bundled-circuit queue (one to four
 # programs, then the whole queue) on an 8x8 grid under two calibrations drawn
-# from melbourne's ranges, pinned from the implementation that built
-# chip-wide distance matrices.
+# from melbourne's ranges. Pinned from the implementation that built
+# chip-wide distance matrices, then re-pinned when region means began to sum
+# their links in sorted order: every record equal to the old at rel 1e-12.
 GOLDEN_GRID_PARTITIONS = {
-    5: "24b99d5d250e7169",
-    6: "b37aa46cec506ad3",
+    5: "846141c0faa8efdc",
+    6: "8fbd37f6fd977839",
 }
 
 
@@ -921,24 +923,103 @@ def test_allocate_matches_matrix_reference_when_fallback_fires(n, seed, extra, k
         assert allocate(program, region, backend) == expected == allocate(program, shuffled_region, shuffled)
 
 
-def test_allocate_reads_neighbourhoods_not_the_chip_edge_list(monkeypatch):
-    # every bundled program on every bundled chip it fits, the whole chip as region
-    cases = []
-    for chip in fixtures.backend_names():
-        backend = fixtures.load_fixture_backend(chip)
+class _GuardedEdges(frozenset):
+    """A chip's edge set that refuses iteration once armed; ``in`` and
+    ``len`` still work."""
+
+    armed = False
+
+    def __iter__(self):
+        if self.armed:
+            raise AssertionError("a region read iterated the chip's edge list")
+        return super().__iter__()
+
+
+def _guarded_twin(backend):
+    """``backend`` on a guarded copy of its edge set, with the adjacency, the
+    calibration check and the dendrogram already built (they read every
+    edge); arm ``twin.graph.edges`` before the region reads."""
+    twin = Backend(CouplingGraph(backend.n_qubits, _GuardedEdges(backend.graph.edges)), backend.calib, backend.name)
+    twin.graph.neighbors(0)
+    return twin, build_hierarchy_tree(twin)
+
+
+def _schedule(programs, tree, backend):
+    return schedule_tasks([Job(i, p) for i, p in enumerate(programs)], tree, backend, max_colocate=3)
+
+
+def test_region_reads_never_iterate_the_chip_edge_list(melbourne):
+    # every bundled chip and an 8x8 grid: allocate (whole chip as region) for
+    # every bundled program that fits, partitions of pairs, the baseline
+    # partitioner, region means, merge rewards and a schedule, each read
+    # after the chip's edge list refuses iteration
+    programs = [fixtures.load_benchmark(name) for name in fixtures.benchmark_names()]
+    chips = [fixtures.load_fixture_backend(chip) for chip in fixtures.backend_names()]
+    for backend in chips + [random_backend(grid_graph(8, 8), melbourne.calib, seed=5)]:
         region = set(range(backend.n_qubits))
-        for name in fixtures.benchmark_names():
-            program = fixtures.load_benchmark(name)
-            if program.n_qubits <= backend.n_qubits:
-                cases.append((program, region, backend, _matrix_allocate(program, region, backend, [])))
-    assert cases
+        fits = [p for p in programs if p.n_qubits <= backend.n_qubits]
+        pairs = [fits[i : i + 2] for i in range(0, len(fits) - 1, 2)]
+        tree = build_hierarchy_tree(backend)
+        placed = [a for pair in pairs for a in partition_qubits(tree, pair, backend).assignments]
+        expected = (
+            [_matrix_allocate(p, region, backend, []) for p in fits],
+            [partition_qubits(tree, pair, backend) for pair in pairs],
+            [frp_partition(pair, backend) for pair in pairs],
+            [(_region_avg_fidelity(a.qubits, backend), epst(a.program, a.qubits, backend)) for a in placed],
+            _schedule(fits, tree, backend),
+        )
+        twin, twin_tree = _guarded_twin(backend)
+        twin.graph.edges.armed = True
+        assert (
+            [allocate(p, region, twin) for p in fits],
+            [partition_qubits(twin_tree, pair, twin) for pair in pairs],
+            [frp_partition(pair, twin) for pair in pairs],
+            [(_region_avg_fidelity(a.qubits, twin), epst(a.program, a.qubits, twin)) for a in placed],
+            _schedule(fits, twin_tree, twin),
+        ) == expected
+        for node in twin_tree.internal_nodes():
+            assert merge_reward(node.left, node.right, twin, twin_tree.omega) == node.reward
 
-    def scan(graph, qubits):
-        raise AssertionError("allocate scanned the chip's edge list")
 
-    monkeypatch.setattr(CouplingGraph, "links", scan)
-    for program, region, backend, expected in cases:
-        assert allocate(program, region, backend) == expected
+def _insertion_records(backend, seed):
+    """Bit-exact records of every read that averages floats over a region's
+    links: dendrogram rewards and merge order, region means and EPSTs on
+    random connected regions, partitions and a schedule."""
+    tree = build_hierarchy_tree(backend)
+    rng = random.Random(seed)
+    regions = []
+    for _ in range(12):
+        region = {rng.randrange(backend.n_qubits)}
+        for _ in range(rng.randint(1, min(16, backend.n_qubits - 1))):
+            region.add(rng.choice(sorted({n for q in region for n in backend.graph.neighbors(q)} - region)))
+        regions.append(region)
+    program = random_program("p2", 2, 5, 3, seed)
+    queue = [fixtures.load_benchmark(n) for n in rng.sample(fixtures.benchmark_names(), 6)]
+    queue = [p for p in queue if p.n_qubits <= backend.n_qubits]
+    return (
+        sorted((n.merge_step, sorted(n.qubits), n.reward) for n in tree.internal_nodes()),
+        [(_region_avg_fidelity(r, backend), epst(program, r, backend)) for r in regions],
+        [partition_qubits(tree, queue[i : i + 3], backend) for i in range(0, len(queue), 3)],
+        _schedule(queue, tree, backend),
+    )
+
+
+@pytest.mark.parametrize("chip", ["random", "grid8x8", "tokyo20"])
+def test_no_result_depends_on_the_order_a_chip_lists_its_edges(chip, melbourne, tokyo20):
+    # the same chip and calibration rebuilt from its edges reversed and in
+    # shuffled insertion order gives bit-identical floats and decisions
+    for seed in range(4):
+        if chip == "random":
+            topology = random_graph(12 + 3 * seed, seed)
+        else:
+            topology = grid_graph(8, 8) if chip == "grid8x8" else tokyo20.graph
+        backend = random_backend(topology, melbourne.calib, seed=seed)
+        expected = _insertion_records(backend, seed)
+        edges = sorted(topology.edges)
+        rng = random.Random(seed)
+        for order in [edges[::-1]] + [rng.sample(edges, len(edges)) for _ in range(2)]:
+            rebuilt = Backend(CouplingGraph.from_pairs(topology.n_qubits, order), backend.calib, backend.name)
+            assert _insertion_records(rebuilt, seed) == expected
 
 
 @pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf"), -1.0])

@@ -782,7 +782,7 @@ def test_decompose_rejects_corrupted_schedule():
     from qmultiprog.routing import Schedule
 
     bad = Schedule(schedule.programs, schedule.events, schedule.initial, broken, backend)
-    with pytest.raises(RoutingError):
+    with pytest.raises(RoutingError, match="final mapping of program 0"):
         decompose(bad)
 
 

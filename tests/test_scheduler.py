@@ -395,11 +395,12 @@ def test_repeated_program_object_waits_for_a_later_batch(tokyo20):
 # Batch membership, estimates, decision records and partitions of a 12-job
 # bundled-circuit queue on an 8x8 grid under two calibrations drawn from
 # melbourne's ranges (epsilon 0.15, lookahead 8, up to four co-located
-# jobs), pinned from the implementation that built chip-wide distance
-# matrices.
+# jobs). Pinned from the implementation that built chip-wide distance
+# matrices, then re-pinned when region means began to sum their links in
+# sorted order: every record equal to the old at rel 1e-12.
 GOLDEN_GRID_SCHEDULES = {
-    5: "a57555dfa08b4ef9",
-    6: "332b38aae52f0486",
+    5: "6fcb8c117f253616",
+    6: "c829b596ee9be826",
 }
 
 
