@@ -6,14 +6,14 @@ partitioning reward and the fidelity estimates, never through distances, so
 SWAP-count arithmetic stays exact. One breadth-first search over the graph's
 cached adjacency, ``bfs_hops``, answers every distance question: it returns
 the hop row of one source, a dict from each qubit the source reaches to its
-hop count, optionally confined to a qubit subset. A qubit missing from the
-row is unreachable. A caller that needs many sources builds one row per
-source, and one that needs a few hops inside a small region never pays for
-the whole chip. Likewise ``CouplingGraph.links`` returns the links inside a
-qubit set in sorted order, read from the set's own neighbourhoods, so it
-costs the set's degree sum and no result depends on the order in which a
-chip lists its edges. Everything here is immutable after construction and
-safe to share across threads.
+hop count, optionally confined to a qubit subset. A ``Backend``'s graph is
+connected, so only a confined row can miss a qubit. A caller that needs many
+sources builds one row per source, and one that needs a few hops inside a
+small region never pays for the whole chip. Likewise ``CouplingGraph.links``
+returns the links inside a qubit set in sorted order, read from the set's
+own neighbourhoods, so it costs the set's degree sum and no result depends
+on the order in which a chip lists its edges. Everything here is immutable
+after construction and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -29,10 +29,6 @@ Edge = tuple[int, int]
 
 def _norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
-
-
-class UnreachableError(ValueError):
-    """Raised when two qubits that must be joined have no path between them."""
 
 
 @dataclass(frozen=True)
@@ -123,13 +119,15 @@ class Calibration:
 
 @dataclass(frozen=True)
 class Backend:
-    """A chip: coupling graph plus one calibration snapshot."""
+    """A chip: a connected coupling graph plus one calibration snapshot."""
 
     graph: CouplingGraph
     calib: Calibration
     name: str = "backend"
 
     def __post_init__(self):
+        if not self.graph.is_connected():
+            raise ValueError("coupling graph is disconnected")
         self.calib.validate(self.graph)
 
     @property
@@ -143,7 +141,7 @@ def bfs_hops(graph: CouplingGraph, source: int, allowed: set[int] | None = None)
 
     With ``allowed`` the search stays inside that qubit subset (the subgraph
     it induces); a source outside it reaches nothing. Qubits missing from the
-    result are unreachable.
+    result are unreachable; on a Backend's graph only ``allowed`` cuts one off.
     """
     if allowed is not None and source not in allowed:
         return {}
@@ -179,8 +177,8 @@ def load_backend(doc: dict) -> Backend:
     ignored. Any malformed document raises ValueError naming the field at
     fault: missing required fields, values of the wrong type, ``cnot_error``
     keys that are not edges or that name one edge twice, rate lists of the
-    wrong length, a qubit count below one, disconnected graphs and
-    out-of-range rates.
+    wrong length, a qubit count below one and out-of-range rates. ``Backend``
+    itself refuses a disconnected graph.
     """
     if not isinstance(doc, dict):
         raise ValueError("backend document must be a JSON object")
@@ -194,8 +192,6 @@ def load_backend(doc: dict) -> Backend:
     if not isinstance(edges, list) or not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
         raise ValueError("backend field 'edges' must be a list of [a, b] pairs")
     graph = CouplingGraph.from_pairs(n, [(_typed(a, int, "edges"), _typed(b, int, "edges")) for a, b in edges])
-    if not graph.is_connected():
-        raise ValueError("coupling graph is disconnected")
     if not isinstance(doc["cnot_error"], dict):
         raise ValueError("backend field 'cnot_error' must map \"a-b\" keys to rates")
     cnot_error: dict[Edge, float] = {}

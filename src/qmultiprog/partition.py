@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import QuantumProgram
-from .hardware import Backend, CouplingGraph, UnreachableError, bfs_hops
+from .hardware import Backend, CouplingGraph, bfs_hops
 
 DEFAULT_OMEGA = 0.95
 UNMERGEABLE = float("-inf")
@@ -152,8 +152,6 @@ def build_hierarchy_tree(backend: Backend, omega: float = DEFAULT_OMEGA) -> Hier
     rewards = {(x, y): merge_reward(leaves[x], leaves[y], backend, omega) for x, y in backend.graph.edges}
     step = 0
     while len(communities) > 1:
-        if not rewards:
-            raise PartitionError("coupling graph is disconnected; cannot finish the dendrogram")
         ka, kb = min(rewards, key=lambda pair: (-rewards[pair], pair))
         a, b = communities.pop(ka), communities.pop(kb)
         step += 1
@@ -289,7 +287,8 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> dic
     The heaviest interacting logical pair is seeded onto the region's most
     reliable internal link; remaining logical qubits grow outward from mapped
     neighbors (heaviest half-mapped edge first, best adjacent free link),
-    falling back to the nearest free qubit by hops. Logical qubits that never
+    falling back to the nearest free qubit by chip-wide hops, which reach
+    every qubit since a Backend's graph is connected. Logical qubits that never
     interact fill leftover region qubits by descending readout fidelity.
     All ties break toward the lowest index, so the result is deterministic.
     Only the neighbourhoods of the region's qubits are read, never the chip's
@@ -341,9 +340,6 @@ def allocate(program: QuantumProgram, region: set[int], backend: Backend) -> dic
                 target = max(adjacent, key=lambda p: (coverage(free_l, p), calib.cnot_fidelity(anchor_p, p), -p))
             else:
                 hops = bfs_hops(graph, anchor_p)  # chip-wide, from the anchor only
-                cut_off = min((p for p in free if p not in hops), default=None)
-                if cut_off is not None:
-                    raise UnreachableError(f"no path between qubits {anchor_p} and {cut_off}")
                 target = min(free, key=lambda p: (hops[p], p))
             place(free_l, target)
             continue

@@ -230,8 +230,8 @@ def swap_score(edge: tuple[int, int], terms, hops: dict[int, dict[int, int]]) ->
     ``terms`` holds one ``(pa, pb, hops[pa], d, bonus)`` tuple per front-layer
     CNOT (see ``_ProgramState.front``). The base term sums every front
     gate's operand hop count after hypothetically applying the SWAP. A gate's
-    bonus, when it has one, is subtracted if the SWAP lies on its chip-wide
-    shortest path, so the minimization prefers exactly the shortcut SWAPs.
+    bonus (only the joint router's, whose rows hold every qubit) is subtracted
+    if the SWAP lies on its chip-wide shortest path: shortcut SWAPs score best.
     """
     a, b = edge
     row_a, row_b = hops[a], hops[b]
@@ -244,11 +244,7 @@ def swap_score(edge: tuple[int, int], terms, hops: dict[int, dict[int, int]]) ->
             score += d if pb == a else row_a[pb]
         else:
             score += row[b] if pb == a else row[a] if pb == b else d
-        # A missing pair defaults to d, which makes its sum exceed d:
-        # an unreachable endpoint is off the path.
-        if bonus is not None and (
-            row.get(a, d) + 1 + row_b.get(pb, d) == d or row.get(b, d) + 1 + row_a.get(pb, d) == d
-        ):
+        if bonus is not None and (row[a] + 1 + row_b[pb] == d or row[b] + 1 + row_a[pb] == d):
             score -= bonus
     return score
 
@@ -317,8 +313,8 @@ class _ProgramState:
             pa, pb = pair
             row = hops[pa]
             if pb not in row:
-                where = "the chip" if len(hops) == n_phys else f"region {sorted(hops)}"
-                raise UnroutableProgramError(self.program.name, f"{where} cannot connect qubits {pa} and {pb}")
+                detail = f"region {sorted(hops)} cannot connect qubits {pa} and {pb}"
+                raise UnroutableProgramError(self.program.name, detail)
             d = row[pb]
             saved = 0
             if own is not None:
@@ -418,6 +414,15 @@ def _route(programs, mapping: GlobalMapping, graph, hops: dict[int, dict[int, in
     return events
 
 
+def _check_placed(programs, mapping: GlobalMapping) -> None:
+    """Refuse a mapping without, for each program, a sigma over exactly its
+    logical qubits ``range(n_qubits)``. Sigmas beyond the programs are left
+    alone."""
+    for i, program in enumerate(programs):
+        if i >= len(mapping.sigmas) or mapping.sigmas[i].keys() != set(range(program.n_qubits)):
+            raise ValueError(f"mapping gives {program.name!r} no sigma over logical qubits 0..{program.n_qubits - 1}")
+
+
 def xswap_route(programs, initial: GlobalMapping, backend: Backend) -> Schedule:
     """Route all programs jointly, allowing SWAPs across program boundaries
     and through free qubits.
@@ -427,6 +432,7 @@ def xswap_route(programs, initial: GlobalMapping, backend: Backend) -> Schedule:
     fallback walks the oldest blocked gate along a chip-wide shortest path if
     ``STALL_STEPS_PER_QUBIT * n_qubits`` consecutive SWAPs execute no gate.
     """
+    _check_placed(programs, initial)
     graph = backend.graph
     mapping = initial.clone()
     own_cache: dict[frozenset, dict[int, dict[int, int]]] = {}
@@ -460,6 +466,7 @@ def baseline_route(programs, initial: GlobalMapping, backend: Backend) -> Schedu
     the region, mirroring per-program heuristic routing. Raises
     UnroutableProgramError when a region cannot connect a CNOT's operands.
     """
+    _check_placed(programs, initial)
     graph = backend.graph
     mapping = initial.clone()
     streams = []
@@ -579,7 +586,8 @@ def decompose(schedule: Schedule) -> CompiledCircuits:
 
 
 def verify_schedule(schedule: Schedule, limit: int = sim.DEFAULT_QUBIT_CAP) -> tuple[bool, float]:
-    """Decompose ``schedule`` and check the circuit by ``sim.verify_equivalence``."""
+    """Decompose ``schedule`` and check the circuit by ``sim.verify_equivalence``
+    on the programs' final layouts (a sigma beyond the programs has none)."""
     compiled = decompose(schedule)
-    layouts = [dict(s) for s in schedule.final.sigmas]
+    layouts = [dict(s) for s in schedule.final.sigmas[: len(schedule.programs)]]
     return sim.verify_equivalence(schedule.programs, compiled.combined, layouts, limit=limit)

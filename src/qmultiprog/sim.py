@@ -498,10 +498,12 @@ def verify_equivalence(
     marginalizes the result onto every program's final layout, and compares
     with the tensor product of the programs' standalone output
     distributions. Returns (total variation <= ``TOLERANCE``, total
-    variation). Raises QubitCapExceeded when the programs' own qubits, a
-    lower bound checked before any gate is scanned, or the cone exceed
-    ``limit``.
+    variation). Raises ValueError unless there is one final layout per
+    program, and QubitCapExceeded when the programs' own qubits, a lower
+    bound checked before any gate is scanned, or the cone exceed ``limit``.
     """
+    if len(programs) != len(final_layouts):
+        raise ValueError(f"{len(programs)} programs but {len(final_layouts)} final layouts: one per program")
     import numpy as np
 
     check_cap(sum(p.n_qubits for p in programs), limit, "program qubits")

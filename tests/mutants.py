@@ -229,6 +229,30 @@ MUTANTS = (
         ["tests/test_partition.py::test_region_reads_never_iterate_the_chip_edge_list"],
     ),
     (
+        "a Backend accepts a disconnected coupling graph",
+        "hardware.py",
+        "        if not self.graph.is_connected():\n",
+        "        if False:\n",
+        [
+            "tests/test_hardware.py::test_every_way_to_build_a_chip_refuses_a_disconnected_graph",
+            "tests/test_cli.py::test_exit_code_disconnected_backend_is_usage_error",
+        ],
+    ),
+    (
+        "the equivalence check pairs programs and layouts of different counts",
+        "sim.py",
+        "    if len(programs) != len(final_layouts):\n",
+        "    if False:\n",
+        ["tests/test_routing.py::test_equivalence_check_refuses_programs_and_layouts_of_different_counts"],
+    ),
+    (
+        "the routers route a mapping that does not place their programs",
+        "routing.py",
+        "        if i >= len(mapping.sigmas) or mapping.sigmas[i].keys() != set(range(program.n_qubits)):\n",
+        "        if False:\n",
+        ["tests/test_routing.py::test_routers_refuse_a_mapping_that_does_not_place_their_programs"],
+    ),
+    (
         "a repeated job id is accepted",
         "scheduler.py",
         "    if len(set(ids)) != len(ids):\n",

@@ -222,6 +222,21 @@ def test_exit_code_rate_of_one_is_usage_error(field, tmp_path, capsys):
     assert f"{field} rate 1.0 outside [0, 1)" in capsys.readouterr().err
 
 
+def test_exit_code_disconnected_backend_is_usage_error(tmp_path, capsys):
+    # valid in every field, but qubit 2 has no link
+    doc = {
+        "n_qubits": 3,
+        "edges": [[0, 1]],
+        "cnot_error": {"0-1": 0.01},
+        "readout_error": [0.02] * 3,
+        "oneq_error": [0.001] * 3,
+    }
+    bad = tmp_path / "split.backend"
+    bad.write_text(json.dumps(doc))
+    assert run(["tree", "--backend", str(bad)]) == 2
+    assert "coupling graph is disconnected" in capsys.readouterr().err
+
+
 def test_exit_code_bad_angle_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("qreg q[1];\nu1(pi/0) q[0];\n")

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import backend_to_doc, floyd_warshall, make_backend, random_graph
 from qmultiprog import fixtures
 from qmultiprog.hardware import (
+    Backend,
     Calibration,
     CouplingGraph,
     bfs_hops,
@@ -61,7 +62,8 @@ def test_load_backend_accepts_extra_fields():
     [
         (lambda d: d.pop("cnot_error"), "missing required field"),
         (lambda d: d["cnot_error"].popitem(), "missing cnot_error"),
-        (lambda d: d.update(edges=[[0, 1]]), "disconnected"),
+        # a valid document but for its graph: edge 1-2 and its rate both go
+        (lambda d: (d.update(edges=[[0, 1]]), d["cnot_error"].pop("1-2")), "disconnected"),
         (lambda d: d.update(readout_error=[0.02, 1.5, 0.02]), "outside [0, 1)"),
         # a rate of exactly 1.0 is refused too: a gate that always fails
         (lambda d: d["cnot_error"].update({"0-1": 1.0}), "cnot_error rate 1.0 outside [0, 1)"),
@@ -195,6 +197,27 @@ def test_single_source_search_matches_floyd_warshall(n, seed, keep, restrict):
         if (source, q) in oracle and oracle[source, q] != float("inf")
     }
     assert bfs_hops(graph, source, allowed) == expected
+
+
+def test_every_way_to_build_a_chip_refuses_a_disconnected_graph():
+    doc = _doc(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(ValueError, match="coupling graph is disconnected"):
+        load_backend(doc)
+    graph = CouplingGraph.from_pairs(5, [(0, 1), (1, 2), (3, 4)])
+    calib = make_backend(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).calib  # covers every edge of graph
+    with pytest.raises(ValueError, match="coupling graph is disconnected"):
+        Backend(graph, calib)
+    with pytest.raises(ValueError, match="coupling graph is disconnected"):
+        random_backend(graph, calib, seed=0)
+
+
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**31), extra=st.sampled_from((0.0, 0.2, 0.5)))
+def test_chip_wide_hop_rows_of_a_backend_hold_every_qubit(n, seed, extra):
+    # the joint router's rows and swap_score's bonus index them unguarded
+    base = fixtures.load_fixture_backend("melbourne").calib
+    graph = random_backend(random_graph(n, seed, extra), base, seed).graph
+    for q in range(n):
+        assert bfs_hops(graph, q).keys() == set(range(n))
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -283,28 +283,20 @@ def test_baseline_unroutable_region_reported():
     assert verify_schedule(schedule)[0]
 
 
-def test_xswap_routes_programs_on_separate_parts_of_a_disconnected_chip():
-    # load_backend rejects disconnected chips, so this one is built in code
-    backend = make_backend(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    programs = [parse_program("qreg q[2]; cx q[0],q[1];", name=n) for n in ("left", "right")]
-    sigmas = [{0: 0, 1: 2}, {0: 3, 1: 5}]
-    for program, sigma, swap in zip(programs, sigmas, [(0, 1), (3, 4)]):
-        alone = xswap_route([program], GlobalMapping([sigma], n_phys=6), backend)
-        assert [s.key() for s in alone.swaps()] == [swap]
-    schedule = xswap_route(programs, GlobalMapping(sigmas, n_phys=6), backend)
-    assert [s.key() for s in schedule.swaps()] == [(0, 1), (3, 4)]
-    assert decompose(schedule).stats["swaps"] == 2
-    assert verify_schedule(schedule)[0]
-
-
-def test_xswap_unroutable_across_a_disconnected_chip_names_the_chip():
-    # Every qubit has a chip-wide hop row, so the message names the chip.
-    backend = make_backend(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    program = parse_program("qreg q[2]; cx q[0],q[1];", name="split")
-    mapping = GlobalMapping([{0: 1, 1: 4}], n_phys=6)
-    with pytest.raises(UnroutableProgramError) as err:
-        xswap_route([program], mapping, backend)
-    assert str(err.value) == "program 'split' is unroutable: the chip cannot connect qubits 1 and 4"
+@pytest.mark.parametrize("router", [xswap_route, baseline_route])
+@pytest.mark.parametrize(
+    "sigmas",
+    [[{0: 0, 1: 1}], [{0: 0, 1: 1}, {0: 2}]],
+    ids=["a program without a sigma", "a sigma without logical qubit 1"],
+)
+def test_routers_refuse_a_mapping_that_does_not_place_their_programs(router, sigmas):
+    backend = make_backend(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    programs = [parse_program("qreg q[2]; cx q[0],q[1];", name=n) for n in ("first", "second")]
+    with pytest.raises(ValueError, match="^mapping gives 'second' no sigma over logical qubits 0..1$"):
+        router(programs, GlobalMapping(sigmas, n_phys=5), backend)
+    # a sigma beyond the programs is no fault
+    extra = router(programs, GlobalMapping([{0: 0, 1: 1}, {0: 3, 1: 4}, {0: 2}], n_phys=5), backend)
+    assert decompose(extra).stats["swaps"] == 0 and verify_schedule(extra) == (True, 0.0)
 
 
 def test_baseline_unreachable_noncritical_front_cnot_is_unroutable():
@@ -886,6 +878,25 @@ def test_equivalence_mutation_negative_control():
     ok, tv = verify_equivalence(programs, corrupted, layouts)
     assert not ok
     assert tv > 1e-6
+
+
+def test_equivalence_check_refuses_programs_and_layouts_of_different_counts():
+    programs, mapping, backend = fixtures.boundary_swap_instance()
+    schedule = xswap_route(programs, mapping, backend)
+    combined = decompose(schedule).combined
+    layouts = [dict(s) for s in schedule.final.sigmas]
+    # one x on the second program's first final qubit: only its check can see it
+    flip = Gate("x", (layouts[1][0],), (), len(combined.gates))
+    flipped = QuantumProgram("flipped", combined.n_qubits, combined.gates + (flip,))
+    assert not verify_equivalence(programs, flipped, layouts)[0]
+    with pytest.raises(ValueError, match="^2 programs but 1 final layouts"):
+        verify_equivalence(programs, flipped, layouts[:1])
+    with pytest.raises(ValueError, match="^1 programs but 2 final layouts"):
+        verify_equivalence(programs[:1], flipped, layouts)
+    # refused before the cap check: 13 program qubits exceed the cap of 12
+    wide = QuantumProgram("wide", 13, ())
+    with pytest.raises(ValueError, match="^1 programs but 0 final layouts"):
+        verify_equivalence([wide], wide, [], limit=12)
 
 
 def test_equivalence_identity_programs():
